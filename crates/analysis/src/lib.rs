@@ -2,10 +2,10 @@
 //! workspace.
 //!
 //! The simulator's two load-bearing invariants — bit-identical
-//! determinism across executors/shard counts, and `CONGEST(b log n)` word
-//! accounting through `Msg::words()` — are enforced dynamically by
-//! proptests and golden pins, which only fire *after* a drifting change
-//! lands. This crate is the compiler-adjacent gate: a lightweight lexer
+//! determinism across executors/shard counts, and a self-delimiting wire
+//! encoding for every message on the unframed rings — are enforced
+//! dynamically by proptests and golden pins, which only fire *after* a
+//! drifting change lands. This crate is the compiler-adjacent gate: a lightweight lexer
 //! (no `syn`; the build is offline and zero-dependency) plus a small rule
 //! engine that walks every workspace `.rs` file and fails the build on
 //! contract violations.

@@ -1,10 +1,9 @@
 //! The protocol-contract rules.
 //!
 //! Each rule is grounded in a bug class this repository has already paid
-//! for dynamically (proptest shrinkage, golden-pin churn, hand-audited
-//! "drifting literal" sweeps in PR 3); see `DESIGN.md` § "Static
-//! contracts" for the rule-by-rule rationale and the division of labor
-//! with `clippy.toml`'s `disallowed-methods` lane.
+//! for dynamically (proptest shrinkage, golden-pin churn); see `DESIGN.md`
+//! § "Static contracts" for the rule-by-rule rationale and the division
+//! of labor with `clippy.toml`'s `disallowed-methods` lane.
 
 use crate::lexer::{matching_brace, Tok, TokKind};
 use crate::{Finding, ParsedFile};
@@ -37,24 +36,9 @@ pub const RULES: &[RuleInfo] = &[
                code: all randomness must be seeded",
     },
     RuleInfo {
-        id: "words-exhaustive",
-        what: "every Msg variant needs its own arm in Message::words(); wildcard arms \
-               silently under-account new variants",
-    },
-    RuleInfo {
         id: "encode-exhaustive",
         what: "every Msg variant must appear in Message::encode() and Message::decode(); \
                wildcard arms would silently mis-frame new variants on the wire",
-    },
-    RuleInfo {
-        id: "words-zero",
-        what: "a words() arm that can return 0 under-declares bandwidth (the >= 1 \
-               contract of congest_sim::Message)",
-    },
-    RuleInfo {
-        id: "drifting-literal",
-        what: "pipeline-budget sites must derive thresholds from Msg::words() and \
-               UNIT_WORDS, not re-state word counts as literals",
     },
     RuleInfo {
         id: "tag-guard",
@@ -130,8 +114,6 @@ pub fn check_file(f: &ParsedFile, findings: &mut Vec<Finding>) {
     }
     determinism_rules(f, findings);
     if f.scope == Scope::Protocol {
-        drifting_literal(f, findings);
-        words_rules(f, findings);
         encode_rules(f, findings);
         if f.path.ends_with("/network.rs") {
             panic_hygiene(f, findings);
@@ -163,122 +145,12 @@ fn determinism_rules(f: &ParsedFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `drifting-literal`: a line that touches the pipeline budget must not
-/// carry a numeric word count, and the unit size must come from
-/// `UNIT_WORDS`, never a `<literal> * bandwidth` product (the exact drift
-/// class PR 3 swept by hand).
-fn drifting_literal(f: &ParsedFile, findings: &mut Vec<Finding>) {
-    let mut lines: Vec<(u32, bool, bool, bool, bool)> = Vec::new(); // (line, pipe, band, star, int)
-    for (i, t) in f.tokens.iter().enumerate() {
-        if f.test_mask[i] {
-            continue;
-        }
-        let entry = match lines.last_mut() {
-            Some(e) if e.0 == t.line => e,
-            _ => {
-                lines.push((t.line, false, false, false, false));
-                lines.last_mut().expect("just pushed")
-            }
-        };
-        entry.1 |= t.is_ident("pipe_budget");
-        entry.2 |= t.is_ident("bandwidth");
-        entry.3 |= t.is_punct('*');
-        entry.4 |= t.kind == TokKind::Num && t.int_value().is_some();
-    }
-    for (line, pipe, band, star, int) in lines {
-        if pipe && int {
-            findings.push(Finding {
-                rule: "drifting-literal",
-                path: f.path.clone(),
-                line,
-                msg: "budget threshold written as a literal; derive it from Msg::words()"
-                    .to_string(),
-            });
-        } else if band && star && int {
-            findings.push(Finding {
-                rule: "drifting-literal",
-                path: f.path.clone(),
-                line,
-                msg: "unit size re-stated as a literal next to `bandwidth`; use \
-                      congest_sim::UNIT_WORDS"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// `words-exhaustive` + `words-zero` over any file that defines `enum Msg`
-/// and/or `fn words` bodies.
-fn words_rules(f: &ParsedFile, findings: &mut Vec<Finding>) {
-    let toks = &f.tokens;
-    // `words-zero`: every `fn words` body, whatever it belongs to.
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("fn") && toks[i + 1].is_ident("words") && !f.test_mask[i] {
-            if let Some(open) = (i + 2..toks.len()).find(|&k| toks[k].is_punct('{')) {
-                let close = matching_brace(toks, open);
-                for t in &toks[open + 1..close] {
-                    if t.int_value() == Some(0) {
-                        findings.push(Finding {
-                            rule: "words-zero",
-                            path: f.path.clone(),
-                            line: t.line,
-                            msg: "words() arm can return 0, violating the >= 1 contract \
-                                  (see congest_sim::Message::words)"
-                                .to_string(),
-                        });
-                    }
-                }
-                i = close;
-                continue;
-            }
-        }
-        i += 1;
-    }
-
-    // `words-exhaustive` needs both the enum and the impl in this file.
-    let Some(variants) = msg_enum_variants(toks, &f.test_mask) else { return };
-    let Some(words) = words_match(toks, &f.test_mask) else {
-        // An `enum Msg` without any words() match at all: every variant is
-        // unaccounted for. Report once at the enum.
-        if let Some((_, line)) = variants.first() {
-            findings.push(Finding {
-                rule: "words-exhaustive",
-                path: f.path.clone(),
-                line: *line,
-                msg: "enum Msg has no Message::words() match".to_string(),
-            });
-        }
-        return;
-    };
-    for (v, line) in &variants {
-        if !words.names.iter().any(|n| n == v) {
-            findings.push(Finding {
-                rule: "words-exhaustive",
-                path: f.path.clone(),
-                line: *line,
-                msg: format!("Msg::{v} has no arm in Message::words()"),
-            });
-        }
-    }
-    for line in &words.wildcard_lines {
-        findings.push(Finding {
-            rule: "words-exhaustive",
-            path: f.path.clone(),
-            line: *line,
-            msg: "wildcard arm in words() would silently cover future variants; \
-                  list every variant explicitly"
-                .to_string(),
-        });
-    }
-}
-
 /// `encode-exhaustive` over any file that defines `enum Msg`: every
 /// variant must appear (as `Msg::V` or `Self::V`) in the bodies of both
 /// `fn encode` and `fn decode`, and neither may use a `_ =>` wildcard
-/// arm. An unencoded variant trips the send-side length assertion only
-/// when it is first sent; a wildcard would let it land silently
-/// mis-framed and desynchronize every later message in the ring. (Named
+/// arm. An unencoded variant fails only when it is first sent; a wildcard
+/// would let it land silently mis-framed and desynchronize every later
+/// message in the ring. (Named
 /// catch-all bindings over the *tag word* in decode — `other =>
 /// unreachable!(..)` — are fine: they reject, not absorb.)
 fn encode_rules(f: &ParsedFile, findings: &mut Vec<Finding>) {
@@ -395,61 +267,6 @@ fn msg_enum_variants(toks: &[Tok], mask: &[bool]) -> Option<Vec<(String, u32)>> 
         i += 1;
     }
     Some(variants)
-}
-
-/// What a `fn words` match body covers.
-struct WordsMatch {
-    names: Vec<String>,
-    wildcard_lines: Vec<u32>,
-}
-
-/// Parses the `match self { ... }` inside the first non-test `fn words`.
-fn words_match(toks: &[Tok], mask: &[bool]) -> Option<WordsMatch> {
-    let fn_at = (0..toks.len().saturating_sub(1))
-        .find(|&i| toks[i].is_ident("fn") && toks[i + 1].is_ident("words") && !mask[i])?;
-    let body_open = (fn_at + 2..toks.len()).find(|&k| toks[k].is_punct('{'))?;
-    let body_close = matching_brace(toks, body_open);
-    let match_at = (body_open + 1..body_close).find(|&k| toks[k].is_ident("match"))?;
-    let open = (match_at + 1..body_close).find(|&k| toks[k].is_punct('{'))?;
-    let close = matching_brace(toks, open);
-
-    let mut out = WordsMatch { names: Vec::new(), wildcard_lines: Vec::new() };
-    let mut depth = 0usize;
-    let mut in_pattern = true;
-    let mut i = open + 1;
-    while i < close {
-        let t = &toks[i];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth = depth.saturating_sub(1);
-            // A braced arm body ends without a comma.
-            if depth == 0 && !in_pattern && t.is_punct('}') {
-                in_pattern = true;
-            }
-        } else if depth == 0 {
-            if in_pattern {
-                if (t.is_ident("Msg") || t.is_ident("Self"))
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                {
-                    if let Some(name) = toks.get(i + 3) {
-                        out.names.push(name.text.clone());
-                        i += 3;
-                    }
-                } else if t.is_ident("_") {
-                    out.wildcard_lines.push(t.line);
-                } else if t.is_punct('=') && toks.get(i + 1).is_some_and(|t| t.is_punct('>')) {
-                    in_pattern = false;
-                    i += 1;
-                }
-            } else if t.is_punct(',') {
-                in_pattern = true;
-            }
-        }
-        i += 1;
-    }
-    Some(out)
 }
 
 /// `panic-hygiene` on executor files: `.unwrap()` / `.expect(...)`,
@@ -745,35 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn words_exhaustive_missing_and_wildcard() {
-        let src = r#"
-pub enum Msg { A, B { x: u64 }, C }
-impl Message for Msg {
-    fn words(&self) -> u32 {
-        match self {
-            Msg::A => 1,
-            _ => 2,
-        }
-    }
-}
-"#;
-        let f = protocol("crates/core/src/msg.rs", src);
-        let mut out = Vec::new();
-        check_file(&f, &mut out);
-        let rules: Vec<_> = out.iter().map(|f| (f.rule, f.line)).collect();
-        // B and C miss arms; the wildcard is flagged once.
-        assert!(rules.contains(&("words-exhaustive", 2)));
-        assert_eq!(out.iter().filter(|f| f.msg.contains("wildcard")).count(), 1);
-        assert_eq!(out.iter().filter(|f| f.msg.contains("Msg::B")).count(), 1);
-        assert_eq!(out.iter().filter(|f| f.msg.contains("Msg::C")).count(), 1);
-    }
-
-    #[test]
     fn encode_exhaustive_missing_and_wildcard() {
         let src = r#"
 pub enum Msg { A, B { x: u64 }, C }
 impl Message for Msg {
-    fn words(&self) -> u32 { match self { Msg::A => 1, Msg::B { .. } => 2, Msg::C => 1 } }
     fn tag(&self) -> &'static str { "a:bfs" }
     fn encode(&self, w: &mut WireWriter<'_>) {
         match self {
@@ -808,7 +600,6 @@ impl Message for Msg {
         let src = r#"
 pub enum Msg { A }
 impl Message for Msg {
-    fn words(&self) -> u32 { match self { Msg::A => 1 } }
     fn tag(&self) -> &'static str { "a:bfs" }
 }
 "#;
@@ -819,38 +610,6 @@ impl Message for Msg {
         assert_eq!(enc.len(), 2, "{enc:#?}");
         assert!(enc.iter().any(|f| f.msg.contains("no Message::encode()")), "{enc:#?}");
         assert!(enc.iter().any(|f| f.msg.contains("no Message::decode()")), "{enc:#?}");
-    }
-
-    #[test]
-    fn words_zero_flags() {
-        let src = "impl Message for M { fn words(&self) -> u32 { 0 } }";
-        let f = protocol("crates/congest/src/message.rs", src);
-        let mut out = Vec::new();
-        check_file(&f, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "words-zero");
-    }
-
-    #[test]
-    fn drifting_literal_flags_pipe_budget_and_unit_size() {
-        let src = "fn f(&self) {\n  if self.pipe_budget(r, p) >= 2 {}\n  let cap = 8 * self.cfg.bandwidth;\n}";
-        let f = protocol("crates/core/src/node/mod.rs", src);
-        let mut out = Vec::new();
-        check_file(&f, &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|f| f.rule == "drifting-literal"));
-        assert_eq!(out[0].line, 2);
-        assert_eq!(out[1].line, 3);
-    }
-
-    #[test]
-    fn drifting_literal_accepts_words_derived() {
-        let src = "fn f(&self) { if self.pipe_budget(r, p) >= Msg::RegDone.words() {} \
-                   let cap = UNIT_WORDS * self.cfg.bandwidth; }";
-        let f = protocol("crates/core/src/node/mod.rs", src);
-        let mut out = Vec::new();
-        check_file(&f, &mut out);
-        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -869,7 +628,6 @@ impl Message for Msg {
         let msg = r#"
 pub enum Msg { A }
 impl Message for Msg {
-    fn words(&self) -> u32 { match self { Msg::A => 1 } }
     fn tag(&self) -> &'static str { match self { Msg::A => "a:bfs" } }
 }
 "#;
@@ -894,7 +652,6 @@ impl N {
         let msg = r#"
 pub enum Msg { A, B }
 impl Message for Msg {
-    fn words(&self) -> u32 { match self { Msg::A => 1, Msg::B => 1 } }
     fn tag(&self) -> &'static str { match self { Msg::A => "a:bfs", Msg::B => "b:new" } }
 }
 "#;

@@ -55,29 +55,13 @@ fn entropy_source() {
 }
 
 #[test]
-fn words_missing_arm_and_wildcard() {
-    expect(
-        "words_missing",
-        &[
-            ("words-exhaustive", "crates/core/src/msg.rs", 7),
-            ("words-exhaustive", "crates/core/src/msg.rs", 8),
-            ("words-exhaustive", "crates/core/src/msg.rs", 15),
-        ],
-    );
-    let got = run("words_missing");
-    assert!(got.iter().any(|f| f.msg.contains("Msg::Pong")), "{got:#?}");
-    assert!(got.iter().any(|f| f.msg.contains("Msg::Probe")), "{got:#?}");
-    assert!(got.iter().any(|f| f.msg.contains("wildcard")), "{got:#?}");
-}
-
-#[test]
 fn encode_missing_variant_and_wildcard() {
     expect(
         "encode_missing",
         &[
             ("encode-exhaustive", "crates/core/src/msg.rs", 9),
             ("encode-exhaustive", "crates/core/src/msg.rs", 9),
-            ("encode-exhaustive", "crates/core/src/msg.rs", 32),
+            ("encode-exhaustive", "crates/core/src/msg.rs", 24),
         ],
     );
     let got = run("encode_missing");
@@ -87,26 +71,10 @@ fn encode_missing_variant_and_wildcard() {
 }
 
 #[test]
-fn zero_words() {
-    expect("zero_words", &[("words-zero", "crates/core/src/msg.rs", 13)]);
-}
-
-#[test]
-fn drifting_literal() {
-    expect(
-        "drifting_literal",
-        &[
-            ("drifting-literal", "crates/core/src/node.rs", 13),
-            ("drifting-literal", "crates/core/src/node.rs", 17),
-        ],
-    );
-}
-
-#[test]
 fn tag_guard_missing_and_stale() {
     expect(
         "tag_guard",
-        &[("tag-guard", "crates/core/src/msg.rs", 19), ("tag-guard", "crates/core/src/node.rs", 5)],
+        &[("tag-guard", "crates/core/src/msg.rs", 12), ("tag-guard", "crates/core/src/node.rs", 5)],
     );
     let got = run("tag_guard");
     assert!(got.iter().any(|f| f.msg.contains("\"b:burst\"")), "{got:#?}");

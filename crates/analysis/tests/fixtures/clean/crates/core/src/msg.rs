@@ -1,5 +1,4 @@
-//! A clean protocol file: exhaustive words(), positive word counts,
-//! mirrored tags.
+//! A clean protocol file: exhaustive encode()/decode(), mirrored tags.
 
 pub enum Msg {
     Ping,
@@ -7,13 +6,6 @@ pub enum Msg {
 }
 
 impl Message for Msg {
-    fn words(&self) -> u32 {
-        match self {
-            Msg::Ping => 1,
-            Msg::Pong { .. } => 2,
-        }
-    }
-
     fn tag(&self) -> &'static str {
         match self {
             Msg::Ping => "a:bfs",

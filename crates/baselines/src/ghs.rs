@@ -76,13 +76,6 @@ pub enum GhsMsg {
 }
 
 impl Message for GhsMsg {
-    fn words(&self) -> u32 {
-        match self {
-            GhsMsg::MwoeUp { .. } => 3,
-            _ => 1,
-        }
-    }
-
     fn tag(&self) -> &'static str {
         match self {
             GhsMsg::Hello { .. } => "ghs:hello",
@@ -114,9 +107,8 @@ impl Message for GhsMsg {
                 w.flag(0, *same);
             }
             GhsMsg::MwoeUp { cand } => {
-                // 3 declared words: the endpoint `lo` (a vertex id) packs
-                // into the tag word, the full-range weight and `hi` get
-                // whole words.
+                // 3 words: the endpoint `lo` (a vertex id) packs into the
+                // tag word, the full-range weight and `hi` get whole words.
                 w.tag(8);
                 w.flag(0, cand.is_some());
                 let key = cand.unwrap_or(CandKey { weight: 0, lo: 0, hi: 0 });

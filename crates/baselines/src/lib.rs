@@ -90,19 +90,17 @@ pub struct BaselineRun {
     pub stats: RunStats,
 }
 
-/// Adds `b` into `a`: rounds/messages/words sum, peaks take the max, tags
-/// merge.
+/// Adds `b` into `a`: rounds/messages/wire words sum, peaks take the max,
+/// tags merge.
 pub fn combine_stats(a: &mut RunStats, b: &RunStats) {
     a.rounds += b.rounds;
     a.messages += b.messages;
-    a.words += b.words;
     a.wire_words += b.wire_words;
     a.peak_round_messages = a.peak_round_messages.max(b.peak_round_messages);
     a.peak_edge_words = a.peak_edge_words.max(b.peak_edge_words);
     for (tag, t) in &b.by_tag {
         let e = a.by_tag.entry(tag).or_default();
         e.messages += t.messages;
-        e.words += t.words;
         e.wire_words += t.wire_words;
     }
 }
@@ -239,14 +237,15 @@ mod tests {
 
     #[test]
     fn combine_stats_sums_and_merges() {
-        let mut a = RunStats { rounds: 5, messages: 10, words: 20, ..Default::default() };
-        a.by_tag.insert("x", congest_sim::TagStats { messages: 10, words: 20, wire_words: 20 });
-        let mut b = RunStats { rounds: 7, messages: 1, words: 2, ..Default::default() };
-        b.by_tag.insert("x", congest_sim::TagStats { messages: 1, words: 2, wire_words: 2 });
-        b.by_tag.insert("y", congest_sim::TagStats { messages: 0, words: 0, wire_words: 0 });
+        let mut a = RunStats { rounds: 5, messages: 10, wire_words: 20, ..Default::default() };
+        a.by_tag.insert("x", congest_sim::TagStats { messages: 10, wire_words: 20 });
+        let mut b = RunStats { rounds: 7, messages: 1, wire_words: 2, ..Default::default() };
+        b.by_tag.insert("x", congest_sim::TagStats { messages: 1, wire_words: 2 });
+        b.by_tag.insert("y", congest_sim::TagStats { messages: 0, wire_words: 0 });
         combine_stats(&mut a, &b);
         assert_eq!(a.rounds, 12);
         assert_eq!(a.messages, 11);
+        assert_eq!(a.wire_words, 22);
         assert_eq!(a.by_tag["x"].messages, 11);
         assert!(a.by_tag.contains_key("y"));
     }

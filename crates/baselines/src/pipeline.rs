@@ -53,15 +53,6 @@ pub enum PipeMsg {
 }
 
 impl Message for PipeMsg {
-    fn words(&self) -> u32 {
-        match self {
-            PipeMsg::Hello { .. } => 2,
-            PipeMsg::Cand { .. } => 5,
-            PipeMsg::PipeDone | PipeMsg::DoneAll => 1,
-            PipeMsg::Chosen { .. } => 3,
-        }
-    }
-
     fn tag(&self) -> &'static str {
         match self {
             PipeMsg::Hello { .. } => "pipe:hello",

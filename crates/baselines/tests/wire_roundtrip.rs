@@ -1,25 +1,27 @@
 //! Wire-format round-trip properties for the baseline protocols
-//! ([`GhsMsg`], [`PipeMsg`]): `decode(encode(m)) == m` and encoded length
-//! == declared `words()` for every variant — the same length contract
-//! `crates/core/tests/wire_roundtrip.rs` pins for the Elkin protocol.
+//! ([`GhsMsg`], [`PipeMsg`]): `decode(encode(m)) == m`, decode consumes
+//! exactly the encoded words, and `1 <= len <= UNIT_WORDS` for every
+//! variant — the same contract `crates/core/tests/wire_roundtrip.rs` pins
+//! for the Elkin protocol.
 //!
 //! Domain notes: `GhsMsg::MwoeUp` and `PipeMsg::Chosen` pack `key.lo`
 //! (a vertex id) into the tag word, so the generators build keys with at
 //! least one endpoint `< 2^32` — `CandKey::new` normalizes `lo` to the
 //! smaller endpoint, which is then packable. Weights carry full words.
 
-use congest_sim::{Message, WireReader, WireWriter};
+use congest_sim::{Message, WireReader, WireWriter, UNIT_WORDS};
 use dmst_baselines::{GhsMsg, PipeMsg};
 use dmst_core::CandKey;
 use proptest::prelude::*;
 
-/// Encode, check the length contract, decode, check identity and consumed
+/// Encode, check the length bounds, decode, check identity and consumed
 /// span (the executor ring advances by exactly this much).
 fn check<M: Message + PartialEq + std::fmt::Debug>(m: &M) -> Result<(), TestCaseError> {
     let mut buf = Vec::new();
     let mut w = WireWriter::new(&mut buf);
     m.encode(&mut w);
-    prop_assert_eq!(w.len(), m.words() as usize, "encoded length != words() for {:?}", m);
+    let len = w.len();
+    prop_assert!((1..=UNIT_WORDS as usize).contains(&len), "{:?} encodes to {} words", m, len);
     let mut r = WireReader::new(&buf);
     let back = M::decode(&mut r);
     prop_assert_eq!(&back, m);

@@ -28,7 +28,7 @@ fn main() {
         for w in standard_trio(n, 0x51) {
             let g = &w.graph;
             let fixed = run_mst(g, &ElkinConfig::fixed()).expect("fixed run");
-            let ada = run_mst(g, &ElkinConfig::adaptive()).expect("adaptive run");
+            let ada = run_mst(g, &ElkinConfig::default()).expect("adaptive run");
             assert_eq!(fixed.edges, ada.edges, "schedule mode changed the MST on {}", w.name);
             assert!(
                 ada.stats.rounds <= fixed.stats.rounds,

@@ -45,21 +45,17 @@ fn main() {
     for (w, cfg) in cases {
         for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
             let run = run_mst(&w.graph, &cfg.with_schedule_mode(mode)).expect("run");
-            let p = run.profile;
-            assert_eq!(
-                p.stage_a + p.stage_b + p.stage_c + p.stage_d,
-                run.stats.rounds,
-                "profile must partition the run"
-            );
+            let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| run.stats.rounds_in_stage(s));
+            assert_eq!(a + b + c + d, run.stats.rounds, "profile must partition the run");
             row(&[
                 w.name.clone(),
                 format!("{mode:?}").to_lowercase(),
                 w.diameter.to_string(),
                 run.k.to_string(),
-                p.stage_a.to_string(),
-                p.stage_b.to_string(),
-                p.stage_c.to_string(),
-                p.stage_d.to_string(),
+                a.to_string(),
+                b.to_string(),
+                c.to_string(),
+                d.to_string(),
                 run.stats.rounds.to_string(),
             ]);
         }

@@ -33,14 +33,14 @@ fn smoke() {
         .find(|w| w.name.starts_with("cliquepath"))
         .expect("trio contains a cliquepath");
     let fixed = run_mst(&cliquepath.graph, &ElkinConfig::fixed()).expect("fixed run");
-    let ada = run_mst(&cliquepath.graph, &ElkinConfig::adaptive()).expect("adaptive run");
+    let ada = run_mst(&cliquepath.graph, &ElkinConfig::default()).expect("adaptive run");
     assert_eq!(fixed.edges, ada.edges, "schedule mode changed the MST");
     for (mode, run) in [("fixed", &fixed), ("adaptive", &ada)] {
         row(&[
             cliquepath.name.clone(),
             mode.to_string(),
             run.stats.rounds.to_string(),
-            run.profile.stage_d.to_string(),
+            run.stats.rounds_in_stage("d").to_string(),
             run.stats.messages.to_string(),
             run.stats.wire_words.to_string(),
         ]);
@@ -61,19 +61,19 @@ fn smoke() {
         ada.stats.rounds
     );
     assert!(
-        ada.profile.stage_d <= 2820,
+        ada.stats.rounds_in_stage("d") <= 2820,
         "adaptive cliquepath Stage D {} exceeds the 2565-round golden (+10%)",
-        ada.profile.stage_d
+        ada.stats.rounds_in_stage("d")
     );
     assert!(
-        100 * ada.profile.stage_d <= 36 * ada.stats.rounds,
+        100 * ada.stats.rounds_in_stage("d") <= 36 * ada.stats.rounds,
         "Stage D share {}/{} exceeds the 36% ceiling on the cliquepath",
-        ada.profile.stage_d,
+        ada.stats.rounds_in_stage("d"),
         ada.stats.rounds
     );
     let torus = standard_trio(256, 0x51).into_iter().next().expect("trio has a torus");
     let tf = run_mst(&torus.graph, &ElkinConfig::fixed()).expect("torus fixed");
-    let ta = run_mst(&torus.graph, &ElkinConfig::adaptive()).expect("torus adaptive");
+    let ta = run_mst(&torus.graph, &ElkinConfig::default()).expect("torus adaptive");
     assert_eq!(tf.edges, ta.edges);
     assert!(ta.stats.rounds <= tf.stats.rounds, "adaptive must not regress the torus");
     // Total-wire-words gate, one ceiling per smoke row: the measured
@@ -97,7 +97,9 @@ fn smoke() {
     }
     println!(
         "\nsmoke ok: adaptive/fixed = {}/{}, stage D = {}",
-        ada.stats.rounds, fixed.stats.rounds, ada.profile.stage_d
+        ada.stats.rounds,
+        fixed.stats.rounds,
+        ada.stats.rounds_in_stage("d")
     );
 }
 
@@ -119,7 +121,7 @@ fn main() {
             let ghs = run_ghs(g).expect("ghs run");
             let pipe = run_pipeline(g).expect("pipeline run");
             let elkin = run_mst(g, &ElkinConfig::fixed()).expect("elkin run");
-            let ada = run_mst(g, &ElkinConfig::adaptive()).expect("elkin adaptive run");
+            let ada = run_mst(g, &ElkinConfig::default()).expect("elkin adaptive run");
             assert_eq!(ghs.edges, elkin.edges, "baselines disagree on the MST");
             assert_eq!(pipe.edges, elkin.edges, "baselines disagree on the MST");
             assert_eq!(ada.edges, elkin.edges, "schedule mode changed the MST");

@@ -1,14 +1,14 @@
 //! Run-time configuration of a simulation.
 
-/// Default number of words in one unit message.
+/// Number of words in one unit message.
 ///
-/// A unit message in our protocols carries at most ~6 fields (a tag, a
-/// weight, two endpoint ids, two fragment ids); 8 gives slack while
-/// staying `O(1)` words = `O(log n)` bits. Protocol code that needs the
-/// per-round word budget must derive it as `UNIT_WORDS * bandwidth` (or
-/// call [`RunConfig::capacity_words`]) instead of re-stating the unit size
-/// as a literal — the `dmst-analysis` `drifting-literal` rule enforces
-/// this.
+/// The paper's model lets a message carry "`O(1)` edge weights and/or
+/// identity numbers": one word is one `O(log n)`-bit quantity, and a unit
+/// message is a small constant number of words. A unit message in our
+/// protocols carries at most ~6 fields (a tag, a weight, two endpoint ids,
+/// two fragment ids); 8 gives slack while staying `O(1)` words =
+/// `O(log n)` bits. Protocols never need the budget themselves:
+/// [`RoundCtx::try_send`](crate::RoundCtx::try_send) checks it.
 pub const UNIT_WORDS: u32 = 8;
 
 /// What to do when a round's sends over one edge direction exceed the
@@ -31,13 +31,9 @@ pub enum CapacityMode {
 pub struct RunConfig {
     /// The `b` of `CONGEST(b log n)`: how many unit messages each edge
     /// direction carries per round. The standard CONGEST model is `b = 1`.
+    /// The per-edge-direction budget per round is `bandwidth *`
+    /// [`UNIT_WORDS`] words.
     pub bandwidth: u32,
-    /// Words per unit message. One word is one `O(log n)`-bit quantity; the
-    /// paper's model allows a message to carry "`O(1)` edge weights and/or
-    /// identity numbers", so a unit message is a small constant number of
-    /// words. The per-edge-direction budget per round is
-    /// `bandwidth * words_per_unit` words.
-    pub words_per_unit: u32,
     /// Enforcement policy for the bandwidth budget.
     pub capacity: CapacityMode,
     /// Hard cap on rounds; exceeding it aborts with
@@ -64,7 +60,7 @@ impl RunConfig {
     /// Words available per edge direction per round.
     #[inline]
     pub fn capacity_words(&self) -> u64 {
-        u64::from(self.bandwidth) * u64::from(self.words_per_unit)
+        u64::from(self.bandwidth) * u64::from(UNIT_WORDS)
     }
 
     /// Standard CONGEST (`b = 1`) with the default unit-message width.
@@ -87,7 +83,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         Self {
             bandwidth: 1,
-            words_per_unit: UNIT_WORDS,
             capacity: CapacityMode::Strict,
             max_rounds: 10_000_000,
             shards: 1,

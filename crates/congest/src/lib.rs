@@ -10,11 +10,12 @@
 //!   receives the messages sent to it in the previous round, performs local
 //!   computation, and sends messages to its neighbors.
 //! * Every edge carries, per direction per round, at most `b` *unit messages*
-//!   of `O(log n)` bits each. A unit message holds up to
-//!   [`RunConfig::words_per_unit`] *words*, where one word is a single
-//!   `O(log n)`-bit quantity (a vertex identity or an edge weight). This is
-//!   the "`O(1)` edge weights and/or identity numbers" formulation the paper
-//!   gives as an alternative to bit-counting.
+//!   of `O(log n)` bits each. A unit message holds up to [`UNIT_WORDS`]
+//!   *words*, where one word is a single `O(log n)`-bit quantity (a vertex
+//!   identity or an edge weight). This is the "`O(1)` edge weights and/or
+//!   identity numbers" formulation the paper gives as an alternative to
+//!   bit-counting. A message costs exactly the words its wire encoding
+//!   occupies.
 //!
 //! The simulator is fully deterministic: the quantities the paper bounds —
 //! **rounds** and **messages** — are exactly what [`RunStats`] reports, so a

@@ -3,12 +3,21 @@
 //! The executor advances the network in synchronous rounds over flat arena
 //! state indexed by the topology's CSR port numbering: one `u64` word ring
 //! per *directed edge* buffers in-flight messages in their wire encoding
-//! (no `Msg` values are stored — sends [`Message::encode`] into the ring,
-//! drains [`Message::decode`] back out), one stamped [`EdgeMeter`] per
-//! directed edge meters bandwidth, and per-node stamps track mail,
-//! termination, and stage-tag transitions incrementally. Per-round cost is
-//! proportional to the nodes that act and the messages that move — never to
-//! `n` itself.
+//! (no `Msg` values are stored — [`RoundCtx::send`] [`Message::encode`]s
+//! straight into an outgoing word batch, delivery copies the words into
+//! the rings, drains [`Message::decode`] them back out), and per-node
+//! stamps track mail, termination, and stage-tag transitions
+//! incrementally. Per-round cost is proportional to the nodes that act and
+//! the messages that move — never to `n` itself.
+//!
+//! # Bandwidth
+//!
+//! A message costs exactly the words its encoding occupies. One stamped
+//! [`EdgeMeter`] per directed edge is the only per-edge ledger: every send
+//! charges it with the encoded length, and [`RoundCtx::try_send`] consults
+//! it to hand back a message that would overfill the edge this round, so
+//! protocols that pipeline "whatever still fits" keep no ledger of their
+//! own.
 //!
 //! # Sharded execution
 //!
@@ -26,6 +35,9 @@
 //! `tests/` hold the engine to that contract. (After an *error* return the
 //! node states of shards past the offending one may have advanced further
 //! than under sequential execution; successful runs are always identical.)
+//! A panic inside a worker shard — a node program's, or a broken encoding
+//! caught by the send path — propagates out of [`Network::run`] with its
+//! original payload, exactly as it would from the sequential executor.
 //!
 //! # Idle skipping
 //!
@@ -113,13 +125,15 @@ pub trait NodeProgram {
 }
 
 /// Per-round execution context handed to [`NodeProgram::on_round`].
-#[derive(Debug)]
 pub struct RoundCtx<'a, M: Message> {
     round: u64,
     id: NodeId,
+    /// Global directed-port index of this node's port 0.
+    base: usize,
     ports: &'a [Port],
+    topo: &'a Topology,
     inbox: &'a [(PortId, M)],
-    outbox: &'a mut Vec<(PortId, M)>,
+    out: &'a mut Outbox,
 }
 
 impl<'a, M: Message> RoundCtx<'a, M> {
@@ -160,16 +174,99 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         self.inbox
     }
 
-    /// Sends `msg` over port `p`, to be delivered next round. Bandwidth
-    /// accounting happens at the network level.
+    /// Sends `msg` over port `p`, to be delivered next round, and charges
+    /// its encoded length to the edge's meter. Under
+    /// [`CapacityMode::Strict`] a send that overfills the edge fails the
+    /// run with [`SimError::CapacityExceeded`].
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range.
+    /// Panics if `p` is out of range, or if `msg` encodes to zero words.
     #[inline]
     pub fn send(&mut self, p: PortId, msg: M) {
+        self.put(p, &msg, false);
+    }
+
+    /// Sends `msg` over port `p` only if its encoded length still fits the
+    /// edge's budget this round ([`RunConfig::capacity_words`] minus what
+    /// this round's sends on the edge have already charged). Otherwise
+    /// nothing is sent, charged or counted, and the message comes back as
+    /// `Err(msg)` — typically to be retried next round, when the edge's
+    /// budget is fresh.
+    ///
+    /// The check holds under every [`CapacityMode`]: even with
+    /// [`CapacityMode::Unchecked`], which lets [`send`](Self::send)
+    /// overfill an edge, `try_send` refuses past capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message unchanged when it does not fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range, or if `msg` encodes to zero words.
+    #[inline]
+    pub fn try_send(&mut self, p: PortId, msg: M) -> Result<(), M> {
+        if self.put(p, &msg, true) {
+            Ok(())
+        } else {
+            Err(msg)
+        }
+    }
+
+    /// Encodes `msg` for port `p` straight into the word batch of the
+    /// receiver's shard, behind a frame header, and charges the encoded
+    /// length to the edge meter. With `gated`, a message that would
+    /// overfill the edge is cut back out of the batch and `false` returned.
+    fn put(&mut self, p: PortId, msg: &M, gated: bool) -> bool {
         assert!(p < self.ports.len(), "send on nonexistent port {p}");
-        self.outbox.push((p, msg));
+        let out = &mut *self.out;
+        let g = self.base + p;
+        let dest = self.topo.peer(g);
+        let batch = &mut out.batches[self.topo.port_node(dest) / out.cfg.chunk];
+        let header = batch.len();
+        batch.push(0);
+        let len = {
+            let mut w = WireWriter::new(batch);
+            msg.encode(&mut w);
+            w.len()
+        };
+        assert!(
+            len >= 1,
+            "Message::encode wrote no words for tag {:?} (node {}, round {}); every message \
+             must encode to at least one word, or the unframed rings desync",
+            msg.tag(),
+            self.id,
+            self.round,
+        );
+        // dmst-analysis:allow(panic-hygiene) -- sender-side port of an owned node; in range by construction
+        let meter = &mut out.meters[g - out.plo];
+        if meter.round != self.round {
+            *meter = EdgeMeter { round: self.round, charged: 0 };
+        }
+        let charged = meter.charged + len as u64;
+        if gated && charged > out.cfg.capacity {
+            batch.truncate(header);
+            return false;
+        }
+        meter.charged = charged;
+        batch[header] = frame_header(dest as u32, len);
+        if out.cfg.strict && charged > out.cfg.capacity && out.error.is_none() {
+            out.error = Some(SimError::CapacityExceeded {
+                round: self.round,
+                from: self.id,
+                to: (self.topo.route(g) >> 32) as NodeId,
+                words: charged,
+                capacity: out.cfg.capacity,
+            });
+        }
+        let totals = &mut out.totals;
+        totals.peak_edge_words = totals.peak_edge_words.max(charged);
+        bump_tag_totals(&mut totals.by_tag, msg.tag(), len as u64);
+        totals.messages += 1;
+        totals.wire_words += len as u64;
+        out.round_messages += 1;
+        true
     }
 }
 
@@ -221,7 +318,6 @@ struct RoundSummary {
 #[derive(Default)]
 struct ShardTotals {
     messages: u64,
-    words: u64,
     wire_words: u64,
     peak_edge_words: u64,
     by_tag: Vec<(&'static str, TagStats)>,
@@ -271,19 +367,13 @@ fn bump_census(census: &mut Vec<(&'static str, u64)>, tag: &'static str, up: boo
     }
 }
 
-fn bump_tag_totals(
-    tags: &mut Vec<(&'static str, TagStats)>,
-    tag: &'static str,
-    words: u64,
-    wire_words: u64,
-) {
+fn bump_tag_totals(tags: &mut Vec<(&'static str, TagStats)>, tag: &'static str, wire_words: u64) {
     match tags.binary_search_by(|e| e.0.cmp(tag)) {
         Ok(i) => {
             tags[i].1.messages += 1;
-            tags[i].1.words += words;
             tags[i].1.wire_words += wire_words;
         }
-        Err(i) => tags.insert(i, (tag, TagStats { messages: 1, words, wire_words })),
+        Err(i) => tags.insert(i, (tag, TagStats { messages: 1, wire_words })),
     }
 }
 
@@ -301,12 +391,9 @@ struct Shard<'a, P: NodeProgram> {
     plo: usize,
     nodes: &'a mut [P],
     topo: &'a Topology,
-    cfg: EngineCfg,
     /// Encoded-word FIFO ring per owned inbound directed port, indexed
     /// `g - plo`.
     rings: Vec<WordRing>,
-    /// Bandwidth meter per owned outbound directed port.
-    meters: Vec<EdgeMeter>,
     /// Per owned node: round stamp of the last mail delivery.
     mail: Vec<u64>,
     /// Nodes (global ids) with mail in the round being assembled.
@@ -328,12 +415,25 @@ struct Shard<'a, P: NodeProgram> {
     prev_tag: Vec<&'static str>,
     /// Non-empty stage tags with live node counts, sorted by tag.
     census: Vec<(&'static str, u64)>,
-    totals: ShardTotals,
     inbox: Vec<(PortId, P::Msg)>,
-    outbox: Vec<(PortId, P::Msg)>,
+    out: Outbox,
+}
+
+/// The send side of one shard: everything [`RoundCtx::send`] writes.
+struct Outbox {
+    cfg: EngineCfg,
+    /// First global directed-port index owned by the shard.
+    plo: usize,
+    /// Bandwidth meter per owned outbound directed port, indexed `g - plo`.
+    meters: Vec<EdgeMeter>,
     /// Outgoing encoded batches per destination shard (self entry
     /// delivered locally).
-    out: Vec<WordBatch>,
+    batches: Vec<WordBatch>,
+    totals: ShardTotals,
+    /// Messages sent in the round being executed.
+    round_messages: u64,
+    /// The round's first strict-capacity violation.
+    error: Option<SimError>,
 }
 
 /// Per-round bandwidth accumulator for one outbound directed edge. The
@@ -343,8 +443,8 @@ struct Shard<'a, P: NodeProgram> {
 struct EdgeMeter {
     /// Round this meter was last charged in (`u64::MAX` = never).
     round: u64,
-    /// Declared words charged to this edge direction during that round;
-    /// the strict capacity check runs against this accumulator.
+    /// Encoded words sent over this edge direction during that round; the
+    /// capacity checks run against this accumulator.
     charged: u64,
 }
 
@@ -377,9 +477,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             plo,
             nodes,
             topo,
-            cfg,
             rings: (plo..phi).map(|_| WordRing::default()).collect(),
-            meters: vec![EdgeMeter::IDLE; phi - plo],
             mail: vec![u64::MAX; count],
             touched: Vec::new(),
             actives: Vec::new(),
@@ -391,10 +489,16 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             prev_done,
             prev_tag,
             census,
-            totals: ShardTotals::default(),
             inbox: Vec::new(),
-            outbox: Vec::new(),
-            out: (0..cfg.num_shards).map(|_| Vec::new()).collect(),
+            out: Outbox {
+                cfg,
+                plo,
+                meters: vec![EdgeMeter::IDLE; phi - plo],
+                batches: (0..cfg.num_shards).map(|_| Vec::new()).collect(),
+                totals: ShardTotals::default(),
+                round_messages: 0,
+                error: None,
+            },
         }
     }
 
@@ -436,10 +540,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         self.actives.sort_unstable();
         self.actives.dedup();
 
-        let mut round_messages = 0u64;
-        let mut error = None;
-
-        'step: for i in 0..self.actives.len() {
+        for i in 0..self.actives.len() {
             let v = self.actives[i];
             let ni = v - self.lo;
             let base = self.topo.port_lo(v);
@@ -463,77 +564,18 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                     ring.head = 0;
                 }
             }
-            self.outbox.clear();
             let mut ctx = RoundCtx {
                 round,
                 id: v,
+                base,
                 ports: self.topo.ports(v),
+                topo: self.topo,
                 inbox: &self.inbox,
-                outbox: &mut self.outbox,
+                out: &mut self.out,
             };
             self.nodes[ni].on_round(&mut ctx);
-
-            for (p, msg) in self.outbox.drain(..) {
-                let g = base + p;
-                debug_assert!(
-                    msg.words() >= 1,
-                    "Message::words() returned 0 for tag {:?} (node {v}, round {round}); \
-                     every message costs at least one word — see congest::Message::words",
-                    msg.tag(),
-                );
-                let words = u64::from(msg.words().max(1));
-                // dmst-analysis:allow(panic-hygiene) -- sender-side port of an owned node; in range by construction
-                let slot = &mut self.meters[g - self.plo];
-                if slot.round != round {
-                    *slot = EdgeMeter { round, charged: 0 };
-                }
-                slot.charged += words;
-                if self.cfg.strict && slot.charged > self.cfg.capacity {
-                    error = Some(SimError::CapacityExceeded {
-                        round,
-                        from: v,
-                        to: (self.topo.route(g) >> 32) as NodeId,
-                        words: slot.charged,
-                        capacity: self.cfg.capacity,
-                    });
-                    break 'step;
-                }
-                self.totals.peak_edge_words = self.totals.peak_edge_words.max(slot.charged);
-
-                // Encode straight into the destination batch, behind a
-                // placeholder header patched once the length is known.
-                let dest = self.topo.peer(g);
-                let dest_shard = self.topo.port_node(dest) / self.cfg.chunk;
-                let batch = &mut self.out[dest_shard];
-                let header = batch.len();
-                batch.push(0);
-                let mut wire = {
-                    let mut w = WireWriter::new(batch);
-                    msg.encode(&mut w);
-                    w.len()
-                };
-                if wire == 0 {
-                    // Mirror of the words() >= 1 clamp: a release-mode
-                    // encoder that wrote nothing still ships one pad word,
-                    // so the ring never desyncs.
-                    batch.push(0);
-                    wire = 1;
-                }
-                debug_assert_eq!(
-                    wire as u64,
-                    words,
-                    "Message::encode wrote {wire} words but words() declared {words} \
-                     for tag {:?} (node {v}, round {round}); the encoded length contract \
-                     is exact — see congest::Message::words",
-                    msg.tag(),
-                );
-                batch[header] = frame_header(dest as u32, wire);
-
-                bump_tag_totals(&mut self.totals.by_tag, msg.tag(), words, wire as u64);
-                self.totals.messages += 1;
-                self.totals.words += words;
-                self.totals.wire_words += wire as u64;
-                round_messages += 1;
+            if self.out.error.is_some() {
+                break;
             }
 
             let node = &self.nodes[ni];
@@ -556,7 +598,8 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                 }
                 self.prev_tag[ni] = t;
             }
-            let hint = if self.cfg.wake_hints { node.next_wake(round) } else { Some(round + 1) };
+            let hint =
+                if self.out.cfg.wake_hints { node.next_wake(round) } else { Some(round + 1) };
             if let Some(w) = hint {
                 if w <= round + 1 {
                     self.due.push(v);
@@ -567,7 +610,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         }
 
         RoundSummary {
-            round_messages,
+            round_messages: std::mem::take(&mut self.out.round_messages),
             done: self.done,
             census: self.census.clone(),
             next_due: if self.due.is_empty() {
@@ -577,7 +620,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             } else {
                 Some(round + 1)
             },
-            error,
+            error: self.out.error.take(),
         }
     }
 }
@@ -592,9 +635,9 @@ fn shard_round<P: NodeProgram>(
     primed: bool,
 ) -> RoundSummary {
     let me = shard.idx;
-    let mut own = std::mem::take(&mut shard.out[me]);
+    let mut own = std::mem::take(&mut shard.out.batches[me]);
     shard.deliver(round, &mut own);
-    shard.out[me] = own;
+    shard.out.batches[me] = own;
     if primed {
         for s in 0..links.from.len() {
             let Some(rx) = &links.from[s] else { continue };
@@ -609,12 +652,13 @@ fn shard_round<P: NodeProgram>(
     let summary = shard.execute(round);
     for s in 0..links.to.len() {
         let Some(tx) = &links.to[s] else { continue };
-        let batch = std::mem::take(&mut shard.out[s]);
-        // dmst-analysis:allow(panic-hygiene) -- receiver outlives every round of the scope; failure is a bug
-        tx.send(batch).expect("peer shard alive until halt");
+        let batch = std::mem::take(&mut shard.out.batches[s]);
+        // A peer that hung up has panicked; the coordinator re-raises its
+        // panic, so a failed send here must not mask it with another one.
+        let _ = tx.send(batch);
         if let Some(ret) = &links.ret_from[s] {
             if let Ok(recycled) = ret.try_recv() {
-                shard.out[s] = recycled;
+                shard.out.batches[s] = recycled;
             }
         }
     }
@@ -636,7 +680,7 @@ fn worker_loop<P: NodeProgram>(
             return; // coordinator gone (panic unwinding elsewhere)
         }
     }
-    let _ = totals.send(std::mem::take(&mut shard.totals));
+    let _ = totals.send(std::mem::take(&mut shard.out.totals));
 }
 
 /// A network of nodes executing a [`NodeProgram`] over a [`Topology`].
@@ -757,6 +801,7 @@ impl<P: NodeProgram> Network<P> {
             let mut decision_txs = Vec::with_capacity(num_shards - 1);
             let mut summary_rxs = Vec::with_capacity(num_shards - 1);
             let mut totals_rxs = Vec::with_capacity(num_shards - 1);
+            let mut workers = Vec::with_capacity(num_shards - 1);
             for (shard, link) in shard_iter.zip(links_iter) {
                 let (dtx, drx) = mpsc::channel();
                 let (stx, srx) = mpsc::channel();
@@ -764,7 +809,7 @@ impl<P: NodeProgram> Network<P> {
                 decision_txs.push(dtx);
                 summary_rxs.push(srx);
                 totals_rxs.push(trx);
-                scope.spawn(move || worker_loop(shard, link, drx, stx, ttx));
+                workers.push(scope.spawn(move || worker_loop(shard, link, drx, stx, ttx)));
             }
 
             let mut stats = RunStats::default();
@@ -809,8 +854,16 @@ impl<P: NodeProgram> Network<P> {
                 censuses[0] = s0.census;
                 let mut error = s0.error;
                 for (s, srx) in summary_rxs.iter().enumerate() {
-                    // dmst-analysis:allow(panic-hygiene) -- worker sends one summary per Round decision
-                    let summary = srx.recv().expect("worker alive");
+                    let Ok(summary) = srx.recv() else {
+                        // A worker hangs up mid-run only by panicking:
+                        // re-raise its panic here. The scope then joins the
+                        // other workers, which exit as the channels close.
+                        let panic = match workers.swap_remove(s).join() {
+                            Err(panic) => panic,
+                            Ok(()) => Box::new("worker shard hung up mid-run"),
+                        };
+                        std::panic::resume_unwind(panic);
+                    };
                     round_messages += summary.round_messages;
                     done_total += summary.done;
                     // dmst-analysis:allow(panic-hygiene) -- slot s + 1 exists: next_dues holds num_shards entries
@@ -835,7 +888,7 @@ impl<P: NodeProgram> Network<P> {
             for dtx in &decision_txs {
                 let _ = dtx.send(Decision::Halt);
             }
-            let mut all_totals = vec![std::mem::take(&mut shard0.totals)];
+            let mut all_totals = vec![std::mem::take(&mut shard0.out.totals)];
             for trx in &totals_rxs {
                 // dmst-analysis:allow(panic-hygiene) -- every worker sends its totals before exiting
                 all_totals.push(trx.recv().expect("worker exits cleanly"));
@@ -843,13 +896,11 @@ impl<P: NodeProgram> Network<P> {
             outcome.map(|()| {
                 for t in all_totals {
                     stats.messages += t.messages;
-                    stats.words += t.words;
                     stats.wire_words += t.wire_words;
                     stats.peak_edge_words = stats.peak_edge_words.max(t.peak_edge_words);
                     for (tag, ts) in t.by_tag {
                         let entry = stats.by_tag.entry(tag).or_default();
                         entry.messages += ts.messages;
-                        entry.words += ts.words;
                         entry.wire_words += ts.wire_words;
                     }
                 }
@@ -899,7 +950,6 @@ mod tests {
         });
         let stats = net.run(&RunConfig::congest()).unwrap();
         assert_eq!(stats.messages, 1);
-        assert_eq!(stats.words, 1);
         assert_eq!(stats.wire_words, 1);
         // Round 0: node 0 sends. Round 1: node 1 receives; quiescent after.
         assert_eq!(stats.rounds, 2);
@@ -929,6 +979,107 @@ mod tests {
         let stats = net.run(&cfg).unwrap();
         assert_eq!(stats.messages, 9);
         assert_eq!(stats.peak_edge_words, 9);
+    }
+
+    /// A message of `self.0` words: its length, then zero padding.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Blob(u64);
+
+    impl Message for Blob {
+        fn encode(&self, out: &mut WireWriter<'_>) {
+            out.word(self.0);
+            for _ in 1..self.0 {
+                out.word(0);
+            }
+        }
+        fn decode(r: &mut WireReader<'_>) -> Self {
+            let len = r.word();
+            for _ in 1..len {
+                r.word();
+            }
+            Blob(len)
+        }
+    }
+
+    /// Node 0 plays `plan[r]` on its port 0 in round `r` — `(gated, len)`
+    /// sends of a `Blob(len)` through `try_send` (gated) or `send` — and
+    /// logs every refused message; node 1 logs what arrives.
+    struct Scripted {
+        plan: Vec<Vec<(bool, u64)>>,
+        next: usize,
+        refused: Vec<(u64, Blob)>,
+        got: Vec<(u64, Blob)>,
+    }
+
+    impl NodeProgram for Scripted {
+        type Msg = Blob;
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Blob>) {
+            let r = ctx.round();
+            self.got.extend(ctx.inbox().iter().map(|(_, m)| (r, m.clone())));
+            for &(gated, len) in self.plan.get(self.next).map_or(&[][..], Vec::as_slice) {
+                if !gated {
+                    ctx.send(0, Blob(len));
+                } else if let Err(m) = ctx.try_send(0, Blob(len)) {
+                    self.refused.push((r, m));
+                }
+            }
+            self.next = self.plan.len().min(self.next + 1);
+        }
+        fn is_done(&self) -> bool {
+            self.next == self.plan.len()
+        }
+    }
+
+    fn scripted(
+        plan: &[Vec<(bool, u64)>],
+        capacity: CapacityMode,
+    ) -> (Result<RunStats, SimError>, Vec<Scripted>) {
+        let mut net = Network::new(pair(), |i| Scripted {
+            plan: if i.id == 0 { plan.to_vec() } else { Vec::new() },
+            next: 0,
+            refused: Vec::new(),
+            got: Vec::new(),
+        });
+        let res = net.run(&RunConfig { capacity, ..RunConfig::congest() });
+        (res, net.into_nodes())
+    }
+
+    #[test]
+    fn try_send_refuses_a_full_edge_without_charging_and_fits_next_round() {
+        // Round 0: 5 words sent, 4 more refused, 3 still fit exactly (so the
+        // refusal charged nothing), then the full edge refuses 1. Round 1
+        // retries the refused messages on a fresh budget.
+        let plan = [vec![(false, 5), (true, 4), (true, 3), (true, 1)], vec![(true, 4), (true, 1)]];
+        let (res, nodes) = scripted(&plan, CapacityMode::Strict);
+        let stats = res.unwrap();
+        assert_eq!(nodes[0].refused, vec![(0, Blob(4)), (0, Blob(1))], "returned intact");
+        assert_eq!(nodes[1].got, vec![(1, Blob(5)), (1, Blob(3)), (2, Blob(4)), (2, Blob(1))]);
+        // Refusals are not counted either.
+        assert_eq!((stats.messages, stats.wire_words, stats.peak_edge_words), (4, 13, 8));
+    }
+
+    #[test]
+    fn send_and_try_send_share_one_meter() {
+        // try_send sees what send charged and vice versa, per round.
+        let plan = [vec![(true, 6), (false, 2), (true, 1)], vec![(false, 7), (true, 2), (true, 1)]];
+        let (res, nodes) = scripted(&plan, CapacityMode::Strict);
+        let stats = res.unwrap();
+        assert_eq!(nodes[0].refused, vec![(0, Blob(1)), (1, Blob(2))]);
+        assert_eq!((stats.messages, stats.wire_words, stats.peak_edge_words), (4, 16, 8));
+        // A send on top of a try_send that filled the edge is an overflow.
+        let plan = [vec![(true, 8), (false, 1)]];
+        let (res, _) = scripted(&plan, CapacityMode::Strict);
+        assert!(matches!(res, Err(SimError::CapacityExceeded { round: 0, words: 9, .. })));
+    }
+
+    #[test]
+    fn try_send_refuses_past_capacity_even_unchecked() {
+        let plan = [vec![(false, 8), (true, 1), (false, 1)]];
+        let (res, nodes) = scripted(&plan, CapacityMode::Unchecked);
+        let stats = res.unwrap();
+        assert_eq!(nodes[0].refused, vec![(0, Blob(1))]);
+        assert_eq!(nodes[1].got, vec![(1, Blob(8)), (1, Blob(1))]);
+        assert_eq!((stats.messages, stats.wire_words, stats.peak_edge_words), (2, 9, 9));
     }
 
     #[test]

@@ -7,13 +7,8 @@ use std::collections::BTreeMap;
 pub struct TagStats {
     /// Number of messages with this tag.
     pub messages: u64,
-    /// Total *declared* words across those messages
-    /// ([`Message::words`](crate::Message::words), clamped to `>= 1`).
-    pub words: u64,
-    /// Total *encoded* words physically shipped through the rings for
-    /// those messages. Equal to `words` whenever every implementor
-    /// honors the encode-length contract (debug builds assert it); a
-    /// divergence in release builds is the drift detector.
+    /// Total encoded words shipped through the rings for those messages —
+    /// the same words the bandwidth budget charges.
     pub wire_words: u64,
 }
 
@@ -29,12 +24,8 @@ pub struct RunStats {
     pub rounds: u64,
     /// Total messages delivered over the whole run.
     pub messages: u64,
-    /// Total declared words across all messages (`Message::words()`,
-    /// clamped to `>= 1` — the quantity the capacity budget charges).
-    pub words: u64,
-    /// Total encoded words physically shipped on the wire. The byte-
-    /// accurate counterpart of `words`: equal to it as long as every
-    /// `encode` honors the length contract.
+    /// Total encoded words shipped on the wire: the sum of every message's
+    /// encoded length, which is also what the capacity budget charges.
     pub wire_words: u64,
     /// Largest number of messages delivered in any single round.
     pub peak_round_messages: u64,
@@ -74,8 +65,8 @@ impl RunStats {
         let mut out = String::new();
         for (tag, t) in &self.by_tag {
             out.push_str(&format!(
-                "{tag:<24} {:>12} msgs {:>14} words {:>14} wire\n",
-                t.messages, t.words, t.wire_words
+                "{tag:<24} {:>12} msgs {:>14} words\n",
+                t.messages, t.wire_words
             ));
         }
         out
@@ -89,7 +80,7 @@ mod tests {
     #[test]
     fn tag_accessors() {
         let mut s = RunStats::default();
-        s.by_tag.insert("bfs", TagStats { messages: 7, words: 7, wire_words: 7 });
+        s.by_tag.insert("bfs", TagStats { messages: 7, wire_words: 7 });
         assert_eq!(s.messages_with_tag("bfs"), 7);
         assert_eq!(s.messages_with_tag("nope"), 0);
         assert_eq!(s.wire_words_with_tag("bfs"), 7);

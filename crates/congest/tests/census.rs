@@ -144,19 +144,12 @@ proptest! {
     }
 }
 
-/// A message that under-declares its bandwidth cost.
+/// A message whose encoding is empty: it would desync the unframed rings.
 #[derive(Clone, Debug)]
 struct Weightless;
 impl Message for Weightless {
-    fn words(&self) -> u32 {
-        0 // violates the documented `words() >= 1` contract
-    }
-    // One physical word, matching the release-mode clamped charge.
-    fn encode(&self, out: &mut congest_sim::WireWriter<'_>) {
-        out.word(0);
-    }
-    fn decode(r: &mut congest_sim::WireReader<'_>) -> Self {
-        r.word();
+    fn encode(&self, _: &mut congest_sim::WireWriter<'_>) {}
+    fn decode(_: &mut congest_sim::WireReader<'_>) -> Self {
         Weightless
     }
 }
@@ -178,17 +171,30 @@ impl NodeProgram for SendOnce {
     }
 }
 
-/// `Message::words` contract: zero-word messages panic in debug builds and
-/// are clamped to one word in release builds, so bandwidth accounting can
-/// never be dodged (satellite of the `msg.words().max(1)` fix).
+/// Runs a path of `n` nodes on `shards` shards where node `culprit` sends
+/// one empty encoding in round 0.
+fn send_empty_encoding(n: usize, culprit: usize, shards: u32) {
+    let edges: Vec<(usize, usize, u64)> = (1..n).map(|v| (v - 1, v, 1)).collect();
+    let topo = Topology::new(n, &edges).unwrap();
+    let mut net =
+        Network::new(topo, |i: NodeInfo<'_>| SendOnce { fire: i.id == culprit, sent: false });
+    let _ = net.run(&RunConfig { shards, ..RunConfig::congest() });
+}
+
+/// Every message encodes to at least one word: the send path asserts it in
+/// every build, so an empty encoding panics instead of desyncing a ring.
 #[test]
-#[cfg_attr(debug_assertions, should_panic(expected = "Message::words() returned 0"))]
+#[should_panic(expected = "Message::encode wrote no words")]
 fn zero_word_messages_violate_the_contract() {
-    let topo = Topology::new(2, &[(0, 1, 1)]).unwrap();
-    let mut net = Network::new(topo, |i: NodeInfo<'_>| SendOnce { fire: i.id == 0, sent: false });
-    let stats = net.run(&RunConfig::congest()).unwrap();
-    // Release builds reach here: the charge was clamped, not zero.
-    assert_eq!(stats.messages, 1);
-    assert_eq!(stats.words, 1);
-    assert_eq!(stats.peak_edge_words, 1);
+    send_empty_encoding(2, 0, 1);
+}
+
+/// The same panic raised inside a worker shard reaches the caller of
+/// `run` with its own payload: no hang, and no secondary channel error in
+/// its place.
+#[test]
+#[should_panic(expected = "Message::encode wrote no words")]
+fn zero_word_messages_panic_out_of_a_worker_shard() {
+    // 8 nodes on 4 shards of 2: node 5 runs in worker shard 2.
+    send_empty_encoding(8, 5, 4);
 }

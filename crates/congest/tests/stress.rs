@@ -107,7 +107,7 @@ proptest! {
         let mut net = Network::new(topo, |_| FloodOnce { fired: false });
         let stats = net.run(&RunConfig::congest()).unwrap();
         prop_assert_eq!(stats.messages, 2 * edges.len() as u64);
-        prop_assert_eq!(stats.words, 2 * edges.len() as u64);
+        prop_assert_eq!(stats.wire_words, 2 * edges.len() as u64);
         prop_assert!(stats.peak_edge_words <= 8);
         // Deterministic repeat.
         let topo2 = Topology::new(n, &edges).unwrap();

@@ -78,14 +78,6 @@ impl ElkinConfig {
         Self { k_override: Some(k.max(1)), ..Self::default() }
     }
 
-    /// Adaptive Stage B scheduling (tight windows, sync-ended phases,
-    /// adaptive-k) with paper defaults otherwise. Since PR 3 this *is*
-    /// the default; the builder is kept for call sites that want to be
-    /// explicit about it.
-    pub fn adaptive() -> Self {
-        Self { schedule_mode: ScheduleMode::Adaptive, ..Self::default() }
-    }
-
     /// The seed's fixed Stage B scheduling (padded worst-case windows,
     /// `k = max(sqrt(n/b), H)`) with paper defaults otherwise.
     pub fn fixed() -> Self {
@@ -115,7 +107,6 @@ mod tests {
     fn builders() {
         assert_eq!(ElkinConfig::with_bandwidth(4).bandwidth, 4);
         assert_eq!(ElkinConfig::with_k(0).k_override, Some(1));
-        assert_eq!(ElkinConfig::adaptive().schedule_mode, ScheduleMode::Adaptive);
         assert_eq!(ElkinConfig::fixed().schedule_mode, ScheduleMode::Fixed);
         assert_eq!(
             ElkinConfig::with_k(7).with_schedule_mode(ScheduleMode::Fixed).k_override,

@@ -56,7 +56,7 @@ pub use config::ElkinConfig;
 pub use forest::{analyze_forest, ForestReport};
 pub use msg::Msg;
 pub use node::{ElkinNode, Milestones};
-pub use runner::{run_forest, run_mst, ForestRun, MstRun, RunError, StageProfile};
+pub use runner::{run_forest, run_mst, ForestRun, MstRun, RunError};
 pub use schedule::{
     choose_k, choose_k_adaptive, ExchangeKind, MergeControl, Params, Schedule, ScheduleMode, Slot,
     Window,

@@ -1,15 +1,15 @@
 //! The wire protocol: every message Elkin's algorithm sends.
 //!
-//! Word counts follow the model of the paper's Section 2: one word is one
+//! Sizes follow the model of the paper's Section 2: one word is one
 //! `O(log n)`-bit quantity (vertex id, fragment id, edge weight, small
-//! counter). The largest message ([`Msg::Candidate`]) carries 6 words, under
-//! the 8-word unit-message budget enforced by the simulator.
+//! counter). A message costs exactly the words of its encoding — every
+//! variant has an exact [`Message::encode`]/[`Message::decode`] pair (see
+//! the `TAG_*` discriminants below), and the simulator charges the encoded
+//! length against the per-edge budget. The largest message
+//! ([`Msg::Candidate`]) encodes to 6 words, under the 8-word unit-message
+//! budget; the `wire_roundtrip` proptests pin `1 <= len <= UNIT_WORDS` for
+//! every variant, so each one fits an edge at `b = 1`.
 //!
-//! Since the wire-format refactor these are not just *declared* sizes:
-//! every variant has an exact [`Message::encode`]/[`Message::decode`] pair
-//! (see the `TAG_*` discriminants below), the simulator ships the encoded
-//! words through its rings, and `words()` is pinned to the encoded length
-//! by a send-path `debug_assert` plus the `wire_roundtrip` proptests.
 //! Quantities bounded by the vertex count (ids, slots, colors, phases —
 //! `Topology` caps `n` at `u32::MAX`) ride in the tag word's packed half;
 //! only full-range edge weights always occupy whole words.
@@ -314,47 +314,6 @@ pub enum Msg {
 }
 
 impl Message for Msg {
-    fn words(&self) -> u32 {
-        match self {
-            Msg::Bfs
-            | Msg::BfsChild
-            | Msg::Participate
-            | Msg::MwoePath
-            | Msg::AcceptPath
-            | Msg::StatusDown
-            | Msg::StatusCross
-            | Msg::MergePath
-            | Msg::MergeCross
-            | Msg::RegDone
-            | Msg::UpDone
-            | Msg::MarkPath
-            | Msg::MarkCross => 1,
-            Msg::Probe { .. }
-            | Msg::ConnectReq { .. }
-            | Msg::KidsUp { .. }
-            | Msg::ColorDown { .. }
-            | Msg::ColorCross { .. }
-            | Msg::ColorUp { .. }
-            | Msg::UnmatchedUp { .. }
-            | Msg::AcceptCross { .. }
-            | Msg::MatchedUp { .. }
-            | Msg::NewFrag { .. }
-            | Msg::InitCoarse { .. }
-            | Msg::Register { .. } => 1,
-            Msg::SizeUp { .. }
-            | Msg::FragAnnounce { .. }
-            | Msg::FloodAck { .. }
-            | Msg::SyncNoFlood { .. }
-            | Msg::SyncUp { .. }
-            | Msg::Interval { .. }
-            | Msg::CoarseAnnounce { .. } => 2,
-            Msg::NewCoarse { .. } | Msg::SyncStart { .. } => 3,
-            Msg::Params { .. } | Msg::MwoeUp { .. } | Msg::Assign { .. } => 4,
-            Msg::FragMwoeUp { .. } => 5,
-            Msg::Candidate { .. } => 6,
-        }
-    }
-
     fn tag(&self) -> &'static str {
         match self {
             Msg::Bfs | Msg::BfsChild | Msg::SizeUp { .. } | Msg::Params { .. } => "a:bfs",
@@ -610,6 +569,12 @@ mod tests {
     use super::*;
     use crate::candidate::{CandKey, Candidate};
 
+    fn encoded_len(m: &Msg) -> usize {
+        let mut buf = Vec::new();
+        m.encode(&mut WireWriter::new(&mut buf));
+        buf.len()
+    }
+
     #[test]
     fn all_messages_fit_one_unit() {
         let rec =
@@ -626,7 +591,11 @@ mod tests {
             Msg::NewCoarse { id: 2, done: false, next: 3 },
         ];
         for m in samples {
-            assert!(m.words() >= 1 && m.words() <= 8, "{m:?} out of unit budget");
+            let len = encoded_len(&m);
+            assert!(
+                (1..=congest_sim::UNIT_WORDS as usize).contains(&len),
+                "{m:?} out of unit budget"
+            );
             assert!(!m.tag().is_empty());
         }
     }
@@ -635,7 +604,7 @@ mod tests {
     fn register_is_one_word() {
         // Regression (PR 3): `Register` used to drag a dead `height` field
         // that doubled its cost against the per-edge word budget.
-        assert_eq!(Msg::Register { slot: 9 }.words(), 1);
+        assert_eq!(encoded_len(&Msg::Register { slot: 9 }), 1);
     }
 
     #[test]
@@ -651,7 +620,7 @@ mod tests {
             Msg::SyncStart { phase: 2, start: 99 },
         ] {
             assert_eq!(m.tag(), "b:sync");
-            assert!(m.words() <= 3);
+            assert!(encoded_len(&m) <= 3);
         }
     }
 

@@ -58,21 +58,15 @@ mod lane {
     pub const UPDONE_COUNT: usize = 6;
     /// 1 if the incident edge has been marked an MST edge, else 0.
     pub const MST: usize = 7;
-    /// Round of the last send-ledger charge (`u64::MAX` = never charged).
-    pub const LEDGER_ROUND: usize = 8;
-    /// Words already charged on this port during `LEDGER_ROUND`.
-    pub const LEDGER_WORDS: usize = 9;
     /// Number of lanes.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 8;
 }
 
 /// Struct-of-arrays per-port state: every port-indexed attribute of an
-/// [`ElkinNode`] packed into one `Box<[u64]>` (lane-major, see [`lane`]).
-/// Replaces what used to be nine parallel `Vec`s — one allocation per node
-/// instead of nine, and each hot per-port scan stays contiguous.
+/// [`ElkinNode`] packed into one `Box<[u64]>` (lane-major, see [`lane`]) —
+/// one allocation per node, and each hot per-port scan stays contiguous.
 ///
-/// Booleans are stored as 0/1 and the per-port send ledger as a
-/// `(round, words)` lane pair; the typed accessors do the narrowing.
+/// Booleans are stored as 0/1; the typed accessors do the narrowing.
 #[derive(Clone, Debug)]
 pub(crate) struct PortArena {
     deg: usize,
@@ -90,7 +84,6 @@ impl PortArena {
         for l in [lane::NBR_ID, lane::NBR_FRAG, lane::NBR_COARSE, lane::NBR_COARSE_NEXT] {
             buf[l * deg..(l + 1) * deg].fill(UNKNOWN);
         }
-        buf[lane::LEDGER_ROUND * deg..(lane::LEDGER_ROUND + 1) * deg].fill(u64::MAX);
         Self { deg, buf }
     }
 
@@ -189,22 +182,6 @@ impl PortArena {
     #[inline]
     pub(crate) fn mark_mst(&mut self, q: usize) {
         self.set(lane::MST, q, 1);
-    }
-
-    /// The `(round, words charged)` send ledger of port `q`.
-    #[inline]
-    pub(crate) fn ledger(&self, q: usize) -> (u64, u64) {
-        (self.get(lane::LEDGER_ROUND, q), self.get(lane::LEDGER_WORDS, q))
-    }
-
-    /// Charges `words` against port `q` for `round`, resetting the ledger
-    /// if the round moved on since the last charge.
-    #[inline]
-    pub(crate) fn charge_ledger(&mut self, q: usize, round: u64, words: u64) {
-        let (r, used) = self.ledger(q);
-        let used = if r == round { used } else { 0 };
-        self.set(lane::LEDGER_ROUND, q, round);
-        self.set(lane::LEDGER_WORDS, q, used + words);
     }
 }
 
@@ -351,10 +328,7 @@ pub struct ElkinNode {
     pub(crate) cfg: ElkinConfig,
 
     /// All port-indexed state — weights, neighbor knowledge, announce and
-    /// `UpDone` counts, MST marks, and the per-port `(round, words)` send
-    /// ledger (control messages record their usage so pipelines can spend
-    /// what is left of the per-edge budget without oversubscribing a
-    /// shared fragment-tree/BFS-tree edge) — in one lane-major allocation.
+    /// `UpDone` counts, MST marks — in one lane-major allocation.
     pub(crate) ports: PortArena,
 
     // Stage progression.
@@ -422,7 +396,7 @@ pub struct ElkinNode {
 }
 
 /// Rounds at which a vertex crossed each stage boundary (u64::MAX until
-/// crossed). Aggregated by the runner into a per-run stage profile.
+/// crossed).
 #[derive(Clone, Copy, Debug)]
 pub struct Milestones {
     /// Entered Stage B (Controlled-GHS) — end of Stage A.
@@ -551,32 +525,6 @@ impl ElkinNode {
     /// Stage-boundary rounds recorded by this vertex.
     pub fn milestones(&self) -> Milestones {
         self.milestones
-    }
-
-    /// Sends a stage C/D message and records its words against this round's
-    /// per-port budget (the arena's ledger lanes).
-    pub(crate) fn send_cd(&mut self, ctx: &mut RoundCtx<'_, Msg>, port: PortId, msg: Msg) {
-        use congest_sim::Message as _;
-        self.ports.charge_ledger(port, ctx.round(), u64::from(msg.words()));
-        ctx.send(port, msg);
-    }
-
-    /// Words still available for pipelined sends on `port` this round.
-    ///
-    /// The full per-edge capacity is handed to the pipelines: within a
-    /// round, every unconditional control send (handler forwards, the
-    /// announce and `FragMwoeUp` steps, the root merge's answers) happens
-    /// *before* the budget-aware flushes, and the remaining completion
-    /// markers (`UpDone`/`RegDone`) are themselves budget-checked — so no
-    /// headroom needs reserving. The simulator's strict capacity check
-    /// loudly rejects any future send that violates this ordering.
-    pub(crate) fn pipe_budget(&self, round: u64, port: PortId) -> u32 {
-        let cap = congest_sim::UNIT_WORDS * self.cfg.bandwidth;
-        let (r, used) = self.ports.ledger(port);
-        // Per-round usage is bounded by `cap` (a u32): the narrowing cast
-        // from the u64 ledger lane cannot truncate.
-        let used = if r == round { used as u32 } else { 0 };
-        cap.saturating_sub(used)
     }
 }
 

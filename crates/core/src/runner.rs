@@ -52,28 +52,6 @@ impl From<SimError> for RunError {
     }
 }
 
-/// Where the rounds of a run went, stage by stage. Attribution is exact:
-/// the simulator charges every executed round to the earliest stage any
-/// vertex is still in ([`RunStats::rounds_by_stage`] via
-/// `NodeProgram::stage_tag`), so boundaries reflect the *last* vertex to
-/// cross each milestone and the four counts partition
-/// [`RunStats::rounds`]. Stages C and D overlap per vertex under the
-/// fused event-driven protocol (a vertex starts Borůvka phase 0 the
-/// moment it holds its initial coarse id, while registration may still be
-/// draining elsewhere); the laggard rule above keeps the partition exact
-/// regardless — a round is "c" until the last vertex can announce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageProfile {
-    /// Rounds spent in Stage A (BFS + sizes + parameter broadcast).
-    pub stage_a: u64,
-    /// Rounds spent in Stage B (Controlled-GHS).
-    pub stage_b: u64,
-    /// Rounds spent in Stage C (intervals + registration).
-    pub stage_c: u64,
-    /// Rounds spent in Stage D (Borůvka phases) until global quiescence.
-    pub stage_d: u64,
-}
-
 /// Result of a full distributed MST computation.
 #[derive(Clone, Debug)]
 pub struct MstRun {
@@ -82,14 +60,18 @@ pub struct MstRun {
     pub edges: Vec<EdgeId>,
     /// Total raw weight of the tree.
     pub total_weight: u128,
-    /// Rounds, messages, words, per-tag breakdown.
+    /// Rounds, messages, words, per-tag breakdown. Rounds per stage are
+    /// `stats.rounds_in_stage("a")` through `"d"`: the simulator charges
+    /// every executed round to the earliest stage any vertex is still in,
+    /// so each boundary reflects the *last* vertex to cross it and the four
+    /// counts partition `stats.rounds`. (Stages C and D overlap per vertex
+    /// under the fused protocol; a round is "c" until the last vertex holds
+    /// its initial coarse id.)
     pub stats: RunStats,
     /// The base-forest parameter the run settled on.
     pub k: u64,
     /// BFS tree height measured by Stage A (`H <= D <= 2H`).
     pub bfs_height: u64,
-    /// Per-stage round breakdown.
-    pub profile: StageProfile,
 }
 
 /// Result of a standalone Controlled-GHS run (Theorem 4.3).
@@ -191,21 +173,14 @@ pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError>
     let bfs_height = net.nodes().iter().map(|nd| nd.bfs_depth()).max().unwrap_or(0);
     let total_weight = g.total_weight(edges.iter().copied());
 
-    // Per-round stage attribution from the simulator: exact by
-    // construction (every ElkinNode reports a tag every round, so the four
-    // counts partition stats.rounds).
-    let profile = StageProfile {
-        stage_a: stats.rounds_in_stage("a"),
-        stage_b: stats.rounds_in_stage("b"),
-        stage_c: stats.rounds_in_stage("c"),
-        stage_d: stats.rounds_in_stage("d"),
-    };
+    // Every ElkinNode reports a stage tag every round, so the simulator's
+    // per-stage attribution partitions the run exactly.
     debug_assert_eq!(
-        profile.stage_a + profile.stage_b + profile.stage_c + profile.stage_d,
+        ["a", "b", "c", "d"].iter().map(|s| stats.rounds_in_stage(s)).sum::<u64>(),
         stats.rounds,
         "stage attribution must partition the run"
     );
-    Ok(MstRun { edges, total_weight, stats, k, bfs_height, profile })
+    Ok(MstRun { edges, total_weight, stats, k, bfs_height })
 }
 
 /// Runs only Stages A+B (BFS + Controlled-GHS) and returns the

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap_or(0);
         println!(
             "{b:>4} {:>8} {:>10} {:>10} {:>6}   ({speedup}x vs b=1)",
-            run.stats.rounds, run.stats.messages, run.stats.words, run.k
+            run.stats.rounds, run.stats.messages, run.stats.wire_words, run.k
         );
     }
 

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("distributed MST: {} edges, total weight {}", run.edges.len(), run.total_weight);
     println!(
         "cost: {} rounds, {} messages ({} words); chosen k = {}",
-        run.stats.rounds, run.stats.messages, run.stats.words, run.k
+        run.stats.rounds, run.stats.messages, run.stats.wire_words, run.k
     );
 
     // The distributed result must equal the sequential canonical MST.

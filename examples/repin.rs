@@ -35,7 +35,7 @@ fn main() {
     let trio: Vec<_> = standard_trio(256, 0x51).into_iter().map(|w| (w.name, w.graph)).collect();
     for algo in [
         Algorithm::Elkin(ElkinConfig::fixed()),
-        Algorithm::Elkin(ElkinConfig::adaptive()),
+        Algorithm::Elkin(ElkinConfig::default()),
         Algorithm::Ghs,
         Algorithm::Pipeline,
     ] {
@@ -47,7 +47,7 @@ fn main() {
 
     let r = &mut gen::WeightRng::new(0x51);
     let g1024 = gen::path_of_cliques(128, 8, r);
-    print_stats(&Algorithm::Elkin(ElkinConfig::adaptive()), &g1024, "cliquepath 128x8");
+    print_stats(&Algorithm::Elkin(ElkinConfig::default()), &g1024, "cliquepath 128x8");
 
     if large {
         let g2304 = standard_trio(2304, 0x51)
@@ -55,18 +55,12 @@ fn main() {
             .find(|w| w.name.starts_with("cliquepath"))
             .expect("trio contains a cliquepath")
             .graph;
-        let run = run_mst(&g2304, &ElkinConfig::adaptive()).expect("adaptive 2304");
-        let p = run.profile;
+        let run = run_mst(&g2304, &ElkinConfig::default()).expect("adaptive 2304");
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| run.stats.rounds_in_stage(s));
         println!(
             "cliquepath 288x8 adaptive: rounds {} messages {} wire words {} \
              profile a/b/c/d = {}/{}/{}/{}",
-            run.stats.rounds,
-            run.stats.messages,
-            run.stats.wire_words,
-            p.stage_a,
-            p.stage_b,
-            p.stage_c,
-            p.stage_d
+            run.stats.rounds, run.stats.messages, run.stats.wire_words, a, b, c, d
         );
     }
 }

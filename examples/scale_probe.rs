@@ -26,17 +26,10 @@ fn main() {
     let t1 = Instant::now();
     let run = run_mst(&g, &cfg).expect("run");
     let dt = t1.elapsed();
-    let p = run.profile;
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| run.stats.rounds_in_stage(s));
     println!(
         "solve:    rounds = {} (a {} / b {} / c {} / d {}), messages = {}, words = {}, k = {}",
-        run.stats.rounds,
-        p.stage_a,
-        p.stage_b,
-        p.stage_c,
-        p.stage_d,
-        run.stats.messages,
-        run.stats.words,
-        run.k,
+        run.stats.rounds, a, b, c, d, run.stats.messages, run.stats.wire_words, run.k,
     );
     let node_rounds = run.stats.rounds as u128 * g.num_nodes() as u128;
     println!(

@@ -72,10 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nstage profile (elkin): A={} B={} C={} D={} rounds; k = {}",
-        elkin.profile.stage_a,
-        elkin.profile.stage_b,
-        elkin.profile.stage_c,
-        elkin.profile.stage_d,
+        elkin.stats.rounds_in_stage("a"),
+        elkin.stats.rounds_in_stage("b"),
+        elkin.stats.rounds_in_stage("c"),
+        elkin.stats.rounds_in_stage("d"),
         elkin.k
     );
     Ok(())

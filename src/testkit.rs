@@ -49,7 +49,7 @@ impl Algorithm {
     pub fn all() -> Vec<Algorithm> {
         vec![
             Algorithm::Elkin(ElkinConfig::fixed()),
-            Algorithm::Elkin(ElkinConfig::adaptive()),
+            Algorithm::Elkin(ElkinConfig::default()),
             Algorithm::Ghs,
             Algorithm::Pipeline,
         ]

@@ -24,7 +24,7 @@ fn every_connected_graph_on_5_vertices() {
     // pattern to stay fast.
     let (graphs, runs) = testkit::for_each_connected_graph(5, |g, label, pattern| {
         testkit::assert_matches_oracle(&Algorithm::Elkin(Default::default()), g, label);
-        testkit::assert_matches_oracle(&Algorithm::Elkin(ElkinConfig::adaptive()), g, label);
+        testkit::assert_matches_oracle(&Algorithm::Elkin(ElkinConfig::default()), g, label);
         if pattern == WeightPattern::Equal {
             testkit::assert_matches_oracle(&Algorithm::Ghs, g, label);
         }

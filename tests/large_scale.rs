@@ -27,7 +27,7 @@ fn cliquepath_2304_adaptive_within_budget() {
         .expect("trio contains a cliquepath")
         .graph;
     let truth = mst::kruskal(&g);
-    let run = run_mst(&g, &ElkinConfig::adaptive()).expect("adaptive run");
+    let run = run_mst(&g, &ElkinConfig::default()).expect("adaptive run");
     assert_eq!(run.edges, truth.edges);
     assert!(
         run.stats.rounds <= 8640,
@@ -35,9 +35,9 @@ fn cliquepath_2304_adaptive_within_budget() {
         run.stats.rounds
     );
     assert!(
-        run.profile.stage_d <= 2820,
+        run.stats.rounds_in_stage("d") <= 2820,
         "adaptive cliquepath Stage D rounds {} exceed the 2565-round golden (+10%)",
-        run.profile.stage_d
+        run.stats.rounds_in_stage("d")
     );
 }
 
@@ -61,7 +61,7 @@ fn million_vertex_random_end_to_end() {
     let total: u64 = run.stats.rounds_by_stage.values().sum();
     assert_eq!(total, run.stats.rounds, "stage census must partition the rounds");
     assert!(
-        run.profile.stage_d > 0,
+        run.stats.rounds_in_stage("d") > 0,
         "all four stages must actually execute (got {:?})",
         run.stats.rounds_by_stage
     );
@@ -103,7 +103,7 @@ fn cliquepath_4608_both_modes() {
     let g = gen::path_of_cliques(576, 8, r); // n = 4608, D = Θ(n)
     let truth = mst::kruskal(&g);
     let fixed = run_mst(&g, &ElkinConfig::fixed()).expect("fixed");
-    let ada = run_mst(&g, &ElkinConfig::adaptive()).expect("adaptive");
+    let ada = run_mst(&g, &ElkinConfig::default()).expect("adaptive");
     assert_eq!(fixed.edges, truth.edges);
     assert_eq!(ada.edges, truth.edges);
     assert!(

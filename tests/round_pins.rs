@@ -49,7 +49,7 @@ fn elkin_adaptive_t1_trio_pins() {
         RoundBudget::new(1382, 30080),
         RoundBudget::new(916, 24548),
     ];
-    let algo = Algorithm::Elkin(ElkinConfig::adaptive());
+    let algo = Algorithm::Elkin(ElkinConfig::default());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
         assert_round_budget(&algo, g, label, pin);
     }
@@ -85,7 +85,7 @@ fn elkin_adaptive_cliquepath_1024_pin() {
     let r = &mut gen::WeightRng::new(0x51);
     let g = gen::path_of_cliques(128, 8, r);
     assert_round_budget(
-        &Algorithm::Elkin(ElkinConfig::adaptive()),
+        &Algorithm::Elkin(ElkinConfig::default()),
         &g,
         "cliquepath 128x8",
         &RoundBudget::new(4392, 170_187),
@@ -105,7 +105,7 @@ fn adaptive_cliquepath_2304_is_three_times_faster() {
         .expect("trio contains a cliquepath")
         .graph;
     let fixed = Algorithm::Elkin(ElkinConfig::fixed());
-    let adaptive = Algorithm::Elkin(ElkinConfig::adaptive());
+    let adaptive = Algorithm::Elkin(ElkinConfig::default());
     let (fe, _, fs) = fixed.run_stats(&g).expect("fixed run");
     let (ae, _, als) = adaptive.run_stats(&g).expect("adaptive run");
     assert_eq!(fe, ae, "schedule mode changed the MST");
