@@ -9,12 +9,11 @@
 //! upcast/downcast spreads the `|F|` records across disjoint BFS subtrees,
 //! so the `n/k` term only bites on the edges where fragments concentrate.
 //! Eq. (1) charges the single-edge worst case. Consequently the measured
-//! optimum sits at-or-below `sqrt(n)`, and the paper's automatic choice
-//! stays within a small factor of it (asserted). The fused Stage D
-//! (PR 3) pushed the optimum further below `sqrt(n)` — its per-phase
-//! constant dropped ~3x, so the `n/k` branch flattened again — which is
-//! why the factor is 3 and the auto-vs-optimum check runs on the
-//! adaptive sweep (the automatic choice *is* adaptive).
+//! optimum sits well below `sqrt(n)` — the fused Stage D cut its
+//! per-phase constant ~3x, flattening the `n/k` branch again — so the
+//! automatic choice is not the paper's `sqrt(n/b)` but the fitted round
+//! model `choose_k_cost`, which must land within 1.5x of the adaptive
+//! sweep's optimum (asserted; the automatic choice *is* adaptive).
 
 use dmst_bench::{banner, f3, header, row, Workload};
 use dmst_core::{run_mst, ElkinConfig, ScheduleMode};
@@ -74,19 +73,17 @@ fn main() {
 
     // The right branch must rise steeply (the k log* n cost is real) ...
     assert!(worst_rounds > 4 * best_rounds, "k >> sqrt(n) should cost several times the optimum");
-    // ... and the paper's choice must stay within a small factor of the
-    // sweep optimum despite the flattened left branch (3x since the fused
-    // Stage D cut the n/k branch's constant and moved the optimum below
-    // sqrt(n); see the module docs).
+    // ... and the cost model's choice must stay near the sweep optimum
+    // despite the flattened left branch (see the module docs).
     assert!(
-        auto.stats.rounds as f64 <= 3.0 * best_rounds as f64,
-        "automatic k ({} rounds) strayed past 3x the sweep optimum ({best_rounds})",
+        2 * auto.stats.rounds <= 3 * best_rounds,
+        "automatic k ({} rounds) strayed past 1.5x the sweep optimum ({best_rounds})",
         auto.stats.rounds
     );
     println!(
         "shape check: rounds rise ~linearly in k past sqrt(n); below sqrt(n)\n\
          the curve is flat-to-slightly-rising because pipelining parallelizes\n\
          the n/k term across BFS subtrees (Eq. (1) charges its single-edge\n\
-         worst case). The automatic k is within 3x of the sweep optimum."
+         worst case). The automatic k is within 1.5x of the sweep optimum."
     );
 }

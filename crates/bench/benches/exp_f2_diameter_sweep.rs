@@ -22,7 +22,7 @@ fn main() {
         let n = w.graph.num_nodes();
         // The paper's k = Θ(D) large-diameter choice is what this
         // experiment demonstrates; it lives in the Fixed schedule
-        // (Adaptive, the default, deliberately keeps k = sqrt(n/b)).
+        // (Adaptive, the default, never picks k above sqrt(n/b)).
         let run = run_mst(&w.graph, &ElkinConfig::fixed()).expect("run");
         let lg = (n as f64).log2();
         let norm = run.stats.rounds as f64 / (f64::from(w.diameter).max(1.0) * lg);

@@ -35,7 +35,7 @@ fn main() {
 
     for w in cases {
         // The regime split under test is the paper's choose_k, i.e. the
-        // Fixed schedule (Adaptive pins k = sqrt(n/b) in both regimes).
+        // Fixed schedule (Adaptive never picks k above sqrt(n/b)).
         let run = run_mst(&w.graph, &ElkinConfig::fixed()).expect("run");
         let regime = if run.k > sqrt_n { "large-D" } else { "small-D" };
         // k never falls below sqrt(n) and never exceeds ~D (BFS height <= D).

@@ -10,8 +10,9 @@
 //! high-diameter inputs; Pipeline is fast but message-hungry as `n` grows;
 //! Elkin is close to Pipeline's speed at near-GHS message volume. The
 //! `elkin-adaptive` rows add the `ScheduleMode::Adaptive` knob (same MST,
-//! tighter Stage B scheduling) — on the high-diameter cliquepath it
-//! removes most of Elkin's fixed-window penalty.
+//! tighter Stage B scheduling, `k` from a fitted round model) — on the
+//! high-diameter cliquepath it removes most of Elkin's fixed-window
+//! penalty, elsewhere the smaller `k` cuts rounds and messages alike.
 //!
 //! Pass `--smoke` to run only the CI guard: the n = 2304 cliquepath in
 //! both modes (asserting the >= 3x adaptive win, the fused-Stage-D round
@@ -145,6 +146,6 @@ fn main() {
         "\nshape check: on the cliquepath (high D), ghs rounds blow up; on all\n\
          inputs pipeline messages grow fastest; elkin stays near the best of\n\
          both columns, and elkin-adaptive removes the fixed-window penalty\n\
-         (>= 3x on the n=2304 cliquepath) without moving the message column."
+         (>= 3x on the n=2304 cliquepath) while sending fewer messages."
     );
 }

@@ -14,10 +14,12 @@ pub struct ElkinConfig {
     /// The `b` of `CONGEST(b log n)` (Theorem 3.2). Must be positive.
     pub bandwidth: u32,
     /// Override the base-forest parameter `k` (experiments F5/A3 sweep it);
-    /// `None` selects the paper's choice via
-    /// [`choose_k`](crate::schedule::choose_k) (or
-    /// [`choose_k_adaptive`](crate::schedule::choose_k_adaptive) under
-    /// [`ScheduleMode::Adaptive`]). `k = 1` skips Controlled-GHS entirely
+    /// it wins over either automatic choice. `None` lets the BFS root pick
+    /// `k` after Stage A: the fitted round model
+    /// [`choose_k_cost`](crate::schedule::choose_k_cost) under
+    /// [`ScheduleMode::Adaptive`], the paper's
+    /// [`choose_k`](crate::schedule::choose_k) under
+    /// [`ScheduleMode::Fixed`]. `k = 1` skips Controlled-GHS entirely
     /// (singleton base forest).
     pub k_override: Option<u64>,
     /// The designated BFS root (see DESIGN.md on the leader-election
@@ -29,7 +31,7 @@ pub struct ElkinConfig {
     /// Stage B round-scheduling discipline (experiment A4 ablates it).
     /// [`ScheduleMode::Adaptive`] tightens the per-window constants, ends
     /// phases by a BFS-tree sync when that is cheaper than the worst-case
-    /// flood window, and shrinks `k` on high-diameter inputs — without
+    /// flood window, and picks `k` by a fitted round model — without
     /// changing the output MST (conformance-tested in both modes).
     pub schedule_mode: ScheduleMode,
     /// Stop after Stage B, leaving the `(O(n/k), O(k))` base forest as the

@@ -58,6 +58,6 @@ pub use msg::Msg;
 pub use node::{ElkinNode, Milestones};
 pub use runner::{run_forest, run_mst, ForestRun, MstRun, RunError};
 pub use schedule::{
-    choose_k, choose_k_adaptive, ExchangeKind, MergeControl, Params, Schedule, ScheduleMode, Slot,
+    choose_k, choose_k_cost, ExchangeKind, MergeControl, Params, Schedule, ScheduleMode, Slot,
     Window,
 };

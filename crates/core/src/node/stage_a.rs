@@ -8,7 +8,7 @@
 use congest_sim::RoundCtx;
 
 use crate::msg::Msg;
-use crate::schedule::{choose_k, choose_k_adaptive, Params, Schedule, ScheduleMode};
+use crate::schedule::{choose_k, choose_k_cost, Params, Schedule, ScheduleMode};
 
 use super::{ElkinNode, Stage};
 
@@ -113,7 +113,9 @@ impl ElkinNode {
             let h = height;
             let k = self.cfg.k_override.unwrap_or_else(|| match self.cfg.schedule_mode {
                 ScheduleMode::Fixed => choose_k(n, h, self.cfg.bandwidth),
-                ScheduleMode::Adaptive => choose_k_adaptive(n, self.cfg.bandwidth),
+                ScheduleMode::Adaptive => {
+                    choose_k_cost(n, h, self.cfg.bandwidth, self.cfg.merge_control)
+                }
             });
             let t0 = ctx.round() + h + 2;
             let params = Params { n, h, k, t0 };

@@ -83,10 +83,11 @@ pub enum ScheduleMode {
     /// The seed behaviour: padded windows, every phase sleeps out its
     /// worst case, `k = max(sqrt(n/b), H)`.
     Fixed,
-    /// Tightened windows, per-phase scheduled-vs-sync ends, and the
-    /// adaptive-k choice [`choose_k_adaptive`]. The default since PR 3
-    /// (soaked through two PRs of conformance coverage); `Fixed` stays a
-    /// supported knob and remains in the conformance matrix.
+    /// Tightened windows, per-phase scheduled-vs-sync ends, and `k` from
+    /// the fitted round model [`choose_k_cost`]: the candidate up to the
+    /// paper's `sqrt(n/b)` with the fewest predicted rounds, never below
+    /// `H/8`. The default; `Fixed` stays a supported knob and remains in
+    /// the conformance matrix.
     #[default]
     Adaptive,
 }
@@ -114,22 +115,54 @@ pub fn choose_k(n: u64, h: u64, bandwidth: u32) -> u64 {
     isqrt(nb).max(h).max(1)
 }
 
-/// The adaptive-k heuristic ([`ScheduleMode::Adaptive`]): `k = sqrt(n/b)`
-/// in *both* regimes — the way it "accounts for" the measured `H` is
-/// precisely by refusing to follow it up on high-diameter graphs (where
-/// `choose_k` returns `H`), which is why it takes no `h` argument.
+// Stage C/D constants of `choose_k_cost` in 32nds of a round, fitted by
+// relative least squares to the measured Stage C + D rounds of 96 runs
+// (the T1 trio at n = 256, 1024 and 2304, the A3 and S1 workloads, and the
+// n = 16384 random graph, each swept over `k`; DESIGN.md §2): `α = 27/32`
+// rounds per Borůvka phase per unit of BFS height, `γ = 152/32` rounds per
+// phase, and `β = 9/32` rounds per base fragment per unit of bandwidth.
+const CD_ALPHA: u128 = 27;
+const CD_GAMMA: u128 = 152;
+const CD_BETA: u128 = 9;
+const CD_SCALE: u128 = 32;
+
+/// The cost-model choice of `k` ([`ScheduleMode::Adaptive`]), evaluated by
+/// the BFS root once Stage A has measured `n` and `H`.
 ///
-/// The paper inflates `k` to `Θ(H)` in the large-diameter regime so the
-/// Stage D pipeline term `n/(kb)` stays below `D`. But once
-/// `k >= sqrt(n/b)` that term is `<= sqrt(n/b) <= max(D, sqrt(n/b))`
-/// anyway, while every extra Controlled-GHS phase the larger `k` buys
-/// costs `Θ(2^i)` scheduled rounds — with adaptive phase ends the Stage B
-/// windows are the bottleneck on exactly those graphs. So
-/// `choose_k_adaptive(n, b) = choose_k(n, h, b)` whenever `H <= sqrt(n/b)`
-/// and shrinks to `sqrt(n/b)` otherwise.
-pub fn choose_k_adaptive(n: u64, bandwidth: u32) -> u64 {
-    let nb = n.div_euclid(u64::from(bandwidth.max(1))).max(1);
-    isqrt(nb).max(1)
+/// Every candidate `k` gets a predicted round count: Stage B is the sum of
+/// the adaptive schedule's [`Schedule::phase_len`] over its `ceil(log2 k)`
+/// phases, and Stages C/D are `ceil(log2(n/k)) * (α·H + γ) + β·n/(k·b)`
+/// (constants above). The candidates are the powers of two from 2 plus the
+/// cap `isqrt(n/b)` — the paper's `k` (Eq. (1)), past which Stage B only
+/// grows — restricted to `k >= min(ceil(H/8), cap)`. That floor is the
+/// paper's reason for `k = Θ(D)`: below it Stage D's `n/k` candidates, each
+/// climbing up to `H` hops, cost more messages than the shorter Stage B
+/// saves. The cheapest candidate wins, the smallest on a tie; costs are
+/// compared as exact fractions, so `k` is non-decreasing in `h` and
+/// non-increasing in `b`. Always `1 <= k <= max(isqrt(n/b), 1)`.
+pub fn choose_k_cost(n: u64, h: u64, bandwidth: u32, merge: MergeControl) -> u64 {
+    let b = u64::from(bandwidth.max(1));
+    let cap = isqrt(n / b).max(1);
+    let floor = h.div_ceil(8).min(cap);
+    // 32·k·b times the predicted rounds of `k`: `scaled(x)·y < scaled(y)·x`
+    // compares the predictions of `x` and `y` exactly.
+    let scaled = |k: u64| {
+        let params = Params { n, h, k, t0: 0 };
+        let stage_b = Schedule::new(&params, merge, ScheduleMode::Adaptive).end();
+        let phases = ceil_log2(n.div_ceil(k).max(1));
+        let per_kb = CD_SCALE * u128::from(stage_b)
+            + u128::from(phases) * (CD_ALPHA * u128::from(h) + CD_GAMMA);
+        let kb = u128::from(k) * u128::from(b);
+        per_kb.saturating_mul(kb).saturating_add(CD_BETA * u128::from(n))
+    };
+    std::iter::successors(Some(2u64), |&k| k.checked_mul(2))
+        .take_while(|&k| k < cap)
+        .chain([cap])
+        .filter(|&k| k >= floor)
+        .map(|k| (k, scaled(k)))
+        .min_by(|&(x, sx), &(y, sy)| sx.saturating_mul(y.into()).cmp(&sy.saturating_mul(x.into())))
+        .expect("the cap is always a candidate")
+        .0
 }
 
 /// One scheduled window of a Controlled-GHS phase.
@@ -464,15 +497,18 @@ mod tests {
     }
 
     #[test]
-    fn choose_k_adaptive_shrinks_on_high_diameter() {
-        // Low diameter: identical to the paper's choice.
-        assert_eq!(choose_k_adaptive(1024, 1), choose_k(1024, 10, 1));
-        // High diameter: stays at sqrt(n/b) instead of following H.
-        assert_eq!(choose_k_adaptive(1024, 1), 32);
-        assert_eq!(choose_k(1024, 100, 1), 100);
-        // Bandwidth still shrinks the sqrt term.
-        assert_eq!(choose_k_adaptive(1024, 4), 16);
-        assert_eq!(choose_k_adaptive(1, 1), 1);
+    fn choose_k_cost_pins() {
+        let k = |n, h, b| choose_k_cost(n, h, b, MergeControl::Matched);
+        // The benchmark's random graph (H = 7): a small k, not the cap 128.
+        assert_eq!(k(16384, 7, 1), 8);
+        // Its cliquepath (H = 4095) and the T1 cliquepath 288x8 (H = 575):
+        // the H/8 floor reaches the cap, so k stays at isqrt(n), a power of
+        // two or not.
+        assert_eq!(k(16384, 4095, 1), 128);
+        assert_eq!(k(2304, 575, 1), 48);
+        // Tiny inputs give 1.
+        assert_eq!(k(1, 0, 1), 1);
+        assert_eq!(k(3, 0, 8), 1);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 
 use proptest::prelude::*;
 
-use dmst_core::{
-    choose_k, choose_k_adaptive, MergeControl, Params, Schedule, ScheduleMode, Window,
-};
+use dmst_core::util::isqrt;
+use dmst_core::{choose_k, choose_k_cost, MergeControl, Params, Schedule, ScheduleMode, Window};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -104,8 +103,7 @@ proptest! {
         }
     }
 
-    /// choose_k honors both regimes and never returns zero; the adaptive
-    /// variant never exceeds it and ignores the H inflation.
+    /// choose_k honors both regimes and never returns zero.
     #[test]
     fn choose_k_sane(n in 1u64..1_000_000, h in 0u64..5_000, b in 1u32..64) {
         let k = choose_k(n, h, b);
@@ -114,12 +112,27 @@ proptest! {
         // k is never larger than max(h, sqrt(n)) + 1.
         let sq = (n as f64).sqrt() as u64 + 1;
         prop_assert!(k <= h.max(sq));
-        let ka = choose_k_adaptive(n, b);
-        prop_assert!(ka >= 1);
-        prop_assert!(ka <= k, "adaptive k must never exceed the paper's choice");
-        prop_assert!(ka <= sq, "adaptive k stays at the sqrt term");
-        if h <= ka {
-            prop_assert_eq!(ka, k, "low-diameter regime: identical to the paper's choice");
-        }
+    }
+
+    /// The cost model stays in `1..=isqrt(n/b)`, returns a power of two or
+    /// the cap itself, and moves monotonically: up with `h`, down with `b`.
+    #[test]
+    fn choose_k_cost_sane(
+        n in 1u64..1_000_000,
+        h in 0u64..5_000,
+        dh in 0u64..2_000,
+        b in 1u32..64,
+        db in 0u32..64,
+        uncontrolled in any::<bool>(),
+    ) {
+        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
+        let k = choose_k_cost(n, h, b, merge);
+        let cap = isqrt(n / u64::from(b)).max(1);
+        prop_assert!((1..=cap).contains(&k), "k = {} outside 1..={}", k, cap);
+        prop_assert!(k.is_power_of_two() || k == cap, "k = {} is neither 2^i nor the cap", k);
+        let taller = choose_k_cost(n, h + dh, b, merge);
+        prop_assert!(taller >= k, "k fell from {} to {} as h grew by {}", k, taller, dh);
+        let wider = choose_k_cost(n, h, b + db, merge);
+        prop_assert!(wider <= k, "k rose from {} to {} as b grew by {}", k, wider, db);
     }
 }

@@ -72,8 +72,9 @@ impl From<GraphError> for IoError {
 /// # Errors
 ///
 /// [`IoError::Parse`] on malformed lines, missing/duplicate `p` lines, a
-/// wrong edge count, or out-of-range endpoints; [`IoError::Graph`] if the
-/// edge list is not a simple graph.
+/// `p` line whose `n` or `2m` exceeds `u32::MAX`, a wrong edge count, or
+/// out-of-range endpoints; [`IoError::Graph`] if the edge list is not a
+/// simple graph.
 ///
 /// ```
 /// let text = "c tiny\np edge 3 2\ne 1 2 7\ne 2 3 9\n";
@@ -108,8 +109,17 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<WeightedGraph, IoError> {
                 }
                 let n = parse_num(parts.next(), lineno, "vertex count")?;
                 let m = parse_num(parts.next(), lineno, "edge count")?;
+                // The header is untrusted: no buffer is reserved from `m`,
+                // and sizes past the simulator's packed u32 ids (`n` and
+                // `2m`, as `congest_sim::Topology::new` checks) are refused
+                // before `WeightedGraph::new` sizes its adjacency from `n`.
+                if n > u64::from(u32::MAX) || m > u64::from(u32::MAX) / 2 {
+                    return Err(IoError::Parse {
+                        line: lineno,
+                        msg: format!("graph too large: {n} vertices, {m} edges"),
+                    });
+                }
                 header = Some((n as usize, m as usize));
-                edges.reserve(m as usize);
             }
             Some("e") | Some("a") => {
                 let (n, _) = header
@@ -198,6 +208,10 @@ mod tests {
             ("p edge 2 1\ne 1 x 3\n", "bad endpoint"),
             ("p edge 2 1\nq 1 2 3\n", "unexpected token"),
             ("", "missing p line"),
+            // Oversized headers fail before anything is sized from them.
+            ("p edge 2 18446744073709551615\n", "too large"),
+            ("p edge 2 4000000000000\n", "too large"),
+            ("p edge 5000000000000 1\ne 1 2 3\n", "too large"),
         ];
         for (text, needle) in cases {
             let err = parse_dimacs(text.as_bytes()).unwrap_err();

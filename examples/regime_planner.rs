@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let n = g.num_nodes();
         let d = analysis::diameter_exact(&g);
         // The paper's regime-following k lives in the Fixed schedule; the
-        // (default) adaptive schedule deliberately pins k = sqrt(n/b).
+        // (default) adaptive schedule picks k by a fitted round model and
+        // never goes past sqrt(n/b).
         let run = run_mst(&g, &ElkinConfig::fixed())?;
         let sqrt_n = (n as f64).sqrt().round() as u64;
         let regime = if run.k > sqrt_n { "large-D" } else { "small-D" };

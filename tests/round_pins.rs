@@ -14,7 +14,10 @@
 //! for debug runs and executed in release by CI alongside
 //! `cargo bench --bench exp_t1_comparison -- --smoke`.
 
-use dmst::core::ElkinConfig;
+use std::iter::successors;
+
+use dmst::core::util::isqrt;
+use dmst::core::{run_mst, ElkinConfig};
 use dmst::graphs::{generators as gen, WeightedGraph};
 use dmst::testkit::{assert_round_budget, Algorithm, RoundBudget};
 use dmst_bench::standard_trio;
@@ -44,14 +47,45 @@ fn elkin_fixed_t1_trio_pins() {
 #[test]
 fn elkin_adaptive_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(1007, 24710),
-        RoundBudget::new(875, 34217),
-        RoundBudget::new(1382, 30080),
-        RoundBudget::new(916, 24548),
+        RoundBudget::new(310, 15811),
+        RoundBudget::new(198, 17701),
+        RoundBudget::new(1150, 29773),
+        RoundBudget::new(231, 11146),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::default());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
         assert_round_budget(&algo, g, label, pin);
+    }
+}
+
+/// The k-choice guard: on every n = 256 trio row, the automatic `k` needs
+/// at most 1.5x the rounds of the best power-of-two `k` in `2..=isqrt(n)`,
+/// and no more messages than the paper's `k = isqrt(n)`.
+#[test]
+fn auto_k_is_near_optimal_on_t1_trio() {
+    for (label, g) in trio_256() {
+        let stats =
+            |cfg: ElkinConfig| run_mst(&g, &cfg).unwrap_or_else(|e| panic!("{label}: {e}")).stats;
+        let auto = run_mst(&g, &ElkinConfig::default()).expect("auto run");
+        let cap = isqrt(g.num_nodes() as u64);
+        let (best_k, best) = successors(Some(2u64), |k| Some(2 * k))
+            .take_while(|&k| k <= cap)
+            .map(|k| (k, stats(ElkinConfig::with_k(k)).rounds))
+            .min_by_key(|&(_, rounds)| rounds)
+            .expect("n = 256 admits k = 2");
+        assert!(
+            2 * auto.stats.rounds <= 3 * best,
+            "{label}: auto k = {} takes {} rounds, past 1.5x the {best} of k = {best_k}",
+            auto.k,
+            auto.stats.rounds
+        );
+        let paper = stats(ElkinConfig::with_k(cap)).messages;
+        assert!(
+            auto.stats.messages <= paper,
+            "{label}: auto k = {} sends {} messages, more than the {paper} of k = {cap}",
+            auto.k,
+            auto.stats.messages
+        );
     }
 }
 
