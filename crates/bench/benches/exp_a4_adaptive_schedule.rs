@@ -3,9 +3,9 @@
 //! The fixed schedule pays every phase's worst case even when all
 //! fragments finish early; Elkin17 §4 only requires the windows to *cover*
 //! each sub-step. `ScheduleMode::Adaptive` (a) tightens each window to the
-//! provable minimum, (b) ends a phase by a BFS-tree sync as soon as every
-//! merge flood has settled whenever that beats the worst-case flood
-//! window, and (c) picks `k` by a fitted round model that never goes past
+//! provable minimum, (b) ends every phase on its schedule, exactly as
+//! Fixed does, so Stage B lasts exactly the sum of its tight windows, and
+//! (c) picks `k` by a fitted round model that never goes past
 //! `sqrt(n/b)` (`choose_k_cost`). The output MST is identical by
 //! construction (conformance-tested in both modes); this ablation measures
 //! the round savings.

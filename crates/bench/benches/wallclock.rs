@@ -142,8 +142,8 @@ fn gate() {
     let run = gate_check("end_to_end/elkin_random_16384", 8_000, || {
         run_mst(&g, &ElkinConfig::default()).unwrap()
     });
-    assert_eq!(run.stats.rounds, 1160, "gate workload rounds moved; re-pin deliberately");
-    assert_eq!(run.stats.messages, 1_863_536, "gate workload messages moved; re-pin deliberately");
+    assert_eq!(run.stats.rounds, 1144, "gate workload rounds moved; re-pin deliberately");
+    assert_eq!(run.stats.messages, 1_815_355, "gate workload messages moved; re-pin deliberately");
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
 
     match peak_rss_kib() {

@@ -20,7 +20,8 @@ pub struct ElkinConfig {
     /// [`ScheduleMode::Adaptive`], the paper's
     /// [`choose_k`](crate::schedule::choose_k) under
     /// [`ScheduleMode::Fixed`]. `k = 1` skips Controlled-GHS entirely
-    /// (singleton base forest).
+    /// (singleton base forest); the root clamps any `k` to
+    /// `2 * n.next_power_of_two()`, past which no phase can merge anything.
     pub k_override: Option<u64>,
     /// The designated BFS root (see DESIGN.md on the leader-election
     /// assumption).
@@ -29,10 +30,10 @@ pub struct ElkinConfig {
     /// [`MergeControl::Uncontrolled`]).
     pub merge_control: MergeControl,
     /// Stage B round-scheduling discipline (experiment A4 ablates it).
-    /// [`ScheduleMode::Adaptive`] tightens the per-window constants, ends
-    /// phases by a BFS-tree sync when that is cheaper than the worst-case
-    /// flood window, and picks `k` by a fitted round model — without
-    /// changing the output MST (conformance-tested in both modes).
+    /// [`ScheduleMode::Adaptive`] tightens the per-window constants and
+    /// picks `k` by a fitted round model; in both modes every phase ends on
+    /// its schedule, and the output MST is the same (conformance-tested in
+    /// both modes).
     pub schedule_mode: ScheduleMode,
     /// Stop after Stage B, leaving the `(O(n/k), O(k))` base forest as the
     /// output (Theorem 4.3 standalone; used by

@@ -43,22 +43,18 @@ const TAG_STATUS_CROSS: u8 = 19;
 const TAG_MERGE_PATH: u8 = 20;
 const TAG_MERGE_CROSS: u8 = 21;
 const TAG_NEW_FRAG: u8 = 22;
-const TAG_FLOOD_ACK: u8 = 23;
-const TAG_SYNC_NO_FLOOD: u8 = 24;
-const TAG_SYNC_UP: u8 = 25;
-const TAG_SYNC_START: u8 = 26;
-const TAG_INTERVAL: u8 = 27;
-const TAG_REGISTER: u8 = 28;
-const TAG_REG_DONE: u8 = 29;
-const TAG_INIT_COARSE: u8 = 30;
-const TAG_COARSE_ANNOUNCE: u8 = 31;
-const TAG_FRAG_MWOE_UP: u8 = 32;
-const TAG_CANDIDATE: u8 = 33;
-const TAG_UP_DONE: u8 = 34;
-const TAG_ASSIGN: u8 = 35;
-const TAG_NEW_COARSE: u8 = 36;
-const TAG_MARK_PATH: u8 = 37;
-const TAG_MARK_CROSS: u8 = 38;
+const TAG_INTERVAL: u8 = 23;
+const TAG_REGISTER: u8 = 24;
+const TAG_REG_DONE: u8 = 25;
+const TAG_INIT_COARSE: u8 = 26;
+const TAG_COARSE_ANNOUNCE: u8 = 27;
+const TAG_FRAG_MWOE_UP: u8 = 28;
+const TAG_CANDIDATE: u8 = 29;
+const TAG_UP_DONE: u8 = 30;
+const TAG_ASSIGN: u8 = 31;
+const TAG_NEW_COARSE: u8 = 32;
+const TAG_MARK_PATH: u8 = 33;
+const TAG_MARK_CROSS: u8 = 34;
 
 /// Writes a [`CandKey`] as three full words (the weight needs all 64
 /// bits; the endpoints get whole words so the key stays one fixed shape
@@ -103,7 +99,9 @@ pub enum Msg {
         t0: u64,
     },
 
-    // ---- Stage B: Controlled-GHS (paper §4) ----
+    // ---- Stage B: Controlled-GHS (paper §4). Every phase ends on its
+    // round schedule in both schedule modes, so no message marks a phase
+    // end: the window a message belongs to is implicit in the round. ----
     /// Per-phase refresh of `(fragment id, sender id)` to all neighbors.
     FragAnnounce {
         /// Sender's current fragment id.
@@ -184,36 +182,6 @@ pub enum Msg {
     NewFrag {
         /// Id of the merged fragment (its new root's vertex id).
         id: u64,
-    },
-
-    // ---- Stage B adaptive phase ends (tag `b:sync`; sync-ended phases of
-    // `ScheduleMode::Adaptive` only — see `schedule.rs`) ----
-    /// Ack retracing a [`Msg::NewFrag`] edge: the sender's entire flood
-    /// subtree has been re-oriented and is quiet.
-    FloodAck {
-        /// Phase the ack belongs to (consistency check).
-        phase: u32,
-    },
-    /// Old-fragment-root broadcast down its fragment tree: no merge flood
-    /// will enter this fragment this phase; settle immediately.
-    SyncNoFlood {
-        /// Phase the signal belongs to (consistency check).
-        phase: u32,
-    },
-    /// BFS-tree convergecast: every vertex of my BFS subtree has settled
-    /// (merge flood processed and acked, or provably not coming).
-    SyncUp {
-        /// Phase the report belongs to (consistency check).
-        phase: u32,
-    },
-    /// BFS-root broadcast ending a sync phase: window scheduling resumes
-    /// with phase `phase` at absolute round `start` (a `phase` equal to the
-    /// phase count means Stage B is over and Stage C begins at `start`).
-    SyncStart {
-        /// The next phase index.
-        phase: u32,
-        /// Absolute round at which it starts, everywhere simultaneously.
-        start: u64,
     },
 
     // ---- Stage C: intervals and fragment registration (paper §3) ----
@@ -330,10 +298,6 @@ impl Message for Msg {
             | Msg::StatusDown
             | Msg::StatusCross => "b:match",
             Msg::MergePath | Msg::MergeCross | Msg::NewFrag { .. } => "b:merge",
-            Msg::FloodAck { .. }
-            | Msg::SyncNoFlood { .. }
-            | Msg::SyncUp { .. }
-            | Msg::SyncStart { .. } => "b:sync",
             Msg::Interval { .. } | Msg::Register { .. } | Msg::RegDone | Msg::InitCoarse { .. } => {
                 "c:intervals"
             }
@@ -420,23 +384,6 @@ impl Message for Msg {
                 w.tag(TAG_NEW_FRAG);
                 w.pack(*id);
             }
-            Msg::FloodAck { phase } => {
-                w.tag(TAG_FLOOD_ACK);
-                w.word(u64::from(*phase));
-            }
-            Msg::SyncNoFlood { phase } => {
-                w.tag(TAG_SYNC_NO_FLOOD);
-                w.word(u64::from(*phase));
-            }
-            Msg::SyncUp { phase } => {
-                w.tag(TAG_SYNC_UP);
-                w.word(u64::from(*phase));
-            }
-            Msg::SyncStart { phase, start } => {
-                w.tag(TAG_SYNC_START);
-                w.word(u64::from(*phase));
-                w.word(*start);
-            }
             Msg::Interval { start, size } => {
                 w.tag(TAG_INTERVAL);
                 w.pack(*start); // slots are < n
@@ -521,10 +468,6 @@ impl Message for Msg {
             TAG_MERGE_PATH => Msg::MergePath,
             TAG_MERGE_CROSS => Msg::MergeCross,
             TAG_NEW_FRAG => Msg::NewFrag { id: r.packed() },
-            TAG_FLOOD_ACK => Msg::FloodAck { phase: r.word() as u32 },
-            TAG_SYNC_NO_FLOOD => Msg::SyncNoFlood { phase: r.word() as u32 },
-            TAG_SYNC_UP => Msg::SyncUp { phase: r.word() as u32 },
-            TAG_SYNC_START => Msg::SyncStart { phase: r.word() as u32, start: r.word() },
             TAG_INTERVAL => Msg::Interval { start: r.packed(), size: r.word() },
             TAG_REGISTER => Msg::Register { slot: r.packed() },
             TAG_REG_DONE => Msg::RegDone,
@@ -613,15 +556,6 @@ mod tests {
         assert_eq!(Msg::NewFrag { id: 3 }.tag(), "b:merge");
         assert_eq!(Msg::Register { slot: 0 }.tag(), "c:intervals");
         assert_eq!(Msg::UpDone.tag(), "d:upcast");
-        for m in [
-            Msg::FloodAck { phase: 1 },
-            Msg::SyncNoFlood { phase: 1 },
-            Msg::SyncUp { phase: 1 },
-            Msg::SyncStart { phase: 2, start: 99 },
-        ] {
-            assert_eq!(m.tag(), "b:sync");
-            assert!(encoded_len(&m) <= 3);
-        }
     }
 
     #[test]
@@ -637,7 +571,6 @@ mod tests {
             Msg::ColorUp { color: 7 },
             Msg::StatusCross,
             Msg::MergePath,
-            Msg::SyncUp { phase: 1 },
             Msg::Register { slot: 0 },
             Msg::CoarseAnnounce { coarse: 1, me: 2 },
             Msg::FragMwoeUp { cand: None },

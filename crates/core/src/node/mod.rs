@@ -239,23 +239,6 @@ pub(crate) struct BScratch {
     pub merge_ports: Vec<PortId>,
     pub matched_port: Option<PortId>,
     pub flooded: bool,
-
-    // ---- sync-ended adaptive phases only (see `schedule::ScheduleMode`) ----
-    /// Port the merge flood arrived on (flood-tree parent; `None` at flood
-    /// initiators and adopters).
-    pub flood_from: Option<PortId>,
-    /// Ports this vertex forwarded `NewFrag` to (flood-tree children).
-    pub flood_fwd: Vec<PortId>,
-    /// `FloodAck`s still outstanding from `flood_fwd`.
-    pub ack_pending: usize,
-    /// This vertex received its settle signal: its merge flood has been
-    /// processed and acked, or its fragment root guaranteed no flood.
-    pub settled: bool,
-    /// `SyncUp` reports received from BFS children this phase.
-    pub sync_recv: usize,
-    /// This vertex already reported `SyncUp` (or, at the BFS root,
-    /// already broadcast `SyncStart`).
-    pub sync_sent: bool,
 }
 
 /// Stage C working state.
@@ -340,15 +323,6 @@ pub struct ElkinNode {
     pub(crate) a: AState,
     pub(crate) params: Option<Params>,
     pub(crate) sched: Option<Schedule>,
-
-    // Adaptive-schedule phase tracking (ScheduleMode::Adaptive only):
-    // sync-ended phases have no precomputed start, so the node carries the
-    // current phase and its start round explicitly.
-    pub(crate) b_phase: u32,
-    pub(crate) b_phase_start: u64,
-    /// Pending transition agreed via `SyncStart`: `(next phase, start
-    /// round)`; a phase index equal to the phase count means Stage C.
-    pub(crate) b_next: Option<(u32, u64)>,
 
     // BFS tree (stage A output).
     pub(crate) depth: u64,
@@ -447,9 +421,6 @@ impl ElkinNode {
             a: AState::default(),
             params: None,
             sched: None,
-            b_phase: 0,
-            b_phase_start: 0,
-            b_next: None,
             depth: 0,
             bfs_parent: None,
             bfs_children: Vec::new(),
@@ -547,7 +518,6 @@ pub(crate) const TAG_GUARDS: &[(&str, char, &str)] = &[
     ("b:match", 'b', "b_next_wake"),
     ("b:merge", 'b', "b_next_wake"),
     ("b:mwoe", 'b', "b_next_wake"),
-    ("b:sync", 'b', "b_next_wake"),
     ("c:intervals", 'c', "cd_next_wake"),
     ("d:announce", 'd', "cd_next_wake"),
     ("d:downcast", 'd', "cd_next_wake"),

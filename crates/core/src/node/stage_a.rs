@@ -93,7 +93,7 @@ impl ElkinNode {
             if round == p.t0 {
                 self.stage = Stage::B;
                 self.milestones.entered_b = round;
-                self.b_enter(ctx);
+                self.b_act(ctx);
             }
         }
     }
@@ -117,6 +117,11 @@ impl ElkinNode {
                     choose_k_cost(n, h, self.cfg.bandwidth, self.cfg.merge_control)
                 }
             });
+            // Past 2 * n.next_power_of_two() an override only adds phases
+            // that find one fragment left (at most ceil(log2 n) + 1 are
+            // needed), so clamp it before it exhausts the round cap or
+            // overflows the schedule.
+            let k = k.min(2 * n.next_power_of_two());
             let t0 = ctx.round() + h + 2;
             let params = Params { n, h, k, t0 };
             self.a_adopt_params(params);

@@ -35,30 +35,11 @@ use congest_sim::{PortId, RoundCtx};
 use crate::candidate::CandKey;
 use crate::cv;
 use crate::msg::Msg;
-use crate::schedule::{ExchangeKind, MergeControl, Schedule, ScheduleMode, Slot, Window};
+use crate::schedule::{ExchangeKind, MergeControl, Schedule, Slot, Window};
 
 use super::{BScratch, ElkinNode, Sel, Stage};
 
 impl ElkinNode {
-    /// Called once when Stage B begins (round `t0`).
-    pub(crate) fn b_enter(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let sched = self.sched.as_ref().expect("schedule set with params");
-        // Zero-phase schedules (k = 1) fall straight through to Stage C.
-        if sched.num_phases() == 0 {
-            self.stage = Stage::CD;
-            self.cd_enter(ctx);
-            return;
-        }
-        match self.cfg.schedule_mode {
-            ScheduleMode::Fixed => self.b_act_inner(ctx),
-            ScheduleMode::Adaptive => {
-                self.b_phase = 0;
-                self.b_phase_start = ctx.round();
-                self.b_act_adaptive(ctx);
-            }
-        }
-    }
-
     pub(crate) fn b_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         let inbox: Vec<(usize, Msg)> = ctx.inbox().to_vec();
         for (port, msg) in inbox {
@@ -215,143 +196,34 @@ impl ElkinNode {
                     }
                 }
                 Msg::NewFrag { id } => self.b_flood_receive(ctx, port, id),
-                Msg::FloodAck { phase } => {
-                    debug_assert_eq!(phase, self.b_phase, "stale flood ack");
-                    debug_assert!(self.b.ack_pending > 0, "unexpected flood ack");
-                    self.b.ack_pending -= 1;
-                    if self.b.ack_pending == 0 {
-                        if let Some(fp) = self.b.flood_from {
-                            // My whole flood subtree is re-oriented: ack up
-                            // and settle.
-                            ctx.send(fp, Msg::FloodAck { phase });
-                            self.b.settled = true;
-                        } else if self.b.participating {
-                            // Flood initiator: the merged cluster is done.
-                            self.b.settled = true;
-                        }
-                        // Adopters (!participating) settle via the
-                        // SyncNoFlood broadcast of their own fragment root.
-                    }
-                }
-                Msg::SyncNoFlood { phase } => {
-                    debug_assert_eq!(phase, self.b_phase, "stale no-flood signal");
-                    debug_assert!(!self.b.flooded, "SyncNoFlood entered a flooded fragment");
-                    if !self.b.settled {
-                        self.b.settled = true;
-                        self.b_send_no_flood(ctx, phase);
-                    }
-                }
-                Msg::SyncUp { phase } => {
-                    debug_assert_eq!(phase, self.b_phase, "stale sync report");
-                    self.b.sync_recv += 1;
-                }
-                Msg::SyncStart { phase, start } => {
-                    debug_assert!(
-                        self.b_next.is_none_or(|n| n == (phase, start)),
-                        "conflicting SyncStart"
-                    );
-                    self.b_next = Some((phase, start));
-                    for &q in &self.bfs_children.clone() {
-                        ctx.send(q, Msg::SyncStart { phase, start });
-                    }
-                }
                 other => unreachable!("stage B received {other:?}"),
             }
         }
     }
 
+    /// Runs the scheduled actions of this round, from the round Stage B
+    /// begins (`t0`) until its schedule ends, where the vertex enters
+    /// Stage C (at once when `k = 1` leaves zero phases).
     pub(crate) fn b_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.cfg.schedule_mode {
-            ScheduleMode::Fixed => {
-                let end = self.sched.as_ref().expect("schedule set in stage B").end();
-                if ctx.round() >= end {
-                    self.stage = Stage::CD;
-                    self.cd_enter(ctx);
-                    return;
-                }
-                self.b_act_inner(ctx);
-            }
-            ScheduleMode::Adaptive => self.b_act_adaptive(ctx),
-        }
-    }
-
-    /// Fixed mode: every window boundary is precomputed; locate the
-    /// absolute round and dispatch.
-    fn b_act_inner(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         let sched = self.sched.take().expect("schedule set in stage B");
-        let slot = sched.locate(ctx.round()).expect("round inside stage B");
-        self.b_phase = slot.phase;
-        self.b_dispatch(ctx, &sched, slot);
-        self.sched = Some(sched);
-    }
-
-    /// Adaptive mode: apply any due phase transition (scheduled end or
-    /// agreed `SyncStart`), then dispatch the slot relative to the current
-    /// phase start; sync-ended phases run the settle protocol during their
-    /// open-ended merge-flood window.
-    fn b_act_adaptive(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let sched = self.sched.take().expect("schedule set in stage B");
-        let round = ctx.round();
-
-        if let Some((phase, start)) = self.b_next {
-            if round == start {
-                self.b_next = None;
-                if phase >= sched.num_phases() {
-                    self.sched = Some(sched);
-                    self.stage = Stage::CD;
-                    self.cd_enter(ctx);
-                    return;
-                }
-                self.b_phase = phase;
-                self.b_phase_start = start;
-            }
-        } else if !sched.sync_phase(self.b_phase)
-            && round == self.b_phase_start + sched.phase_len(self.b_phase)
-        {
-            // Scheduled phase end: every vertex advances simultaneously.
-            let next = self.b_phase + 1;
-            if next >= sched.num_phases() {
-                self.sched = Some(sched);
+        match sched.locate(ctx.round()) {
+            Some(slot) => self.b_dispatch(ctx, &sched, slot),
+            None => {
                 self.stage = Stage::CD;
                 self.cd_enter(ctx);
-                return;
             }
-            self.b_phase = next;
-            self.b_phase_start = round;
-        }
-
-        let slot = sched.locate_rel(self.b_phase, round - self.b_phase_start);
-        self.b_dispatch(ctx, &sched, slot);
-        if slot.window == Window::MergeFlood && sched.sync_phase(self.b_phase) {
-            self.b_sync_tick(ctx);
         }
         self.sched = Some(sched);
     }
 
     /// Idle-skip hint for Stage B (the `NodeProgram::next_wake` contract):
     /// the next round at which `b_act` does anything with an empty inbox.
-    ///
     /// `b_dispatch` only acts at window boundaries (`offset == 0` or
-    /// `slot.last`) and at phase transitions, so those are the only rounds
-    /// worth waking for; everything in between is message-driven
-    /// (`b_handle`). In an adaptive sync phase the open-ended merge-flood
-    /// window has no future boundary: `b_sync_tick`'s guards only change on
-    /// message receipt or at a boundary — both awake rounds — so between
-    /// them the tick is a no-op and the vertex can sleep until `SyncStart`
-    /// (`b_next`) names the next phase start.
+    /// `slot.last`) and at the Stage C transition, so those are the only
+    /// rounds worth waking for; everything in between is message-driven
+    /// (`b_handle`).
     pub(crate) fn b_next_wake(&self, after: u64) -> Option<u64> {
-        let sched = self.sched.as_ref()?;
-        match self.cfg.schedule_mode {
-            ScheduleMode::Fixed => Some(sched.next_boundary(after)),
-            ScheduleMode::Adaptive => {
-                if let Some((_, start)) = self.b_next {
-                    return Some(start);
-                }
-                let rel = after.checked_sub(self.b_phase_start)?;
-                let next = sched.next_boundary_rel(self.b_phase, rel);
-                (next > rel).then_some(self.b_phase_start + next)
-            }
-        }
+        self.sched.as_ref().map(|s| s.next_boundary(after))
     }
 
     /// Executes one scheduled round: the window actions of `slot`.
@@ -502,7 +374,6 @@ impl ElkinNode {
             }
             Window::MergeFlood => {
                 if slot.offset == 0 {
-                    let sync = sched.sync_phase(slot.phase);
                     let initiator = match self.cfg.merge_control {
                         // Higher-id root of the matched pair floods.
                         MergeControl::Matched => {
@@ -519,83 +390,19 @@ impl ElkinNode {
                         }
                     };
                     if initiator {
-                        self.b_flood_init(ctx, sync);
-                    } else if !self.b.participating && !self.b.merge_ports.is_empty() {
+                        self.b_flood_init(ctx);
+                    } else if !self.b.participating {
                         // Big-fragment attachment points adopt the pendants
                         // without re-flooding their own fragment.
                         let id = self.frag_id;
-                        let ports = self.b.merge_ports.clone();
-                        for &q in &ports {
+                        for q in std::mem::take(&mut self.b.merge_ports) {
                             ctx.send(q, Msg::NewFrag { id });
                             if !self.frag_children.contains(&q) {
                                 self.frag_children.push(q);
                             }
                         }
-                        if sync {
-                            self.b.ack_pending = ports.len();
-                            self.b.flood_fwd = ports;
-                        }
-                        self.b.merge_ports.clear();
-                    }
-                    if sync
-                        && !initiator
-                        && self.is_frag_root()
-                        && !(self.b.participating && (self.b.matched || self.b.sel != Sel::None))
-                    {
-                        // No merge flood can enter this fragment (it is
-                        // non-participating, or participating but unmatched
-                        // with no outgoing edge): settle the whole fragment.
-                        self.b.settled = true;
-                        self.b_send_no_flood(ctx, slot.phase);
                     }
                 }
-            }
-        }
-    }
-
-    /// Whether the current phase ends by the sync protocol (adaptive mode,
-    /// flood window worse than a tree sync).
-    fn b_sync_active(&self) -> bool {
-        self.cfg.schedule_mode == ScheduleMode::Adaptive
-            && self.sched.as_ref().is_some_and(|s| s.sync_phase(self.b_phase))
-    }
-
-    /// Broadcasts `SyncNoFlood` to the old fragment children, skipping any
-    /// port the merge flood was forwarded on (adoption edges), so the
-    /// signal can never race ahead of a flood.
-    fn b_send_no_flood(&mut self, ctx: &mut RoundCtx<'_, Msg>, phase: u32) {
-        for &q in &self.frag_children.clone() {
-            if !self.b.flood_fwd.contains(&q) {
-                ctx.send(q, Msg::SyncNoFlood { phase });
-            }
-        }
-    }
-
-    /// Sync-phase settle evaluation, run every merge-flood round after
-    /// message handling: once this vertex is quiet (settled, no outstanding
-    /// flood acks) and its whole BFS subtree has reported, report `SyncUp`
-    /// to the BFS parent — or, at the BFS root, end the phase by
-    /// broadcasting `SyncStart` with a start round far enough out that the
-    /// broadcast reaches every vertex first.
-    fn b_sync_tick(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        if self.b.sync_sent
-            || !self.b.settled
-            || self.b.ack_pending != 0
-            || self.b.sync_recv != self.bfs_children.len()
-        {
-            return;
-        }
-        self.b.sync_sent = true;
-        let phase = self.b_phase;
-        if let Some(parent) = self.bfs_parent {
-            ctx.send(parent, Msg::SyncUp { phase });
-        } else {
-            let h = self.params.expect("params set in stage B").h;
-            let next = phase + 1;
-            let start = ctx.round() + h + 1;
-            self.b_next = Some((next, start));
-            for &q in &self.bfs_children.clone() {
-                ctx.send(q, Msg::SyncStart { phase: next, start });
             }
         }
     }
@@ -749,7 +556,7 @@ impl ElkinNode {
 
     // ---- merge flood ----
 
-    fn b_flood_init(&mut self, ctx: &mut RoundCtx<'_, Msg>, sync: bool) {
+    fn b_flood_init(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         self.b.flooded = true;
         let mut fwd = self.frag_children.clone();
         for &q in &self.b.merge_ports {
@@ -765,13 +572,6 @@ impl ElkinNode {
         self.frag_parent = None;
         self.frag_children = fwd.clone();
         let id = self.frag_id;
-        if sync {
-            self.b.ack_pending = fwd.len();
-            self.b.flood_fwd = fwd.clone();
-            if fwd.is_empty() {
-                self.b.settled = true;
-            }
-        }
         for q in fwd {
             ctx.send(q, Msg::NewFrag { id });
         }
@@ -779,14 +579,10 @@ impl ElkinNode {
 
     fn b_flood_receive(&mut self, ctx: &mut RoundCtx<'_, Msg>, port: PortId, id: u64) {
         debug_assert!(self.b.participating, "flood entered a non-participating fragment");
-        let sync = self.b_sync_active();
         if self.b.flooded {
             // Duplicate floods cannot occur (the merge structure is a
-            // forest), but never leave a sync-phase sender waiting.
+            // forest); never re-flood if one does.
             debug_assert!(false, "duplicate NewFrag at vertex {}", self.id);
-            if sync {
-                ctx.send(port, Msg::FloodAck { phase: self.b_phase });
-            }
             return;
         }
         self.b.flooded = true;
@@ -813,16 +609,6 @@ impl ElkinNode {
         self.frag_id = id;
         self.frag_parent = Some(port);
         self.frag_children = fwd.clone();
-        if sync {
-            self.b.flood_from = Some(port);
-            self.b.ack_pending = fwd.len();
-            self.b.flood_fwd = fwd.clone();
-            if fwd.is_empty() {
-                // Flood leaf: re-oriented and quiet; ack and settle now.
-                ctx.send(port, Msg::FloodAck { phase: self.b_phase });
-                self.b.settled = true;
-            }
-        }
         for q in fwd {
             ctx.send(q, Msg::NewFrag { id });
         }

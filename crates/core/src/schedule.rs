@@ -27,40 +27,19 @@
 //! | Accept (×3) | `2p+4` | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p` |
 //! | Status (×3) | `p+3` | `p+2` | `StatusDown` descends `<= p`, `StatusCross` (+1) |
 //! | MergeGo | `p+2` / `2p+4` unc. | `p+2` / `2p+2` unc. | `MergePath` descends `<= p`, `MergeCross` (+1); uncontrolled adds the mutual `MatchedUp` ascent `<= p` |
-//! | MergeFlood | `6p+6` / `n+2p+6` unc. | see below | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
+//! | MergeFlood | `6p+6` / `n+2p+6` unc. | `5p+5` / `n+2p+6` unc. | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
 //!
 //! `X = steps_to_six(n) + 6` Cole–Vishkin iterations as before.
 //!
-//! # Adaptive phase ends (`ScheduleMode::Adaptive`)
-//!
-//! The merge flood is the one window whose worst case (`5p+4` hops, or
-//! `Θ(n)` uncontrolled) is usually far from its actual depth — fragments
-//! merge along short chains long before the radius saturates. Adaptive
-//! mode therefore ends each phase one of two ways, chosen **per phase** by
-//! a deterministic rule every vertex evaluates identically (it depends
-//! only on the broadcast `(n, H)` and the phase index):
-//!
-//! * **Scheduled end** when the worst-case flood window is already cheaper
-//!   than a tree sync (`flood_window <= 2H + 5`): sleep out the tight
-//!   `5p+5` (matched) window exactly like Fixed mode, just with the
-//!   minimal constant.
-//! * **Sync end** otherwise (`flood_window > 2H + 5`, e.g. uncontrolled
-//!   mode, or `p >> H`): the flood carries acks (`FloodAck` retraces every
-//!   `NewFrag` edge), fragment roots that provably expect no flood
-//!   broadcast `SyncNoFlood` down their old fragment tree, and every
-//!   vertex that has settled reports `SyncUp` up the Stage A BFS tree once
-//!   its BFS subtree has. When the BFS root has heard the whole tree it
-//!   broadcasts `SyncStart { phase+1, t }` with `t = now + H + 1`, and the
-//!   next phase's Announce window opens at the absolute round `t` at every
-//!   vertex simultaneously. Cost: `O(actual flood depth + H)` instead of
-//!   the worst-case window — the phase ends as soon as every fragment's
-//!   merge flood has settled.
+//! Both modes end every phase on its schedule: the merge flood sleeps out
+//! its worst-case window, so the whole Stage B timeline is a pure function
+//! of the broadcast parameters and [`Schedule::locate`] maps any absolute
+//! round to its slot at every vertex alike.
 //!
 //! The **uncontrolled** mode (ablation A1) skips coloring and matching
-//! entirely and lets every fragment merge along its MWOE; its fixed flood
-//! window must cover `Θ(n)` because without matching the fragment diameter
-//! is unbounded — that blow-up is exactly what the ablation demonstrates
-//! (and exactly where sync-ended phases help most).
+//! entirely and lets every fragment merge along its MWOE; its flood window
+//! must cover `Θ(n)` because without matching the fragment diameter is
+//! unbounded — that blow-up is exactly what the ablation demonstrates.
 
 use crate::cv::steps_to_six;
 use crate::util::{ceil_log2, isqrt};
@@ -77,17 +56,18 @@ pub enum MergeControl {
     Uncontrolled,
 }
 
-/// How Stage B rounds are scheduled (see the module docs).
+/// How Stage B rounds are scheduled (see the module docs). The mode sets
+/// the window lengths and the rule that picks `k`; in both, every phase
+/// ends on its schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ScheduleMode {
-    /// The seed behaviour: padded windows, every phase sleeps out its
-    /// worst case, `k = max(sqrt(n/b), H)`.
+    /// The seed behaviour: padded windows, `k = max(sqrt(n/b), H)`.
     Fixed,
-    /// Tightened windows, per-phase scheduled-vs-sync ends, and `k` from
-    /// the fitted round model [`choose_k_cost`]: the candidate up to the
-    /// paper's `sqrt(n/b)` with the fewest predicted rounds, never below
-    /// `H/8`. The default; `Fixed` stays a supported knob and remains in
-    /// the conformance matrix.
+    /// Tight windows (each the longest message chain of its sub-step) and
+    /// `k` from the fitted round model [`choose_k_cost`]: the candidate up
+    /// to the paper's `sqrt(n/b)` with the fewest predicted rounds, never
+    /// below `H/8`. The default; `Fixed` stays a supported knob and remains
+    /// in the conformance matrix.
     #[default]
     Adaptive,
 }
@@ -131,15 +111,16 @@ const CD_SCALE: u128 = 32;
 ///
 /// Every candidate `k` gets a predicted round count: Stage B is the sum of
 /// the adaptive schedule's [`Schedule::phase_len`] over its `ceil(log2 k)`
-/// phases, and Stages C/D are `ceil(log2(n/k)) * (α·H + γ) + β·n/(k·b)`
-/// (constants above). The candidates are the powers of two from 2 plus the
-/// cap `isqrt(n/b)` — the paper's `k` (Eq. (1)), past which Stage B only
-/// grows — restricted to `k >= min(ceil(H/8), cap)`. That floor is the
-/// paper's reason for `k = Θ(D)`: below it Stage D's `n/k` candidates, each
-/// climbing up to `H` hops, cost more messages than the shorter Stage B
-/// saves. The cheapest candidate wins, the smallest on a tie; costs are
-/// compared as exact fractions, so `k` is non-decreasing in `h` and
-/// non-increasing in `b`. Always `1 <= k <= max(isqrt(n/b), 1)`.
+/// phases (exact, since every phase ends on its schedule), and Stages C/D
+/// are `ceil(log2(n/k)) * (α·H + γ) + β·n/(k·b)` (constants above). The
+/// candidates are the powers of two from 2 plus the cap `isqrt(n/b)` — the
+/// paper's `k` (Eq. (1)), past which Stage B only grows — restricted to
+/// `k >= min(ceil(H/8), cap)`. That floor is the paper's reason for
+/// `k = Θ(D)`: below it Stage D's `n/k` candidates, each climbing up to `H`
+/// hops, cost more messages than the shorter Stage B saves. The cheapest
+/// candidate wins, the smallest on a tie; costs are compared as exact
+/// fractions, so `k` is non-decreasing in `h` and non-increasing in `b`.
+/// Always `1 <= k <= max(isqrt(n/b), 1)`.
 pub fn choose_k_cost(n: u64, h: u64, bandwidth: u32, merge: MergeControl) -> u64 {
     let b = u64::from(bandwidth.max(1));
     let cap = isqrt(n / b).max(1);
@@ -214,14 +195,9 @@ pub struct Slot {
     pub last: bool,
 }
 
-/// The fully determined Stage B schedule, identical at every vertex.
-///
-/// In [`ScheduleMode::Fixed`] the schedule is a pure function of the
-/// broadcast parameters and [`Schedule::locate`] maps absolute rounds to
-/// slots. In [`ScheduleMode::Adaptive`] phases that end by sync have no
-/// predetermined length; the node tracks the current phase's start round
-/// and uses [`Schedule::locate_rel`], with [`Schedule::sync_phase`]
-/// deciding per phase which ending applies.
+/// The fully determined Stage B schedule, identical at every vertex: a
+/// pure function of the broadcast parameters, the merge control and the
+/// mode. [`Schedule::locate`] maps absolute rounds to slots.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     t0: u64,
@@ -230,11 +206,7 @@ pub struct Schedule {
     merge: MergeControl,
     mode: ScheduleMode,
     n: u64,
-    h: u64,
-    /// Start round of each phase (absolute), plus the end sentinel. In
-    /// adaptive mode these are *nominal* (as if every phase ended on
-    /// schedule) and only [`Schedule::phase_len`] of scheduled-end phases
-    /// is meaningful to the executor.
+    /// Start round of each phase (absolute), plus the end sentinel.
     phase_starts: Vec<u64>,
 }
 
@@ -242,24 +214,22 @@ impl Schedule {
     /// Builds the schedule from the broadcast parameters.
     pub fn new(params: &Params, merge: MergeControl, mode: ScheduleMode) -> Self {
         let num_phases = if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 };
-        let exchanges = steps_to_six(params.n) + 6;
-        let mut phase_starts = Vec::with_capacity(num_phases as usize + 1);
-        let mut start = params.t0;
-        for i in 0..num_phases {
-            phase_starts.push(start);
-            start += Self::phase_len_for(i, exchanges, merge, mode, params.n);
-        }
-        phase_starts.push(start);
-        Self {
+        let mut s = Self {
             t0: params.t0,
             num_phases,
-            exchanges,
+            exchanges: steps_to_six(params.n) + 6,
             merge,
             mode,
             n: params.n,
-            h: params.h,
-            phase_starts,
+            phase_starts: Vec::with_capacity(num_phases as usize + 1),
+        };
+        let mut start = params.t0;
+        for i in 0..num_phases {
+            s.phase_starts.push(start);
+            start += s.phase_len(i);
         }
+        s.phase_starts.push(start);
+        s
     }
 
     /// Number of Controlled-GHS phases (`ceil(log2 k)`).
@@ -277,8 +247,7 @@ impl Schedule {
         self.t0
     }
 
-    /// First round *after* Stage B (Stage C entry point). Nominal in
-    /// adaptive mode (sync-ended phases end earlier or later at run time).
+    /// First round *after* Stage B (Stage C entry point).
     pub fn end(&self) -> u64 {
         *self.phase_starts.last().expect("sentinel always present")
     }
@@ -288,38 +257,13 @@ impl Schedule {
         1u64 << phase
     }
 
-    /// The BFS-tree height the schedule was built with.
-    pub fn height(&self) -> u64 {
-        self.h
-    }
-
-    /// Worst-case merge-flood window of phase `i` under the given merge
-    /// control and schedule mode.
-    fn flood_len_for(phase: u32, merge: MergeControl, mode: ScheduleMode, n: u64) -> u64 {
-        let p = 1u64 << phase;
-        match (merge, mode) {
-            (MergeControl::Matched, ScheduleMode::Fixed) => 6 * p + 6,
-            (MergeControl::Matched, ScheduleMode::Adaptive) => 5 * p + 5,
-            (MergeControl::Uncontrolled, _) => n + 2 * p + 6,
-        }
-    }
-
-    /// Whether phase `i` ends by the BFS-tree sync protocol instead of a
-    /// scheduled flood window (adaptive mode only; see the module docs).
-    /// The rule is a pure function of broadcast data, so every vertex
-    /// agrees on it without communication.
-    pub fn sync_phase(&self, phase: u32) -> bool {
-        self.mode == ScheduleMode::Adaptive
-            && Self::flood_len_for(phase, self.merge, self.mode, self.n) > 2 * self.h + 5
-    }
-
-    /// The window layout of one phase: `(window, length)` in order.
+    /// The window layout of one phase: `(window, length)` in order, the
+    /// module table's column for this schedule's mode.
     fn layout(&self, phase: u32) -> Vec<(Window, u64)> {
         let p = self.radius(phase);
         // Per-window padding beyond the provable minimum: 0 in adaptive
         // mode, the seed's slack in fixed mode (see the module table).
         let pad = u64::from(self.mode == ScheduleMode::Fixed);
-        let flood = Self::flood_len_for(phase, self.merge, self.mode, self.n);
         let mut v = Vec::with_capacity(7 + self.exchanges as usize + 9);
         v.push((Window::Announce, 1));
         v.push((Window::Probe, 2 * p + 1 + pad));
@@ -336,46 +280,19 @@ impl Schedule {
                     v.push((Window::MatchStatus(c), p + 2 + pad));
                 }
                 v.push((Window::MergeGo, p + 2));
-                v.push((Window::MergeFlood, flood));
+                v.push((Window::MergeFlood, 5 * p + 5 + pad * (p + 1)));
             }
             MergeControl::Uncontrolled => {
                 v.push((Window::MergeGo, 2 * p + 2 + 2 * pad));
-                v.push((Window::MergeFlood, flood));
+                v.push((Window::MergeFlood, self.n + 2 * p + 6));
             }
         }
         v
     }
 
-    fn phase_len_for(
-        phase: u32,
-        exchanges: u32,
-        merge: MergeControl,
-        mode: ScheduleMode,
-        n: u64,
-    ) -> u64 {
-        let p = 1u64 << phase;
-        let pad = u64::from(mode == ScheduleMode::Fixed);
-        let flood = Self::flood_len_for(phase, merge, mode, n);
-        match merge {
-            MergeControl::Matched => {
-                1 + (2 * p + 1 + pad)
-                    + (p + 2 + pad)
-                    + (p + 1 + pad)
-                    + u64::from(exchanges) * (2 * p + 2 + pad)
-                    + 3 * ((p + 1 + pad) + (2 * p + 2 + 2 * pad) + (p + 2 + pad))
-                    + (p + 2)
-                    + flood
-            }
-            MergeControl::Uncontrolled => {
-                1 + (2 * p + 1 + pad) + (p + 2 + pad) + (2 * p + 2 + 2 * pad) + flood
-            }
-        }
-    }
-
-    /// Total length of phase `i` in rounds (worst case; the *actual*
-    /// length of a sync-ended adaptive phase is decided at run time).
+    /// Total length of phase `i` in rounds: the sum of its windows.
     pub fn phase_len(&self, phase: u32) -> u64 {
-        Self::phase_len_for(phase, self.exchanges, self.merge, self.mode, self.n)
+        self.layout(phase).iter().map(|&(_, len)| len).sum()
     }
 
     /// Classifies exchange window `x` as ladder / shift-down / recolor.
@@ -394,49 +311,35 @@ impl Schedule {
         }
     }
 
+    /// The phase containing `round`, which must lie in `[t0, end)`.
+    fn phase_at(&self, round: u64) -> u32 {
+        (self.phase_starts.partition_point(|&s| s <= round) - 1) as u32
+    }
+
     /// Locates an absolute round within the Stage B schedule. `None` before
-    /// `t0` or at/after [`Schedule::end`]. Only meaningful in
-    /// [`ScheduleMode::Fixed`] (adaptive phase starts move at run time; use
-    /// [`Schedule::locate_rel`]).
+    /// `t0` or at/after [`Schedule::end`].
     pub fn locate(&self, round: u64) -> Option<Slot> {
         if round < self.t0 || round >= self.end() {
             return None;
         }
-        // phase_starts is sorted; find the phase containing `round`.
-        let phase = match self.phase_starts.binary_search(&round) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        } as u32;
-        Some(self.locate_rel(phase, round - self.phase_starts[phase as usize]))
-    }
-
-    /// The smallest relative offset `> rel` within phase `phase` that is a
-    /// window's first or final round, or the phase length (the phase-end
-    /// transition round) when no such offset remains. These are exactly the
-    /// offsets at which [`crate::node::ElkinNode`] acts spontaneously —
-    /// every window arms its actions at offset 0 and/or its last round — so
-    /// they are the Stage B wake points of the executor's idle-skip
-    /// contract. Returns a value `<= rel` only when `rel` is already at or
-    /// past the phase length (open-ended flood tail): no boundary remains.
-    pub fn next_boundary_rel(&self, phase: u32, rel: u64) -> u64 {
-        let mut start = 0u64;
-        for (_, len) in self.layout(phase) {
-            if start > rel {
-                return start;
+        let phase = self.phase_at(round);
+        let mut offset = round - self.phase_starts[phase as usize];
+        for (window, len) in self.layout(phase) {
+            if offset < len {
+                return Some(Slot { phase, window, offset, last: offset + 1 == len });
             }
-            let last = start + len - 1;
-            if last > rel {
-                return last;
-            }
-            start += len;
+            offset -= len;
         }
-        start
+        unreachable!("a phase spans exactly its windows")
     }
 
-    /// Absolute-round companion of [`Schedule::next_boundary_rel`] for
-    /// [`ScheduleMode::Fixed`], where phase starts are nominal: the next
-    /// boundary round strictly after `round`. Before `t0` that is `t0`
-    /// itself; at or past [`Schedule::end`] (not a Stage B round) it
+    /// The next round strictly after `round` that is a window's first or
+    /// final round, or [`Schedule::end`] (the Stage C transition) when no
+    /// window remains. These are exactly the rounds at which
+    /// [`crate::node::ElkinNode`] acts spontaneously — every window arms its
+    /// actions at offset 0 and/or its last round — so they are the Stage B
+    /// wake points of the executor's idle-skip contract. Before `t0` the
+    /// answer is `t0` itself; at or past the end (not a Stage B round) it
     /// degenerates to `round + 1`.
     pub fn next_boundary(&self, round: u64) -> u64 {
         if round < self.t0 {
@@ -445,30 +348,19 @@ impl Schedule {
         if round >= self.end() {
             return round + 1;
         }
-        let phase = match self.phase_starts.binary_search(&round) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let start = self.phase_starts[phase];
-        start + self.next_boundary_rel(phase as u32, round - start)
-    }
-
-    /// Locates round `rel` (0-based) within phase `phase`, independent of
-    /// absolute time. Offsets beyond the nominal layout stay in the
-    /// (open-ended) merge-flood window — that is how sync-ended adaptive
-    /// phases wait for the `SyncStart` broadcast.
-    pub fn locate_rel(&self, phase: u32, rel: u64) -> Slot {
-        let mut off = rel;
-        let layout = self.layout(phase);
-        let count = layout.len();
-        for (i, (window, len)) in layout.into_iter().enumerate() {
-            if off < len || i + 1 == count {
-                let last = off + 1 == len;
-                return Slot { phase, window, offset: off, last };
+        let phase = self.phase_at(round);
+        let mut start = self.phase_starts[phase as usize];
+        for (_, len) in self.layout(phase) {
+            if start > round {
+                return start;
             }
-            off -= len;
+            let last = start + len - 1;
+            if last > round {
+                return last;
+            }
+            start += len;
         }
-        unreachable!("layout is never empty");
+        start
     }
 }
 
@@ -521,32 +413,34 @@ mod tests {
 
     #[test]
     fn locate_covers_every_round_exactly_once() {
-        let s = fixed(64, 8);
-        assert!(s.locate(99).is_none());
-        assert!(s.locate(s.end()).is_none());
-        let mut prev: Option<Slot> = None;
-        for r in s.start()..s.end() {
-            let slot = s.locate(r).expect("round inside stage B must be scheduled");
-            if let Some(p) = prev {
-                // Progress is monotone: same window with +1 offset, or a new window.
-                if p.window == slot.window && p.phase == slot.phase {
-                    assert_eq!(slot.offset, p.offset + 1);
+        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
+            let s = Schedule::new(&params(64, 8), MergeControl::Matched, mode);
+            assert!(s.locate(99).is_none());
+            assert!(s.locate(s.end()).is_none());
+            let mut prev: Option<Slot> = None;
+            for r in s.start()..s.end() {
+                let slot = s.locate(r).expect("round inside stage B must be scheduled");
+                if let Some(p) = prev {
+                    // Progress is monotone: same window with +1 offset, or a new window.
+                    if p.window == slot.window && p.phase == slot.phase {
+                        assert_eq!(slot.offset, p.offset + 1);
+                    } else {
+                        assert_eq!(slot.offset, 0);
+                        assert!(p.last, "{mode:?}: window changed before its final round");
+                    }
                 } else {
-                    assert_eq!(slot.offset, 0);
-                    assert!(p.last, "window changed before its final round");
+                    assert_eq!(
+                        slot,
+                        Slot { phase: 0, window: Window::Announce, offset: 0, last: true }
+                    );
                 }
-            } else {
-                assert_eq!(
-                    slot,
-                    Slot { phase: 0, window: Window::Announce, offset: 0, last: true }
-                );
+                prev = Some(slot);
             }
-            prev = Some(slot);
+            let last = prev.unwrap();
+            assert_eq!(last.phase, s.num_phases() - 1);
+            assert_eq!(last.window, Window::MergeFlood);
+            assert!(last.last);
         }
-        let last = prev.unwrap();
-        assert_eq!(last.phase, s.num_phases() - 1);
-        assert_eq!(last.window, Window::MergeFlood);
-        assert!(last.last);
     }
 
     #[test]
@@ -567,13 +461,17 @@ mod tests {
 
     #[test]
     fn locate_rel_is_total_and_open_ended() {
-        let p = params(64, 8);
-        let s = Schedule::new(&p, MergeControl::Matched, ScheduleMode::Adaptive);
+        // The phase-relative view: offset `rel` of phase `i` is the round
+        // `phase_starts[i] + rel`. Every offset below `phase_len` lies in
+        // phase `i`; the merge flood is no longer open-ended, so offset
+        // `phase_len` opens the next phase, or leaves Stage B after the last.
+        let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
         for phase in 0..s.num_phases() {
+            let start = s.phase_starts[phase as usize];
             let len = s.phase_len(phase);
             let mut prev: Option<Slot> = None;
             for rel in 0..len {
-                let slot = s.locate_rel(phase, rel);
+                let slot = s.locate(start + rel).expect("offset inside its phase");
                 assert_eq!(slot.phase, phase);
                 if let Some(pv) = prev {
                     if pv.window == slot.window {
@@ -585,30 +483,19 @@ mod tests {
                 }
                 prev = Some(slot);
             }
-            // Beyond the nominal layout: still MergeFlood, never `last`.
-            let over = s.locate_rel(phase, len + 17);
-            assert_eq!(over.window, Window::MergeFlood);
-            assert!(!over.last);
+            let last = prev.unwrap();
+            assert_eq!(last.window, Window::MergeFlood);
+            assert!(last.last);
+            match s.locate(start + len) {
+                Some(next) => {
+                    assert_eq!(
+                        next,
+                        Slot { phase: phase + 1, window: Window::Announce, offset: 0, last: true }
+                    );
+                }
+                None => assert_eq!((phase + 1, start + len), (s.num_phases(), s.end())),
+            }
         }
-    }
-
-    #[test]
-    fn sync_rule_is_deterministic_in_broadcast_data() {
-        // h = 3: matched floods are 5p+5; sync once 5p+5 > 2*3+5 = 11,
-        // i.e. from p = 2 (phase 1) on.
-        let s = Schedule::new(&params(64, 16), MergeControl::Matched, ScheduleMode::Adaptive);
-        assert!(!s.sync_phase(0));
-        assert!(s.sync_phase(1));
-        assert!(s.sync_phase(3));
-        // Fixed mode never syncs.
-        assert!(!fixed(64, 16).sync_phase(3));
-        // Uncontrolled floods are Θ(n): every adaptive phase syncs.
-        let u = Schedule::new(&params(64, 16), MergeControl::Uncontrolled, ScheduleMode::Adaptive);
-        assert!(u.sync_phase(0));
-        // A tall BFS tree pushes the rule back toward scheduled ends.
-        let tall = Params { n: 64, h: 1000, k: 16, t0: 0 };
-        let t = Schedule::new(&tall, MergeControl::Matched, ScheduleMode::Adaptive);
-        assert!(!t.sync_phase(3));
     }
 
     #[test]
@@ -617,6 +504,7 @@ mod tests {
             (MergeControl::Matched, ScheduleMode::Fixed),
             (MergeControl::Matched, ScheduleMode::Adaptive),
             (MergeControl::Uncontrolled, ScheduleMode::Fixed),
+            (MergeControl::Uncontrolled, ScheduleMode::Adaptive),
         ] {
             let s = Schedule::new(&params(64, 8), merge, mode);
             // A round is a wake boundary iff it opens or closes a window;
@@ -642,25 +530,29 @@ mod tests {
 
     #[test]
     fn next_boundary_rel_walks_window_edges() {
+        // `next_boundary` seen from inside one phase: the next boundary
+        // after any offset is a window edge of that phase, or the phase's
+        // end (the next phase's Announce, or Stage C after the last).
         let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
         for phase in 0..s.num_phases() {
+            let start = s.phase_starts[phase as usize];
             let len = s.phase_len(phase);
             for rel in 0..len {
-                let nb = s.next_boundary_rel(phase, rel);
+                let nb = s.next_boundary(start + rel) - start;
                 assert!(nb > rel && nb <= len);
                 if nb < len {
-                    let slot = s.locate_rel(phase, nb);
+                    let slot = s.locate(start + nb).unwrap();
                     assert!(slot.offset == 0 || slot.last);
                     for mid in (rel + 1)..nb {
-                        let m = s.locate_rel(phase, mid);
+                        let m = s.locate(start + mid).unwrap();
                         assert!(m.offset != 0 && !m.last, "missed rel boundary {mid}");
                     }
                 }
             }
-            // Past the nominal layout no boundary remains.
-            assert!(s.next_boundary_rel(phase, len) <= len);
-            assert!(s.next_boundary_rel(phase, len + 9) <= len + 9);
         }
+        // Past Stage B no window remains: every round is its own successor.
+        assert_eq!(s.next_boundary(s.end()), s.end() + 1);
+        assert_eq!(s.next_boundary(s.end() + 9), s.end() + 10);
     }
 
     #[test]

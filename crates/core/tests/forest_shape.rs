@@ -1,8 +1,8 @@
 //! Structural tests of the Controlled-GHS output on hand-crafted inputs
 //! where the correct fragment shape is known exactly.
 
-use dmst_core::{analyze_forest, run_forest, ElkinConfig, MergeControl};
-use dmst_graphs::{generators as gen, WeightedGraph};
+use dmst_core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl};
+use dmst_graphs::{generators as gen, mst, WeightedGraph};
 
 /// An ascending-weight path: at phase `i`, fragments are contiguous runs;
 /// the matching limits each merge, so fragment sizes stay near `2^i`.
@@ -41,6 +41,23 @@ fn k_exceeding_n_yields_one_fragment() {
     let report = analyze_forest(&g, &run);
     assert_eq!(report.num_fragments, 1, "with k >> n the forest collapses to the MST");
     assert_eq!(report.tree_edges, 29);
+}
+
+/// An override far past `n` is clamped at the BFS root to
+/// `2 * n.next_power_of_two()`: it neither runs into the round cap nor
+/// overflows the schedule, and still collapses the forest to the MST.
+#[test]
+fn oversized_k_override_is_clamped() {
+    let g = gen::random_connected(20, 40, &mut gen::WeightRng::new(8));
+    let truth = mst::kruskal(&g);
+    for k in [1u64 << 20, 1 << 62, u64::MAX] {
+        let cfg = ElkinConfig::with_k(k);
+        let run = run_mst(&g, &cfg).unwrap_or_else(|e| panic!("k = {k}: {e}"));
+        assert_eq!(run.edges, truth.edges, "k = {k}: wrong MST");
+        assert_eq!(run.k, 64, "k = {k}: not clamped to 2 * 32");
+        let forest = run_forest(&g, &cfg).unwrap_or_else(|e| panic!("k = {k}: {e}"));
+        assert_eq!(analyze_forest(&g, &forest).num_fragments, 1, "k = {k}");
+    }
 }
 
 #[test]

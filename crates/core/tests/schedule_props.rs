@@ -54,29 +54,43 @@ proptest! {
         prop_assert_eq!(total, s.end() - s.start());
     }
 
-    /// The first window of every phase is Announce with length 1, and the
-    /// last is MergeFlood.
+    /// In both modes and under both merge controls, the first window of
+    /// every phase is Announce with length 1, the last is MergeFlood, and
+    /// the phases tile `[t0, end)`; adaptive phases are never longer than
+    /// fixed ones.
     #[test]
-    fn phase_boundaries(n in 2u64..10_000, k in 2u64..200) {
-        let s = Schedule::new(&Params { n, h: 1, k, t0: 0 }, MergeControl::Matched,
-            ScheduleMode::Fixed);
-        let mut start = 0;
-        for i in 0..s.num_phases() {
-            let first = s.locate(start).unwrap();
-            prop_assert_eq!(first.phase, i);
-            prop_assert_eq!(first.window, Window::Announce);
-            prop_assert!(first.last, "announce is a single round");
-            let last = s.locate(start + s.phase_len(i) - 1).unwrap();
-            prop_assert_eq!(last.phase, i);
-            prop_assert_eq!(last.window, Window::MergeFlood);
-            prop_assert!(last.last);
-            start += s.phase_len(i);
+    fn phase_boundaries(
+        n in 2u64..10_000,
+        k in 2u64..200,
+        h in 0u64..500,
+        t0 in 0u64..1_000,
+        uncontrolled in any::<bool>(),
+    ) {
+        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
+        let params = Params { n, h, k, t0 };
+        let fixed = Schedule::new(&params, merge, ScheduleMode::Fixed);
+        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
+            let s = Schedule::new(&params, merge, mode);
+            let mut start = t0;
+            for i in 0..s.num_phases() {
+                let first = s.locate(start).unwrap();
+                prop_assert_eq!((first.phase, first.window), (i, Window::Announce));
+                prop_assert!(first.last, "announce is a single round");
+                let last = s.locate(start + s.phase_len(i) - 1).unwrap();
+                prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
+                prop_assert!(last.last);
+                prop_assert!(s.phase_len(i) <= fixed.phase_len(i));
+                start += s.phase_len(i);
+            }
+            prop_assert_eq!(start, s.end());
         }
     }
 
-    /// Relative location (the adaptive executor's view) agrees with the
-    /// phase layout: Announce at offset 0, every phase's nominal end is the
-    /// merge flood, and offsets past the layout stay in the flood window.
+    /// The phase-relative view of an adaptive schedule agrees with its
+    /// layout: offset 0 of every phase is its single Announce round,
+    /// offset `phase_len - 1` closes its merge flood, and offset
+    /// `phase_len` is the next phase's Announce, or past Stage B after the
+    /// last phase.
     #[test]
     fn locate_rel_matches_layout(
         n in 2u64..10_000,
@@ -86,20 +100,23 @@ proptest! {
     ) {
         let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
         let s = Schedule::new(&Params { n, h, k, t0: 0 }, merge, ScheduleMode::Adaptive);
+        let mut start = s.start();
         for i in 0..s.num_phases() {
             let len = s.phase_len(i);
-            let first = s.locate_rel(i, 0);
-            prop_assert_eq!(first.window, Window::Announce);
+            let first = s.locate(start).unwrap();
+            prop_assert_eq!((first.phase, first.window, first.offset), (i, Window::Announce, 0));
             prop_assert!(first.last);
-            let last = s.locate_rel(i, len - 1);
-            prop_assert_eq!(last.window, Window::MergeFlood);
+            let last = s.locate(start + len - 1).unwrap();
+            prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
             prop_assert!(last.last);
-            let over = s.locate_rel(i, len + 3);
-            prop_assert_eq!(over.window, Window::MergeFlood);
-            prop_assert!(!over.last);
-            // Adaptive phases are never longer than fixed ones on paper.
-            let f = Schedule::new(&Params { n, h, k, t0: 0 }, merge, ScheduleMode::Fixed);
-            prop_assert!(s.phase_len(i) <= f.phase_len(i));
+            match s.locate(start + len) {
+                Some(over) => {
+                    let at = (over.phase, over.window, over.offset);
+                    prop_assert_eq!(at, (i + 1, Window::Announce, 0));
+                }
+                None => prop_assert_eq!((i + 1, start + len), (s.num_phases(), s.end())),
+            }
+            start += len;
         }
     }
 

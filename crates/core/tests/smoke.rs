@@ -67,28 +67,6 @@ fn uncontrolled_merge_still_correct() {
 }
 
 #[test]
-fn sync_messages_only_in_adaptive_sync_phases() {
-    let r = &mut gen::WeightRng::new(11);
-    let g = gen::random_connected(80, 200, r);
-    // Uncontrolled floods are Θ(n) worst case, so every adaptive phase
-    // ends by sync: the b:sync tag must appear, and only there.
-    let unc = ElkinConfig { merge_control: MergeControl::Uncontrolled, ..ElkinConfig::fixed() };
-    let fixed = run_mst(&g, &unc).unwrap();
-    assert_eq!(fixed.stats.messages_with_tag("b:sync"), 0, "fixed mode must never sync");
-    let ada = run_mst(&g, &unc.with_schedule_mode(ScheduleMode::Adaptive)).unwrap();
-    assert!(
-        ada.stats.messages_with_tag("b:sync") > 0,
-        "adaptive uncontrolled phases must end via the sync protocol"
-    );
-    assert!(
-        ada.stats.rounds < fixed.stats.rounds / 2,
-        "sync-ended phases must beat the Θ(n) flood windows ({} vs {})",
-        ada.stats.rounds,
-        fixed.stats.rounds
-    );
-}
-
-#[test]
 fn forest_invariants() {
     let r = &mut gen::WeightRng::new(5);
     let g = gen::random_connected(100, 300, r);

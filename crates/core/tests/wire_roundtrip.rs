@@ -30,7 +30,7 @@ fn check(m: &Msg) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Deterministically builds one of the 39 variants from raw components.
+/// Deterministically builds one of the 35 variants from raw components.
 /// `small*` feed packed (tag-word) fields, `big*` feed full-word fields.
 #[allow(clippy::too_many_arguments)]
 fn build(
@@ -70,25 +70,21 @@ fn build(
         20 => Msg::MergePath,
         21 => Msg::MergeCross,
         22 => Msg::NewFrag { id },
-        23 => Msg::FloodAck { phase: small },
-        24 => Msg::SyncNoFlood { phase: small },
-        25 => Msg::SyncUp { phase: small },
-        26 => Msg::SyncStart { phase: small, start: big },
-        27 => Msg::Interval { start: id, size: big },
-        28 => Msg::Register { slot: id },
-        29 => Msg::RegDone,
-        30 => Msg::InitCoarse { id },
-        31 => Msg::CoarseAnnounce { coarse: id, me: big },
-        32 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
-        33 => Msg::Candidate {
+        23 => Msg::Interval { start: id, size: big },
+        24 => Msg::Register { slot: id },
+        25 => Msg::RegDone,
+        26 => Msg::InitCoarse { id },
+        27 => Msg::CoarseAnnounce { coarse: id, me: big },
+        28 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
+        29 => Msg::Candidate {
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
-        34 => Msg::UpDone,
-        35 => {
+        30 => Msg::UpDone,
+        31 => {
             Msg::Assign { dest_slot: big, new_coarse: big2, chosen: flag, done: flag2, next: big3 }
         }
-        36 => Msg::NewCoarse { id: big, done: flag, next: big2 },
-        37 => Msg::MarkPath,
+        32 => Msg::NewCoarse { id: big, done: flag, next: big2 },
+        33 => Msg::MarkPath,
         _ => Msg::MarkCross,
     }
 }
@@ -100,7 +96,7 @@ proptest! {
     /// message.
     #[test]
     fn msg_roundtrip(
-        sel in 0usize..39,
+        sel in 0usize..35,
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),
@@ -117,7 +113,7 @@ proptest! {
     /// sequentially to the original sequence, each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
-        sels in proptest::collection::vec(0usize..39, 1..8),
+        sels in proptest::collection::vec(0usize..35, 1..8),
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),

@@ -17,7 +17,7 @@
 use std::iter::successors;
 
 use dmst::core::util::isqrt;
-use dmst::core::{run_mst, ElkinConfig};
+use dmst::core::{run_mst, ElkinConfig, MergeControl, Params, Schedule, ScheduleMode};
 use dmst::graphs::{generators as gen, WeightedGraph};
 use dmst::testkit::{assert_round_budget, Algorithm, RoundBudget};
 use dmst_bench::standard_trio;
@@ -89,6 +89,30 @@ fn auto_k_is_near_optimal_on_t1_trio() {
     }
 }
 
+/// Stage B lasts exactly its schedule: on every n = 256 trio row, at
+/// `k` in {2, 4, 8, 16} and in both schedule modes, the rounds charged to
+/// Stage B equal the length of the schedule the root broadcast. Every
+/// phase ends on its window, so `choose_k_cost`'s Stage B term is exact.
+#[test]
+fn stage_b_lasts_exactly_its_schedule() {
+    for (label, g) in trio_256() {
+        let n = g.num_nodes() as u64;
+        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
+            for k in [2u64, 4, 8, 16] {
+                let run = run_mst(&g, &ElkinConfig::with_k(k).with_schedule_mode(mode))
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let params = Params { n, h: run.bfs_height, k: run.k, t0: 0 };
+                let scheduled = Schedule::new(&params, MergeControl::Matched, mode).end();
+                assert_eq!(
+                    run.stats.rounds_in_stage("b"),
+                    scheduled,
+                    "{label}, {mode:?}, k = {k}: Stage B ran past its schedule"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn baseline_t1_trio_pins() {
     let ghs_pins = [
@@ -100,10 +124,10 @@ fn baseline_t1_trio_pins() {
     // The Pipeline baseline's phase 1 reuses `run_forest`, so it also
     // rides the (now default) adaptive Stage B schedule.
     let pipe_pins = [
-        RoundBudget::new(907, 24294),
+        RoundBudget::new(883, 23538),
         RoundBudget::new(817, 32419),
         RoundBudget::new(1115, 27278),
-        RoundBudget::new(901, 27641),
+        RoundBudget::new(892, 26891),
     ];
     for ((label, g), (ghs, pipe)) in trio_256().iter().zip(ghs_pins.iter().zip(&pipe_pins)) {
         assert_round_budget(&Algorithm::Ghs, g, label, ghs);
