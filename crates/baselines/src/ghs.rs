@@ -419,9 +419,8 @@ impl NodeProgram for GhsNode {
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, GhsMsg>) {
         let round = ctx.round();
-        let inbox: Vec<(usize, GhsMsg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 GhsMsg::Hello { me } => self.nbr_id[port] = me,
                 GhsMsg::Bfs => {
                     if !self.bfs_seen {

@@ -33,7 +33,7 @@ use std::error::Error;
 use std::fmt;
 
 use congest_sim::{Network, RunConfig, RunStats, SimError, Topology};
-use dmst_core::{run_forest, ElkinConfig, RunError};
+use dmst_core::{marked_mst_edges, run_forest, ElkinConfig, RunError};
 use dmst_graphs::{EdgeId, WeightedGraph};
 
 pub use ghs::{GhsMsg, GhsNode};
@@ -73,6 +73,7 @@ impl From<RunError> for BaselineError {
         match e {
             RunError::Disconnected => BaselineError::Disconnected,
             RunError::Sim(s) => BaselineError::Sim(s),
+            RunError::BadOutput(m) => BaselineError::BadOutput(m),
             other => BaselineError::BadOutput(other.to_string()),
         }
     }
@@ -105,42 +106,6 @@ pub fn combine_stats(a: &mut RunStats, b: &RunStats) {
     }
 }
 
-fn collect_edges<P, F>(
-    g: &WeightedGraph,
-    net: &Network<P>,
-    ports_of: F,
-) -> Result<Vec<EdgeId>, BaselineError>
-where
-    P: congest_sim::NodeProgram,
-    F: Fn(&P) -> Vec<usize>,
-{
-    let topo = net.topology();
-    let mut marks = vec![0u8; g.num_edges()];
-    for (v, node) in net.nodes().iter().enumerate() {
-        for p in ports_of(node) {
-            marks[topo.ports(v)[p].edge] += 1;
-        }
-    }
-    let mut edges = Vec::new();
-    for (e, &m) in marks.iter().enumerate() {
-        match m {
-            0 => {}
-            2 => edges.push(e),
-            _ => {
-                return Err(BaselineError::BadOutput(format!("edge {e} marked at {m} endpoint(s)")))
-            }
-        }
-    }
-    if g.num_nodes() > 0 && edges.len() != g.num_nodes() - 1 {
-        return Err(BaselineError::BadOutput(format!(
-            "{} MST edges for {} vertices",
-            edges.len(),
-            g.num_nodes()
-        )));
-    }
-    Ok(edges)
-}
-
 fn sim_config(g: &WeightedGraph) -> RunConfig {
     RunConfig { max_rounds: 1_000_000 + 600 * g.num_nodes() as u64, ..RunConfig::default() }
 }
@@ -159,7 +124,7 @@ pub fn run_ghs(g: &WeightedGraph) -> Result<BaselineRun, BaselineError> {
         .map_err(|e| BaselineError::BadOutput(e.to_string()))?;
     let mut net = Network::new(topo, |info| GhsNode::new(info, 0));
     let stats = net.run(&sim_config(g))?;
-    let edges = collect_edges(g, &net, GhsNode::mst_ports)?;
+    let edges = marked_mst_edges(g, &net, GhsNode::mst_ports)?;
     let total_weight = g.total_weight(edges.iter().copied());
     Ok(BaselineRun { edges, total_weight, stats })
 }
@@ -184,7 +149,7 @@ pub fn run_pipeline(g: &WeightedGraph) -> Result<BaselineRun, BaselineError> {
     let mut net = Network::new(topo, |info| PipeNode::new(info, &forest));
     let phase2 = net.run(&sim_config(g))?;
 
-    let edges = collect_edges(g, &net, PipeNode::mst_ports)?;
+    let edges = marked_mst_edges(g, &net, PipeNode::mst_ports)?;
     let total_weight = g.total_weight(edges.iter().copied());
     let mut stats = forest.stats.clone();
     combine_stats(&mut stats, &phase2);

@@ -258,9 +258,8 @@ impl NodeProgram for PipeNode {
     type Msg = PipeMsg;
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, PipeMsg>) {
-        let inbox: Vec<(usize, PipeMsg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 PipeMsg::Hello { frag, me } => {
                     self.nbr_frag[port] = frag;
                     self.nbr_id[port] = me;

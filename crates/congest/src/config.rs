@@ -11,31 +11,17 @@
 /// [`RoundCtx::try_send`](crate::RoundCtx::try_send) checks it.
 pub const UNIT_WORDS: u32 = 8;
 
-/// What to do when a round's sends over one edge direction exceed the
-/// bandwidth budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CapacityMode {
-    /// Abort the run with [`SimError::CapacityExceeded`](crate::SimError).
-    /// This is the faithful CONGEST semantics and the default: a protocol
-    /// that oversends is *wrong*, not slow.
-    #[default]
-    Strict,
-    /// Count words but deliver everything. Useful for ablations that
-    /// deliberately break the model (e.g. measuring how many messages a
-    /// naive variant *would* need).
-    Unchecked,
-}
-
 /// Configuration for [`Network::run`](crate::Network::run).
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// The `b` of `CONGEST(b log n)`: how many unit messages each edge
     /// direction carries per round. The standard CONGEST model is `b = 1`.
     /// The per-edge-direction budget per round is `bandwidth *`
-    /// [`UNIT_WORDS`] words.
+    /// [`UNIT_WORDS`] words, and it is always enforced: a send past it
+    /// aborts the run with
+    /// [`SimError::CapacityExceeded`](crate::SimError::CapacityExceeded),
+    /// because a protocol that oversends is *wrong*, not slow.
     pub bandwidth: u32,
-    /// Enforcement policy for the bandwidth budget.
-    pub capacity: CapacityMode,
     /// Hard cap on rounds; exceeding it aborts with
     /// [`SimError::MaxRoundsExceeded`](crate::SimError). Guards against
     /// non-terminating protocols in tests.
@@ -47,13 +33,6 @@ pub struct RunConfig {
     /// bit-identical for every value (see the executor docs on the per-port
     /// FIFO determinism contract).
     pub shards: u32,
-    /// Whether the executor may honor
-    /// [`NodeProgram::next_wake`](crate::NodeProgram::next_wake) hints and
-    /// skip idle nodes/rounds.
-    /// `false` steps every node in every round (legacy behavior); with
-    /// *correct* hints the results are identical either way, which the
-    /// determinism proptests exploit to cross-check the hint contract.
-    pub wake_hints: bool,
 }
 
 impl RunConfig {
@@ -81,13 +60,7 @@ impl RunConfig {
 
 impl Default for RunConfig {
     fn default() -> Self {
-        Self {
-            bandwidth: 1,
-            capacity: CapacityMode::Strict,
-            max_rounds: 10_000_000,
-            shards: 1,
-            wake_hints: true,
-        }
+        Self { bandwidth: 1, max_rounds: 10_000_000, shards: 1 }
     }
 }
 

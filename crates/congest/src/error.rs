@@ -10,8 +10,8 @@ use crate::topology::NodeId;
 pub enum SimError {
     /// The edge list did not describe a simple graph on `n` nodes.
     InvalidTopology(String),
-    /// In [`CapacityMode::Strict`](crate::CapacityMode::Strict), a node sent
-    /// more words over one edge direction in one round than the budget
+    /// A node sent more words over one edge direction in one round than
+    /// the budget ([`RunConfig::capacity_words`](crate::RunConfig::capacity_words))
     /// allows. This indicates a protocol bug, not congestion.
     CapacityExceeded {
         /// Round in which the violation occurred.

@@ -22,7 +22,10 @@
 //! run is a measurement, not an approximation. Execution may be sequential
 //! or sharded across worker threads ([`RunConfig::shards`]); the per-port
 //! FIFO merge order makes the results bit-identical either way, so
-//! parallelism is purely a wallclock knob.
+//! parallelism is purely a wallclock knob. Programs may promise idle
+//! rounds ([`NodeProgram::next_wake`]) so the executor can skip them;
+//! wrapping a program in [`EveryRound`] steps it every round instead and
+//! checks each promise.
 //!
 //! ## Quick example
 //!
@@ -70,13 +73,15 @@
 
 mod config;
 mod error;
+mod every_round;
 mod message;
 mod network;
 mod stats;
 mod topology;
 
-pub use config::{CapacityMode, RunConfig, UNIT_WORDS};
+pub use config::{RunConfig, UNIT_WORDS};
 pub use error::SimError;
+pub use every_round::EveryRound;
 pub use message::{Message, WireReader, WireWriter};
 pub use network::{Network, NodeInfo, NodeProgram, RoundCtx};
 pub use stats::{RunStats, TagStats};

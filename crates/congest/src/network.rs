@@ -46,13 +46,15 @@
 //! when mail arrives or its wake round is due, and fast-forwards whole
 //! rounds when the network is globally idle, attributing the skipped rounds
 //! to the current stage census exactly as if they had been executed. The
-//! default hint (`Some(0)`) reproduces the legacy step-every-round behavior.
+//! default hint (`Some(0)`) steps the node every round;
+//! [`EveryRound`](crate::EveryRound) forces that for any program and
+//! checks the promises it overrides.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{self, Receiver, Sender};
 
-use crate::config::{CapacityMode, RunConfig};
+use crate::config::RunConfig;
 use crate::error::SimError;
 use crate::message::{Message, WireReader, WireWriter};
 use crate::stats::{RunStats, TagStats};
@@ -114,10 +116,11 @@ pub trait NodeProgram {
     /// stepped *earlier* than its hint (a stale earlier hint is allowed to
     /// fire; by the same contract such a step is a no-op).
     ///
-    /// The default, `Some(0)`, requests a step every round — the legacy
-    /// behavior, always safe. Returning accurate hints is purely a
-    /// performance optimization; the executors cross-check hinted and
-    /// unhinted runs for bit-identical results.
+    /// The default, `Some(0)`, requests a step every round, which is always
+    /// safe. Returning accurate hints is purely a performance optimization:
+    /// [`EveryRound`](crate::EveryRound) steps a program every round and
+    /// panics on a step that breaks its promise, and the determinism suites
+    /// check that hinted runs are bit-identical to every-round runs.
     fn next_wake(&self, after: u64) -> Option<u64> {
         let _ = after;
         Some(0)
@@ -155,29 +158,28 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         self.ports.len()
     }
 
-    /// Weight of the edge behind port `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    #[inline]
-    pub fn weight(&self, p: PortId) -> u64 {
-        self.ports[p].weight
-    }
-
     /// Messages that arrived this round, as `(port, message)` pairs in
     /// deterministic order: grouped per sending neighbor in contiguous FIFO
     /// blocks, neighbors in ascending node-id order (the order the
     /// sequential executor produces by stepping senders in id order).
+    ///
+    /// The slice lives for the whole round, not just this borrow, so a
+    /// handler can iterate it in place while it sends.
     #[inline]
-    pub fn inbox(&self) -> &[(PortId, M)] {
+    pub fn inbox(&self) -> &'a [(PortId, M)] {
         self.inbox
     }
 
+    /// Messages this node's shard has sent so far this round; a step sent
+    /// something iff the count moved across it.
+    #[inline]
+    pub(crate) fn shard_round_messages(&self) -> u64 {
+        self.out.round_messages
+    }
+
     /// Sends `msg` over port `p`, to be delivered next round, and charges
-    /// its encoded length to the edge's meter. Under
-    /// [`CapacityMode::Strict`] a send that overfills the edge fails the
-    /// run with [`SimError::CapacityExceeded`].
+    /// its encoded length to the edge's meter. A send that overfills the
+    /// edge fails the run with [`SimError::CapacityExceeded`].
     ///
     /// # Panics
     ///
@@ -193,10 +195,6 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     /// nothing is sent, charged or counted, and the message comes back as
     /// `Err(msg)` — typically to be retried next round, when the edge's
     /// budget is fresh.
-    ///
-    /// The check holds under every [`CapacityMode`]: even with
-    /// [`CapacityMode::Unchecked`], which lets [`send`](Self::send)
-    /// overfill an edge, `try_send` refuses past capacity.
     ///
     /// # Errors
     ///
@@ -245,14 +243,12 @@ impl<'a, M: Message> RoundCtx<'a, M> {
             *meter = EdgeMeter { round: self.round, charged: 0 };
         }
         let charged = meter.charged + len as u64;
-        if gated && charged > out.cfg.capacity {
-            batch.truncate(header);
-            return false;
-        }
-        meter.charged = charged;
-        batch[header] = frame_header(dest as u32, len);
-        if out.cfg.strict && charged > out.cfg.capacity && out.error.is_none() {
-            out.error = Some(SimError::CapacityExceeded {
+        if charged > out.cfg.capacity {
+            if gated {
+                batch.truncate(header);
+                return false;
+            }
+            out.error.get_or_insert(SimError::CapacityExceeded {
                 round: self.round,
                 from: self.id,
                 to: (self.topo.route(g) >> 32) as NodeId,
@@ -260,6 +256,8 @@ impl<'a, M: Message> RoundCtx<'a, M> {
                 capacity: out.cfg.capacity,
             });
         }
+        meter.charged = charged;
+        batch[header] = frame_header(dest as u32, len);
         let totals = &mut out.totals;
         totals.peak_edge_words = totals.peak_edge_words.max(charged);
         bump_tag_totals(&mut totals.by_tag, msg.tag(), len as u64);
@@ -298,8 +296,6 @@ struct WordRing {
 #[derive(Clone, Copy)]
 struct EngineCfg {
     capacity: u64,
-    strict: bool,
-    wake_hints: bool,
     /// Nodes per shard: `shard_of(v) = v / chunk`.
     chunk: usize,
     num_shards: usize,
@@ -432,7 +428,7 @@ struct Outbox {
     totals: ShardTotals,
     /// Messages sent in the round being executed.
     round_messages: u64,
-    /// The round's first strict-capacity violation.
+    /// The round's first capacity violation.
     error: Option<SimError>,
 }
 
@@ -598,9 +594,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                 }
                 self.prev_tag[ni] = t;
             }
-            let hint =
-                if self.out.cfg.wake_hints { node.next_wake(round) } else { Some(round + 1) };
-            if let Some(w) = hint {
+            if let Some(w) = node.next_wake(round) {
                 if w <= round + 1 {
                     self.due.push(v);
                 } else {
@@ -727,8 +721,8 @@ impl<P: NodeProgram> Network<P> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::CapacityExceeded`] under [`CapacityMode::Strict`] when a
-    ///   round oversubscribes an edge direction.
+    /// * [`SimError::CapacityExceeded`] when a round oversubscribes an edge
+    ///   direction.
     /// * [`SimError::MaxRoundsExceeded`] when `config.max_rounds` is hit.
     pub fn run(&mut self, config: &RunConfig) -> Result<RunStats, SimError>
     where
@@ -745,13 +739,7 @@ impl<P: NodeProgram> Network<P> {
         };
         let chunk = n.div_ceil(requested.clamp(1, n));
         let num_shards = n.div_ceil(chunk);
-        let cfg = EngineCfg {
-            capacity: config.capacity_words(),
-            strict: config.capacity == CapacityMode::Strict,
-            wake_hints: config.wake_hints,
-            chunk,
-            num_shards,
-        };
+        let cfg = EngineCfg { capacity: config.capacity_words(), chunk, num_shards };
 
         let topo = &self.topo;
         let mut shards: Vec<Shard<'_, P>> = Vec::with_capacity(num_shards);
@@ -914,7 +902,7 @@ impl<P: NodeProgram> Network<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CapacityMode, RunConfig};
+    use crate::config::RunConfig;
 
     /// Counts rounds until it has seen `wait_for` messages, echoing each.
     struct Echo {
@@ -968,19 +956,6 @@ mod tests {
         assert!(matches!(err, SimError::CapacityExceeded { round: 0, from: 0, to: 1, .. }));
     }
 
-    #[test]
-    fn unchecked_capacity_allows_oversend() {
-        let mut net = Network::new(pair(), |i| Echo {
-            to_send: if i.id == 0 { 9 } else { 0 },
-            seen: 0,
-            wait_for: if i.id == 1 { 9 } else { 0 },
-        });
-        let cfg = RunConfig { capacity: CapacityMode::Unchecked, ..RunConfig::congest() };
-        let stats = net.run(&cfg).unwrap();
-        assert_eq!(stats.messages, 9);
-        assert_eq!(stats.peak_edge_words, 9);
-    }
-
     /// A message of `self.0` words: its length, then zero padding.
     #[derive(Clone, Debug, PartialEq)]
     struct Blob(u64);
@@ -1030,17 +1005,14 @@ mod tests {
         }
     }
 
-    fn scripted(
-        plan: &[Vec<(bool, u64)>],
-        capacity: CapacityMode,
-    ) -> (Result<RunStats, SimError>, Vec<Scripted>) {
+    fn scripted(plan: &[Vec<(bool, u64)>]) -> (Result<RunStats, SimError>, Vec<Scripted>) {
         let mut net = Network::new(pair(), |i| Scripted {
             plan: if i.id == 0 { plan.to_vec() } else { Vec::new() },
             next: 0,
             refused: Vec::new(),
             got: Vec::new(),
         });
-        let res = net.run(&RunConfig { capacity, ..RunConfig::congest() });
+        let res = net.run(&RunConfig::congest());
         (res, net.into_nodes())
     }
 
@@ -1050,7 +1022,7 @@ mod tests {
         // refusal charged nothing), then the full edge refuses 1. Round 1
         // retries the refused messages on a fresh budget.
         let plan = [vec![(false, 5), (true, 4), (true, 3), (true, 1)], vec![(true, 4), (true, 1)]];
-        let (res, nodes) = scripted(&plan, CapacityMode::Strict);
+        let (res, nodes) = scripted(&plan);
         let stats = res.unwrap();
         assert_eq!(nodes[0].refused, vec![(0, Blob(4)), (0, Blob(1))], "returned intact");
         assert_eq!(nodes[1].got, vec![(1, Blob(5)), (1, Blob(3)), (2, Blob(4)), (2, Blob(1))]);
@@ -1062,24 +1034,14 @@ mod tests {
     fn send_and_try_send_share_one_meter() {
         // try_send sees what send charged and vice versa, per round.
         let plan = [vec![(true, 6), (false, 2), (true, 1)], vec![(false, 7), (true, 2), (true, 1)]];
-        let (res, nodes) = scripted(&plan, CapacityMode::Strict);
+        let (res, nodes) = scripted(&plan);
         let stats = res.unwrap();
         assert_eq!(nodes[0].refused, vec![(0, Blob(1)), (1, Blob(2))]);
         assert_eq!((stats.messages, stats.wire_words, stats.peak_edge_words), (4, 16, 8));
         // A send on top of a try_send that filled the edge is an overflow.
         let plan = [vec![(true, 8), (false, 1)]];
-        let (res, _) = scripted(&plan, CapacityMode::Strict);
+        let (res, _) = scripted(&plan);
         assert!(matches!(res, Err(SimError::CapacityExceeded { round: 0, words: 9, .. })));
-    }
-
-    #[test]
-    fn try_send_refuses_past_capacity_even_unchecked() {
-        let plan = [vec![(false, 8), (true, 1), (false, 1)]];
-        let (res, nodes) = scripted(&plan, CapacityMode::Unchecked);
-        let stats = res.unwrap();
-        assert_eq!(nodes[0].refused, vec![(0, Blob(1))]);
-        assert_eq!(nodes[1].got, vec![(1, Blob(8)), (1, Blob(1))]);
-        assert_eq!((stats.messages, stats.wire_words, stats.peak_edge_words), (2, 9, 9));
     }
 
     #[test]
@@ -1234,16 +1196,16 @@ mod tests {
     }
 
     #[test]
-    fn wake_hints_do_not_change_results() {
-        let run = |hints: bool, shards: u32| {
-            let mut net = Network::new(pair(), |_| Napper { fire_at: 9, fired: false });
-            let cfg = RunConfig { wake_hints: hints, shards, ..RunConfig::congest() };
-            net.run(&cfg).unwrap()
+    fn hinted_runs_match_every_round_stepping() {
+        let nap = |_: NodeInfo<'_>| Napper { fire_at: 9, fired: false };
+        let cfg = |shards| RunConfig { shards, ..RunConfig::congest() };
+        let every_round = |shards| {
+            Network::new(pair(), |i| crate::EveryRound::new(nap(i))).run(&cfg(shards)).unwrap()
         };
-        let baseline = run(false, 1);
-        assert_eq!(baseline, run(true, 1));
-        assert_eq!(baseline, run(true, 2));
-        assert_eq!(baseline, run(false, 2));
+        let baseline = every_round(1);
+        assert_eq!(baseline, Network::new(pair(), nap).run(&cfg(1)).unwrap());
+        assert_eq!(baseline, Network::new(pair(), nap).run(&cfg(2)).unwrap());
+        assert_eq!(baseline, every_round(2));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Dual-executor determinism: the sharded, idle-skipping executor must be
-//! bit-identical to the legacy sequential one — same [`RunStats`], same
-//! final node states, same errors — on every topology family.
+//! bit-identical to sequential every-round stepping ([`EveryRound`]) —
+//! same [`RunStats`], same final node states, same errors — on every
+//! topology family.
 //!
 //! The workload is a staggered gossip with wake hints, so these tests
 //! exercise the whole hot path at once: per-port FIFO merge order across
@@ -10,7 +11,7 @@
 use std::collections::HashSet;
 
 use congest_sim::{
-    CapacityMode, Message, Network, NodeInfo, NodeProgram, RoundCtx, RunConfig, RunStats, SimError,
+    EveryRound, Message, Network, NodeInfo, NodeProgram, RoundCtx, RunConfig, RunStats, SimError,
     Topology,
 };
 use proptest::prelude::*;
@@ -69,8 +70,7 @@ impl NodeProgram for Gossip {
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Token>) {
         let round = ctx.round();
-        let inbox: Vec<(usize, Token)> = ctx.inbox().to_vec();
-        for (port, t) in inbox {
+        for &(port, ref t) in ctx.inbox() {
             self.log.push((round, port, t.origin, t.hops));
             if self.seen.insert(t.origin) {
                 for p in 0..ctx.degree() {
@@ -111,47 +111,70 @@ impl NodeProgram for Gossip {
 /// Snapshot of one node's externally observable state.
 type NodeState = (bool, Vec<u64>, Vec<(u64, usize, u64, u32)>);
 
+/// Runs `factory`'s programs on `shards` shards, hinted or wrapped in
+/// [`EveryRound`], and returns the outcome and the final programs.
+fn run_net<P>(
+    topo: Topology,
+    factory: impl Fn(NodeInfo<'_>) -> P,
+    shards: u32,
+    bandwidth: u32,
+    every_round: bool,
+) -> (Result<RunStats, SimError>, Vec<P>)
+where
+    P: NodeProgram + Send,
+    P::Msg: Send,
+{
+    let cfg = RunConfig { shards, ..RunConfig::congest_b(bandwidth) };
+    if every_round {
+        let mut net = Network::new(topo, |i| EveryRound::new(factory(i)));
+        let res = net.run(&cfg);
+        (res, net.into_nodes().into_iter().map(EveryRound::into_inner).collect())
+    } else {
+        let mut net = Network::new(topo, factory);
+        (net.run(&cfg), net.into_nodes())
+    }
+}
+
 fn run_gossip(
     n: usize,
     edges: &[(usize, usize, u64)],
     shards: u32,
-    wake_hints: bool,
+    every_round: bool,
 ) -> (RunStats, Vec<NodeState>) {
-    let topo = Topology::new(n, edges).unwrap();
-    let mut net = Network::new(topo, |i: NodeInfo<'_>| Gossip {
+    let gossip = |i: NodeInfo<'_>| Gossip {
         id: i.id as u64,
         fire_at: 3 * (i.id as u64 % 5),
         fired: false,
         seen: HashSet::new(),
         log: Vec::new(),
-    });
-    // Unchecked capacity: dense nodes legitimately echo several origins in
-    // one round. (Strict-mode error determinism has its own test below.)
-    let cfg =
-        RunConfig { capacity: CapacityMode::Unchecked, shards, wake_hints, ..RunConfig::congest() };
-    let stats = net.run(&cfg).unwrap();
-    let states = net
-        .nodes()
-        .iter()
+    };
+    // Dense nodes legitimately echo several origins in one round. Each
+    // origin crosses an edge direction at most once, and all 24 possible
+    // origins together cost 48 words, so 6 unit messages per round always
+    // fit. (Capacity-error determinism has its own test below.)
+    let (res, nodes) = run_net(Topology::new(n, edges).unwrap(), gossip, shards, 6, every_round);
+    let states = nodes
+        .into_iter()
         .map(|g| {
-            let mut seen: Vec<u64> = g.seen.iter().copied().collect();
+            let mut seen: Vec<u64> = g.seen.into_iter().collect();
             seen.sort_unstable();
-            (g.fired, seen, g.log.clone())
+            (g.fired, seen, g.log)
         })
         .collect();
-    (stats, states)
+    (res.unwrap(), states)
 }
 
-/// Executor matrix checked against the legacy baseline (1 shard, no hints).
-const MATRIX: [(u32, bool); 5] = [(1, true), (2, true), (3, true), (8, true), (2, false)];
+/// Executor matrix `(shards, every_round)`, checked against every-round
+/// stepping on one shard.
+const MATRIX: [(u32, bool); 5] = [(1, false), (2, false), (3, false), (8, false), (2, true)];
 
 fn assert_all_executors_agree(n: usize, edges: &[(usize, usize, u64)], label: &str) {
-    let baseline = run_gossip(n, edges, 1, false);
-    for (shards, hints) in MATRIX {
-        let got = run_gossip(n, edges, shards, hints);
+    let baseline = run_gossip(n, edges, 1, true);
+    for (shards, every_round) in MATRIX {
+        let got = run_gossip(n, edges, shards, every_round);
         assert_eq!(
             got, baseline,
-            "{label}: shards={shards} hints={hints} diverged from the sequential executor"
+            "{label}: shards={shards} every_round={every_round} diverged from the baseline"
         );
     }
 }
@@ -263,23 +286,22 @@ fn strict_capacity_errors_are_executor_invariant() {
     // Nodes 2, 3 and 5 all blow the 8-word budget in round 4; node 2 must
     // be reported by every executor.
     let edges: Vec<(usize, usize, u64)> = (0..7).map(|i| (i, (i + 1) % 8, 1)).collect();
-    let run = |shards: u32, hints: bool| {
-        let topo = Topology::new(8, &edges).unwrap();
-        let mut net = Network::new(topo, |i: NodeInfo<'_>| Blaster {
+    let run = |shards: u32, every_round: bool| {
+        let blaster = |i: NodeInfo<'_>| Blaster {
             burst: if [2, 3, 5].contains(&i.id) { 9 } else { 1 },
             at: 4,
             done: false,
-        });
-        let cfg = RunConfig { shards, wake_hints: hints, ..RunConfig::congest() };
-        net.run(&cfg).unwrap_err()
+        };
+        let topo = Topology::new(8, &edges).unwrap();
+        run_net(topo, blaster, shards, 1, every_round).0.unwrap_err()
     };
-    let baseline = run(1, false);
+    let baseline = run(1, true);
     assert!(
         matches!(baseline, SimError::CapacityExceeded { round: 4, from: 2, .. }),
         "unexpected baseline error: {baseline:?}"
     );
-    for (shards, hints) in MATRIX {
-        assert_eq!(run(shards, hints), baseline, "shards={shards} hints={hints}");
+    for (shards, every_round) in MATRIX {
+        assert_eq!(run(shards, every_round), baseline, "shards={shards} every_round={every_round}");
     }
 }
 
@@ -301,12 +323,12 @@ proptest! {
                 edges.push((a, b, w));
             }
         }
-        let baseline = run_gossip(n, &edges, 1, false);
-        for (shards, hints) in MATRIX {
-            let got = run_gossip(n, &edges, shards, hints);
+        let baseline = run_gossip(n, &edges, 1, true);
+        for (shards, every_round) in MATRIX {
+            let got = run_gossip(n, &edges, shards, every_round);
             prop_assert_eq!(
                 &got, &baseline,
-                "n={} m={} shards={} hints={}", n, edges.len(), shards, hints
+                "n={} m={} shards={} every_round={}", n, edges.len(), shards, every_round
             );
         }
     }

@@ -23,8 +23,8 @@ pub struct ElkinConfig {
     /// (singleton base forest); the root clamps any `k` to
     /// `2 * n.next_power_of_two()`, past which no phase can merge anything.
     pub k_override: Option<u64>,
-    /// The designated BFS root (see DESIGN.md on the leader-election
-    /// assumption).
+    /// The designated BFS root. It is given, not elected: no stage of the
+    /// run elects a leader.
     pub root: usize,
     /// Merge policy of the Controlled-GHS stage (ablation A1 sets
     /// [`MergeControl::Uncontrolled`]).
@@ -35,10 +35,6 @@ pub struct ElkinConfig {
     /// its schedule, and the output MST is the same (conformance-tested in
     /// both modes).
     pub schedule_mode: ScheduleMode,
-    /// Stop after Stage B, leaving the `(O(n/k), O(k))` base forest as the
-    /// output (Theorem 4.3 standalone; used by
-    /// [`run_forest`](crate::run_forest)).
-    pub stop_after_forest: bool,
     /// Simulator worker shards (forwarded to
     /// [`RunConfig::shards`](congest_sim::RunConfig)): `1` (the default)
     /// runs sequentially, `0` auto-sizes to the machine. Purely a wallclock
@@ -54,7 +50,6 @@ impl Default for ElkinConfig {
             root: 0,
             merge_control: MergeControl::Matched,
             schedule_mode: ScheduleMode::Adaptive,
-            stop_after_forest: false,
             shards: 1,
         }
     }

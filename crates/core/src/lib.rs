@@ -44,7 +44,6 @@ pub mod cv;
 mod forest;
 pub mod fraggraph;
 pub mod intervals;
-pub mod leader;
 mod msg;
 mod node;
 mod runner;
@@ -55,8 +54,8 @@ pub use candidate::{better, CandKey, Candidate};
 pub use config::ElkinConfig;
 pub use forest::{analyze_forest, ForestReport};
 pub use msg::Msg;
-pub use node::{ElkinNode, Milestones};
-pub use runner::{run_forest, run_mst, ForestRun, MstRun, RunError};
+pub use node::ElkinNode;
+pub use runner::{marked_mst_edges, run_forest, run_mst, ForestRun, MstRun, RunError};
 pub use schedule::{
     choose_k, choose_k_cost, ExchangeKind, MergeControl, Params, Schedule, ScheduleMode, Slot,
     Window,

@@ -244,7 +244,6 @@ pub(crate) struct BScratch {
 /// Stage C working state.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CState {
-    pub entered: bool,
     pub interval_received: bool,
     pub registered: bool,
     pub reg_queue: VecDeque<u64>,
@@ -309,6 +308,10 @@ pub struct ElkinNode {
     pub(crate) id: u64,
     pub(crate) deg: usize,
     pub(crate) cfg: ElkinConfig,
+    /// Stop after Stage B, leaving the `(O(n/k), O(k))` base forest as the
+    /// output (Theorem 4.3 standalone; set by
+    /// [`run_forest`](crate::run_forest)).
+    pub(crate) forest_only: bool,
 
     /// All port-indexed state — weights, neighbor knowledge, announce and
     /// `UpDone` counts, MST marks — in one lane-major allocation.
@@ -364,37 +367,6 @@ pub struct ElkinNode {
     /// `bfs_children`).
     pub(crate) down: Vec<VecDeque<Msg>>,
     pub(crate) root: Option<Box<RootState>>,
-    /// Milestone rounds: when this vertex entered Stage B, Stage C/D, the
-    /// first Borůvka phase, and the finished state (for stage profiling).
-    pub(crate) milestones: Milestones,
-}
-
-/// Rounds at which a vertex crossed each stage boundary (u64::MAX until
-/// crossed).
-#[derive(Clone, Copy, Debug)]
-pub struct Milestones {
-    /// Entered Stage B (Controlled-GHS) — end of Stage A.
-    pub entered_b: u64,
-    /// Entered Stage C (intervals/registration) — end of Stage B.
-    pub entered_cd: u64,
-    /// Received the initial coarse id (`InitCoarse`, or owning a slot at a
-    /// fragment root) — this vertex can announce Borůvka phase 0, so its
-    /// Stage C is over. Under the fused protocol the registration pipeline
-    /// may still be draining elsewhere; the boundary is per-vertex.
-    pub entered_d: u64,
-    /// Reached the finished state.
-    pub finished_at: u64,
-}
-
-impl Default for Milestones {
-    fn default() -> Self {
-        Self {
-            entered_b: u64::MAX,
-            entered_cd: u64::MAX,
-            entered_d: u64::MAX,
-            finished_at: u64::MAX,
-        }
-    }
 }
 
 /// Coarse stage marker.
@@ -415,6 +387,7 @@ impl ElkinNode {
             deg,
             ports: PortArena::new(deg, info.ports.iter().map(|p| p.weight)),
             cfg,
+            forest_only: false,
             stage: Stage::A,
             finished: false,
             done_seen: false,
@@ -440,7 +413,6 @@ impl ElkinNode {
             cand_next: Vec::new(),
             down: Vec::new(),
             root: None,
-            milestones: Milestones::default(),
         }
     }
 
@@ -486,16 +458,6 @@ impl ElkinNode {
     /// the BFS root).
     pub fn bfs_parent_port(&self) -> Option<PortId> {
         self.bfs_parent
-    }
-
-    /// Which incident ports are currently marked as MST edges, by port.
-    pub fn mst_marks(&self) -> Vec<bool> {
-        (0..self.deg).map(|p| self.ports.mst(p)).collect()
-    }
-
-    /// Stage-boundary rounds recorded by this vertex.
-    pub fn milestones(&self) -> Milestones {
-        self.milestones
     }
 }
 
@@ -555,7 +517,7 @@ impl NodeProgram for ElkinNode {
     // Idle-skip hints (see the trait contract): each stage reports the next
     // round at which it would act spontaneously; everything else is
     // message-driven and the simulator wakes us on delivery. A wrong hint
-    // here changes message timing, which the golden round pins catch.
+    // here changes message timing; `congest_sim::EveryRound` catches it.
     fn next_wake(&self, after: u64) -> Option<u64> {
         if self.finished {
             return None;
@@ -585,7 +547,7 @@ impl NodeProgram for ElkinNode {
             // (it can announce phase 0 from then on). A round counts as
             // "c" until the last vertex crosses, so the network-level
             // partition a+b+c+d == rounds still holds under fused phases.
-            Stage::CD if self.milestones.entered_d != u64::MAX => "d",
+            Stage::CD if self.coarse_ready.is_some() => "d",
             Stage::CD => "c",
         };
         debug_assert!(

@@ -41,9 +41,8 @@ use super::{BScratch, ElkinNode, Sel, Stage};
 
 impl ElkinNode {
     pub(crate) fn b_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let inbox: Vec<(usize, Msg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 Msg::FragAnnounce { frag, me } => {
                     self.ports.set_nbr_frag(port, frag);
                     self.ports.set_nbr_id(port, me);
@@ -196,7 +195,7 @@ impl ElkinNode {
                     }
                 }
                 Msg::NewFrag { id } => self.b_flood_receive(ctx, port, id),
-                other => unreachable!("stage B received {other:?}"),
+                ref other => unreachable!("stage B received {other:?}"),
             }
         }
     }

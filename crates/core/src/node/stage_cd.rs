@@ -54,10 +54,7 @@ use super::{DScratch, ElkinNode, Sel, UNKNOWN};
 impl ElkinNode {
     /// Called once when Stage B's schedule ends.
     pub(crate) fn cd_enter(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        debug_assert!(!self.c.entered);
-        self.c.entered = true;
-        self.milestones.entered_cd = ctx.round();
-        if self.cfg.stop_after_forest {
+        if self.forest_only {
             // Theorem 4.3 standalone: the base forest is the deliverable.
             self.finished = true;
             return;
@@ -81,43 +78,38 @@ impl ElkinNode {
         }
         if self.is_frag_root() {
             self.c.registered = true;
-            let slot = self.slot;
-            if let Some(root) = self.root.as_mut() {
-                root.slots.push(slot);
-                root.slot_coarse.insert(slot, slot);
-            } else {
-                self.c.reg_queue.push_back(slot);
-            }
-            self.coarse = slot;
-            self.coarse_ready = Some(0);
-            self.milestones.entered_d = ctx.round();
-            for &q in &self.frag_children {
-                ctx.send(q, Msg::InitCoarse { id: slot });
-            }
+            self.cd_register(start);
+            self.cd_init_coarse(ctx, start);
+        }
+    }
+
+    /// Queues a base fragment's `slot` toward the BFS root, or at the root
+    /// records it.
+    fn cd_register(&mut self, slot: u64) {
+        if let Some(root) = self.root.as_mut() {
+            root.slots.push(slot);
+            root.slot_coarse.insert(slot, slot);
+        } else {
+            self.c.reg_queue.push_back(slot);
+        }
+    }
+
+    /// Adopts the fragment's initial coarse id, which opens Borůvka phase 0
+    /// here, and passes it down the fragment.
+    fn cd_init_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64) {
+        self.coarse = id;
+        self.coarse_ready = Some(0);
+        for &q in &self.frag_children {
+            ctx.send(q, Msg::InitCoarse { id });
         }
     }
 
     pub(crate) fn cd_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let inbox: Vec<(usize, Msg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 Msg::Interval { start, .. } => self.cd_take_interval(ctx, start),
-                Msg::InitCoarse { id } => {
-                    self.coarse = id;
-                    self.coarse_ready = Some(0);
-                    self.milestones.entered_d = ctx.round();
-                    for &q in &self.frag_children {
-                        ctx.send(q, Msg::InitCoarse { id });
-                    }
-                }
-                Msg::Register { slot } => {
-                    if let Some(root) = self.root.as_mut() {
-                        root.slots.push(slot);
-                        root.slot_coarse.insert(slot, slot);
-                    } else {
-                        self.c.reg_queue.push_back(slot);
-                    }
-                }
+                Msg::InitCoarse { id } => self.cd_init_coarse(ctx, id),
+                Msg::Register { slot } => self.cd_register(slot),
                 Msg::RegDone => {
                     if let Some(root) = self.root.as_mut() {
                         root.reg_done_children += 1;
@@ -196,13 +188,7 @@ impl ElkinNode {
                         self.cd_consume_assign(ctx, new_coarse, chosen, done, next);
                     } else {
                         let idx = self.cd_route(dest_slot);
-                        self.down[idx].push_back(Msg::Assign {
-                            dest_slot,
-                            new_coarse,
-                            chosen,
-                            done,
-                            next,
-                        });
+                        self.down[idx].push_back(msg.clone());
                     }
                 }
                 Msg::NewCoarse { id, done, next } => {
@@ -211,16 +197,9 @@ impl ElkinNode {
                 // `MarkPath` was sent before the same phase's `NewCoarse`
                 // on this edge, so FIFO guarantees it is processed while
                 // `d.sel` still holds the phase's argmin selection.
-                Msg::MarkPath => match self.d.sel {
-                    Sel::Mine(q) => {
-                        self.ports.mark_mst(q);
-                        ctx.send(q, Msg::MarkCross);
-                    }
-                    Sel::Child(c) => ctx.send(c, Msg::MarkPath),
-                    Sel::None => unreachable!("MarkPath reached a subtree without a candidate"),
-                },
+                Msg::MarkPath => self.cd_mark_path(ctx),
                 Msg::MarkCross => self.ports.mark_mst(port),
-                other => unreachable!("stage C/D received {other:?}"),
+                ref other => unreachable!("stage C/D received {other:?}"),
             }
         }
     }
@@ -233,24 +212,24 @@ impl ElkinNode {
     /// (`UpDone`/`RegDone`) are gated the same way and deferred while the
     /// edge is full, so a shared BFS-/fragment-tree edge is never
     /// oversubscribed and no headroom needs reserving; the simulator's
-    /// strict capacity check loudly rejects any future unconditional send
-    /// placed after the flushes.
+    /// capacity check loudly rejects any future unconditional send placed
+    /// after the flushes.
+    ///
+    /// Each step runs under one readiness predicate (`cd_*_ready`), the
+    /// same one [`cd_next_wake`](Self::cd_next_wake) ORs into the wake
+    /// hint.
     pub(crate) fn cd_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         // --- Stage C: root-side registration completion (gates merge 0).
-        if let Some(root) = self.root.as_mut() {
-            if !root.reg_complete
-                && self.c.interval_received
-                && root.reg_done_children == self.bfs_children.len()
-            {
-                root.reg_complete = true;
-                root.slots.sort_unstable();
-            }
+        if self.cd_latch_ready() {
+            let root = self.root.as_mut().expect("only the BFS root latches");
+            root.reg_complete = true;
+            root.slots.sort_unstable();
         }
 
         // (a) Announce the current phase as soon as the coarse id is
         // current (for phase 0 that is `InitCoarse` receipt; afterwards
         // the answer path rolls `coarse_ready` and `d.phase` together).
-        if !self.done_seen && !self.d.announced && self.coarse_ready == Some(self.d.phase) {
+        if self.cd_announce_ready() {
             self.d.announced = true;
             let coarse = self.coarse;
             for q in 0..self.deg {
@@ -261,11 +240,7 @@ impl ElkinNode {
         // (b) Fragment-subtree aggregation completes on *local* readiness:
         // all of my own neighbors announced and my fragment children
         // reported. No probe broadcast and no global go-signal exist.
-        if self.d.announced
-            && !self.d.responded
-            && self.d.ann_recv == self.deg
-            && self.d.frag_up_recv == self.frag_children.len()
-        {
+        if self.cd_aggregate_ready() {
             self.d.responded = true;
             let (mine, sel) = self.cd_local_candidate();
             if let Some((key, sc, dc)) = mine {
@@ -283,27 +258,23 @@ impl ElkinNode {
         }
 
         // (c) Stage C registration pipeline toward the BFS root.
-        if self.c.interval_received && !self.c.reg_done_sent {
-            if let Some(parent) = self.bfs_parent {
-                while let Some(&slot) = self.c.reg_queue.front() {
-                    if ctx.try_send(parent, Msg::Register { slot }).is_err() {
-                        break;
-                    }
-                    self.c.reg_queue.pop_front();
+        if let Some(parent) = self.bfs_parent.filter(|_| self.cd_register_ready()) {
+            while let Some(&slot) = self.c.reg_queue.front() {
+                if ctx.try_send(parent, Msg::Register { slot }).is_err() {
+                    break;
                 }
-                let my_duty = !self.is_frag_root() || self.c.registered;
-                if my_duty
-                    && self.c.reg_queue.is_empty()
-                    && self.c.reg_done_children == self.bfs_children.len()
-                    && ctx.try_send(parent, Msg::RegDone).is_ok()
-                {
-                    self.c.reg_done_sent = true;
-                }
+                self.c.reg_queue.pop_front();
+            }
+            if self.cd_reg_done_due()
+                && self.c.reg_queue.is_empty()
+                && ctx.try_send(parent, Msg::RegDone).is_ok()
+            {
+                self.c.reg_done_sent = true;
             }
         }
 
         // (d) Candidate pipeline flush toward the BFS parent.
-        if let Some(parent) = self.bfs_parent {
+        if let Some(parent) = self.bfs_parent.filter(|_| self.cd_upcast_ready()) {
             while let Some(&(key, sc)) = self.d.up_pending.iter().next() {
                 let rec = self.d.up_best[&sc];
                 debug_assert_eq!(rec.key, key);
@@ -318,18 +289,12 @@ impl ElkinNode {
         // (e) Upcast completion / root-local merge. `UpDone` may fire in
         // the same round as the last candidate (it follows them in FIFO
         // order) and is deferred while the edge is full.
-        let my_inject_done = !self.is_frag_root() || self.d.injected;
-        if !self.done_seen
-            && !self.d.updone_sent
-            && my_inject_done
-            && self.d.updone_children == self.bfs_children.len()
-            && self.d.up_pending.is_empty()
-        {
+        if self.cd_updone_ready() {
             if let Some(parent) = self.bfs_parent {
                 if ctx.try_send(parent, Msg::UpDone).is_ok() {
                     self.d.updone_sent = true;
                 }
-            } else if self.root.as_ref().is_some_and(|r| r.reg_complete) {
+            } else {
                 self.d.updone_sent = true;
                 self.cd_root_merge(ctx);
             }
@@ -337,91 +302,113 @@ impl ElkinNode {
 
         // (f) Downcast pipeline flush (also drains the answers the root
         // merge just queued, and keeps draining after `done`).
-        for (queue, &port) in self.down.iter_mut().zip(&self.bfs_children) {
-            while let Some(msg) = queue.pop_front() {
-                if let Err(msg) = ctx.try_send(port, msg) {
-                    queue.push_front(msg);
-                    break;
+        if self.cd_downcast_ready() {
+            for (queue, &port) in self.down.iter_mut().zip(&self.bfs_children) {
+                while let Some(msg) = queue.pop_front() {
+                    if let Err(msg) = ctx.try_send(port, msg) {
+                        queue.push_front(msg);
+                        break;
+                    }
                 }
             }
         }
 
         // Quiesce only when everything queued has been flushed.
-        if self.done_seen
-            && self.d.up_pending.is_empty()
-            && self.c.reg_queue.is_empty()
-            && self.down.iter().all(|q| q.is_empty())
-        {
+        if self.cd_quiesce_ready() {
             debug_assert!(self.cand_next.is_empty(), "buffered candidates past termination");
-            if !self.finished {
-                self.milestones.finished_at = ctx.round();
-            }
             self.finished = true;
         }
     }
 
     /// Idle-skip hint for Stages C/D (the `NodeProgram::next_wake`
-    /// contract): `Some(after + 1)` iff any `cd_act` step would fire next
-    /// round without new messages, else `None` (purely message-driven).
+    /// contract): `Some(after + 1)` iff the readiness predicate of some
+    /// `cd_act` step holds, else `None` (purely message-driven).
     ///
-    /// This mirrors `cd_act`'s guards one-for-one — keep the two in sync.
-    /// Every mirrored step either makes monotone progress on a queue or
-    /// latches a flag, so a `true` here never repeats forever. Budget-gated
-    /// sends (`RoundCtx::try_send`) that defer leave their guard standing,
-    /// which correctly re-arms the wake for the next round, when the edge's
-    /// budget is fresh.
+    /// Every step either makes monotone progress on a queue or latches a
+    /// flag, so a `true` here never repeats forever. Budget-gated sends
+    /// (`RoundCtx::try_send`) that defer leave their predicate standing,
+    /// which correctly re-arms the wake for the next round, when the
+    /// edge's budget is fresh.
     pub(crate) fn cd_next_wake(&self, after: u64) -> Option<u64> {
-        // Root-side registration-completion latch.
-        let root_latch_pending = self.root.as_ref().is_some_and(|root| {
+        (self.cd_latch_ready()
+            || self.cd_announce_ready()
+            || self.cd_aggregate_ready()
+            || self.cd_register_ready()
+            || self.cd_upcast_ready()
+            || self.cd_updone_ready()
+            || self.cd_downcast_ready()
+            || self.cd_quiesce_ready())
+        .then_some(after + 1)
+    }
+
+    // ---- readiness predicates of the `cd_act` steps ----
+
+    /// The BFS root has its interval and every child's `RegDone`: latch
+    /// registration complete.
+    fn cd_latch_ready(&self) -> bool {
+        self.root.as_ref().is_some_and(|root| {
             !root.reg_complete
                 && self.c.interval_received
                 && root.reg_done_children == self.bfs_children.len()
-        });
-        // (a) announce the current phase.
-        let announce_pending =
-            !self.done_seen && !self.d.announced && self.coarse_ready == Some(self.d.phase);
-        // (b) fragment-subtree aggregation completion.
-        let aggregate_pending = self.d.announced
+        })
+    }
+
+    /// (a) The coarse id is current for a phase not yet announced.
+    fn cd_announce_ready(&self) -> bool {
+        !self.done_seen && !self.d.announced && self.coarse_ready == Some(self.d.phase)
+    }
+
+    /// (b) Every neighbor announced and every fragment child reported.
+    fn cd_aggregate_ready(&self) -> bool {
+        self.d.announced
             && !self.d.responded
             && self.d.ann_recv == self.deg
-            && self.d.frag_up_recv == self.frag_children.len();
-        // (c) registration pipeline: queued slots, or a due `RegDone`.
-        let register_pending = self.c.interval_received
+            && self.d.frag_up_recv == self.frag_children.len()
+    }
+
+    /// (c) A non-root with its interval has slots queued or owes `RegDone`.
+    fn cd_register_ready(&self) -> bool {
+        self.c.interval_received
             && !self.c.reg_done_sent
             && self.bfs_parent.is_some()
-            && (!self.c.reg_queue.is_empty()
-                || ((!self.is_frag_root() || self.c.registered)
-                    && self.c.reg_done_children == self.bfs_children.len()));
-        // (d) candidate pipeline flush.
-        let upcast_pending = self.bfs_parent.is_some() && !self.d.up_pending.is_empty();
-        // (e) `UpDone` / root-local merge. The BFS root also fires when the
-        // latch above completes registration this coming round.
-        let updone_pending = !self.done_seen
+            && (!self.c.reg_queue.is_empty() || self.cd_reg_done_due())
+    }
+
+    /// My own slot is registered (if I own one) and every BFS child is
+    /// through: `RegDone` is due once my queue drains.
+    fn cd_reg_done_due(&self) -> bool {
+        (!self.is_frag_root() || self.c.registered)
+            && self.c.reg_done_children == self.bfs_children.len()
+    }
+
+    /// (d) Candidates wait to go up.
+    fn cd_upcast_ready(&self) -> bool {
+        self.bfs_parent.is_some() && !self.d.up_pending.is_empty()
+    }
+
+    /// (e) My subtree's upcast is complete: send `UpDone`, or at the BFS
+    /// root, once registration is latched, merge.
+    fn cd_updone_ready(&self) -> bool {
+        !self.done_seen
             && !self.d.updone_sent
             && (!self.is_frag_root() || self.d.injected)
             && self.d.updone_children == self.bfs_children.len()
             && self.d.up_pending.is_empty()
-            && (self.bfs_parent.is_some()
-                || root_latch_pending
-                || self.root.as_ref().is_some_and(|r| r.reg_complete));
-        // (f) downcast pipeline flush.
-        let downcast_pending = self.down.iter().any(|q| !q.is_empty());
-        // Final quiescence check (flips `finished`).
-        let quiesce_pending = self.done_seen
+            && (self.bfs_parent.is_some() || self.root.as_ref().is_some_and(|r| r.reg_complete))
+    }
+
+    /// (f) Answers wait to go down.
+    fn cd_downcast_ready(&self) -> bool {
+        self.down.iter().any(|q| !q.is_empty())
+    }
+
+    /// `done` arrived and every queue is flushed: finish.
+    fn cd_quiesce_ready(&self) -> bool {
+        self.done_seen
             && !self.finished
             && self.d.up_pending.is_empty()
             && self.c.reg_queue.is_empty()
-            && self.down.iter().all(|q| q.is_empty());
-
-        (root_latch_pending
-            || announce_pending
-            || aggregate_pending
-            || register_pending
-            || upcast_pending
-            || updone_pending
-            || downcast_pending
-            || quiesce_pending)
-            .then_some(after + 1)
+            && self.down.iter().all(|q| q.is_empty())
     }
 
     // ---- helpers ----
@@ -532,19 +519,22 @@ impl ElkinNode {
     ) {
         debug_assert!(self.is_frag_root());
         if chosen {
-            match self.d.sel {
-                Sel::Mine(q) => {
-                    self.ports.mark_mst(q);
-                    ctx.send(q, Msg::MarkCross);
-                }
-                Sel::Child(c) => ctx.send(c, Msg::MarkPath),
-                Sel::None => unreachable!("chosen candidate without a selection"),
+            self.cd_mark_path(ctx);
+        }
+        self.cd_apply_new_coarse(ctx, nc, done, next);
+    }
+
+    /// Marks the chosen edge along the phase's argmin path: its endpoint
+    /// marks it and crosses it, anyone else passes `MarkPath` on.
+    fn cd_mark_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        match self.d.sel {
+            Sel::Mine(q) => {
+                self.ports.mark_mst(q);
+                ctx.send(q, Msg::MarkCross);
             }
+            Sel::Child(c) => ctx.send(c, Msg::MarkPath),
+            Sel::None => unreachable!("MarkPath reached a subtree without a candidate"),
         }
-        for &q in &self.frag_children {
-            ctx.send(q, Msg::NewCoarse { id: nc, done, next });
-        }
-        self.cd_apply_new_coarse_local(nc, done, next);
     }
 
     fn cd_apply_new_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64, done: bool, next: u64) {

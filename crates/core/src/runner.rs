@@ -4,7 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use congest_sim::{Network, RunConfig, RunStats, SimError, Topology};
+use congest_sim::{Network, NodeProgram, PortId, RunConfig, RunStats, SimError, Topology};
 use dmst_graphs::{EdgeId, WeightedGraph};
 
 use crate::config::ElkinConfig;
@@ -94,7 +94,13 @@ pub struct ForestRun {
     pub bfs_height: u64,
 }
 
-fn network_for(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<Network<ElkinNode>, RunError> {
+/// Builds the network of `ElkinNode`s for `g`; with `forest_only` every
+/// vertex stops after Stage B (see [`run_forest`]).
+fn network_for(
+    g: &WeightedGraph,
+    cfg: &ElkinConfig,
+    forest_only: bool,
+) -> Result<Network<ElkinNode>, RunError> {
     if cfg.root >= g.num_nodes().max(1) {
         return Err(RunError::InvalidRoot { root: cfg.root, n: g.num_nodes() });
     }
@@ -104,7 +110,16 @@ fn network_for(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<Network<ElkinNode
     let topo = Topology::new(g.num_nodes(), g.edges())
         .map_err(|e| RunError::BadOutput(format!("graph/topology mismatch: {e}")))?;
     let cfg = *cfg;
-    Ok(Network::new(topo, move |info| ElkinNode::new(info, cfg)))
+    Ok(Network::new(topo, move |info| ElkinNode { forest_only, ..ElkinNode::new(info, cfg) }))
+}
+
+/// The `k` the BFS root settled on and the BFS height, read off a finished
+/// network. An empty graph has no root: its empty tree is a `k = 1`,
+/// height-0 forest.
+fn k_and_height(net: &Network<ElkinNode>, cfg: &ElkinConfig) -> (u64, u64) {
+    let k = net.nodes().get(cfg.root).and_then(ElkinNode::chosen_k).unwrap_or(1);
+    let bfs_height = net.nodes().iter().map(ElkinNode::bfs_depth).max().unwrap_or(0);
+    (k, bfs_height)
 }
 
 fn sim_config(g: &WeightedGraph, cfg: &ElkinConfig) -> RunConfig {
@@ -114,37 +129,25 @@ fn sim_config(g: &WeightedGraph, cfg: &ElkinConfig) -> RunConfig {
         // Boruvka phase is O(n), and there are O(log n) of them.
         max_rounds: 1_000_000 + 600 * g.num_nodes() as u64,
         shards: cfg.shards,
-        ..RunConfig::default()
     }
 }
 
-/// Runs Elkin's deterministic distributed MST algorithm on `g` and returns
-/// the canonical MST together with the measured complexity.
+/// The MST edges a finished network marked, sorted ascending: `ports_of`
+/// lists a vertex's marked ports, every edge must be marked at both of its
+/// endpoints or at neither, and a nonempty graph must get `n - 1` edges.
 ///
 /// # Errors
 ///
-/// See [`RunError`]; notably the graph must be connected.
-///
-/// ```
-/// use dmst_core::{run_mst, ElkinConfig};
-/// use dmst_graphs::{generators, mst};
-///
-/// let g = generators::random_connected(40, 80, &mut generators::WeightRng::new(5));
-/// let run = run_mst(&g, &ElkinConfig::default())?;
-/// assert_eq!(run.edges, mst::kruskal(&g).edges);
-/// # Ok::<(), dmst_core::RunError>(())
-/// ```
-pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError> {
-    let mut cfg = *cfg;
-    cfg.stop_after_forest = false;
-    let mut net = network_for(g, &cfg)?;
-    let stats = net.run(&sim_config(g, &cfg))?;
-
-    // Assemble the edge set and insist on symmetric marking.
+/// [`RunError::BadOutput`] on a one-sided mark or a wrong edge count.
+pub fn marked_mst_edges<P: NodeProgram>(
+    g: &WeightedGraph,
+    net: &Network<P>,
+    ports_of: impl Fn(&P) -> Vec<PortId>,
+) -> Result<Vec<EdgeId>, RunError> {
     let topo = net.topology();
     let mut marks: Vec<u8> = vec![0; g.num_edges()];
     for (v, node) in net.nodes().iter().enumerate() {
-        for p in node.mst_ports() {
+        for p in ports_of(node) {
             marks[topo.ports(v)[p].edge] += 1;
         }
     }
@@ -167,10 +170,31 @@ pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError>
             g.num_nodes()
         )));
     }
+    Ok(edges)
+}
 
-    let sample = &net.nodes()[cfg.root];
-    let k = sample.chosen_k().unwrap_or(1);
-    let bfs_height = net.nodes().iter().map(|nd| nd.bfs_depth()).max().unwrap_or(0);
+/// Runs Elkin's deterministic distributed MST algorithm on `g` and returns
+/// the canonical MST together with the measured complexity.
+///
+/// # Errors
+///
+/// See [`RunError`]; notably the graph must be connected.
+///
+/// ```
+/// use dmst_core::{run_mst, ElkinConfig};
+/// use dmst_graphs::{generators, mst};
+///
+/// let g = generators::random_connected(40, 80, &mut generators::WeightRng::new(5));
+/// let run = run_mst(&g, &ElkinConfig::default())?;
+/// assert_eq!(run.edges, mst::kruskal(&g).edges);
+/// # Ok::<(), dmst_core::RunError>(())
+/// ```
+pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError> {
+    let mut net = network_for(g, cfg, false)?;
+    let stats = net.run(&sim_config(g, cfg))?;
+
+    let edges = marked_mst_edges(g, &net, ElkinNode::mst_ports)?;
+    let (k, bfs_height) = k_and_height(&net, cfg);
     let total_weight = g.total_weight(edges.iter().copied());
 
     // Every ElkinNode reports a stage tag every round, so the simulator's
@@ -191,27 +215,17 @@ pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError>
 ///
 /// See [`RunError`].
 pub fn run_forest(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<ForestRun, RunError> {
-    let mut cfg = *cfg;
-    cfg.stop_after_forest = true;
-    let mut net = network_for(g, &cfg)?;
-    let stats = net.run(&sim_config(g, &cfg))?;
+    let mut net = network_for(g, cfg, true)?;
+    let stats = net.run(&sim_config(g, cfg))?;
 
     let topo = net.topology();
     let fragment_of: Vec<u64> = net.nodes().iter().map(ElkinNode::base_fragment).collect();
-    let parent_of: Vec<Option<usize>> = net
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(v, nd)| nd.fragment_parent().map(|p| topo.ports(v)[p].neighbor))
-        .collect();
-    let bfs_parent_of: Vec<Option<usize>> = net
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(v, nd)| nd.bfs_parent_port().map(|p| topo.ports(v)[p].neighbor))
-        .collect();
-    let sample = &net.nodes()[cfg.root];
-    let k = sample.chosen_k().unwrap_or(1);
-    let bfs_height = net.nodes().iter().map(|nd| nd.bfs_depth()).max().unwrap_or(0);
+    let neighbor_of = |port: fn(&ElkinNode) -> Option<PortId>| -> Vec<Option<usize>> {
+        let nodes = net.nodes().iter().enumerate();
+        nodes.map(|(v, nd)| port(nd).map(|p| topo.ports(v)[p].neighbor)).collect()
+    };
+    let parent_of = neighbor_of(ElkinNode::fragment_parent);
+    let bfs_parent_of = neighbor_of(ElkinNode::bfs_parent_port);
+    let (k, bfs_height) = k_and_height(&net, cfg);
     Ok(ForestRun { fragment_of, parent_of, bfs_parent_of, stats, k, bfs_height })
 }

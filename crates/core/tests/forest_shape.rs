@@ -77,7 +77,6 @@ fn uncontrolled_on_ascending_path_collapses_immediately() {
     let cfg = ElkinConfig {
         k_override: Some(8),
         merge_control: MergeControl::Uncontrolled,
-        stop_after_forest: true,
         ..ElkinConfig::default()
     };
     let run = run_forest(&g, &cfg).unwrap();

@@ -84,9 +84,14 @@ fn forest_invariants() {
 #[test]
 fn single_and_tiny_graphs() {
     let r = &mut gen::WeightRng::new(1);
-    let g1 = WeightedGraph::new(1, vec![]).unwrap();
-    let run = run_mst(&g1, &ElkinConfig::default()).unwrap();
-    assert!(run.edges.is_empty());
+    for n in [0, 1] {
+        let g = WeightedGraph::new(n, vec![]).unwrap();
+        let run = run_mst(&g, &ElkinConfig::default()).unwrap();
+        assert!(run.edges.is_empty(), "n={n}");
+        assert_eq!((run.k, run.bfs_height), (1, 0), "n={n}: the empty tree");
+        let forest = run_forest(&g, &ElkinConfig::default()).unwrap();
+        assert_eq!((forest.fragment_of.len(), forest.k), (n, 1), "n={n}");
+    }
     check(&gen::path(2, r), &ElkinConfig::default(), "n=2");
 }
 

@@ -1,6 +1,6 @@
 //! Sequential MST oracles: Kruskal, Prim, Borůvka.
 //!
-//! All three compare edges by [`EdgeKey`](crate::EdgeKey), so on a connected
+//! All three compare edges by [`EdgeKey`], so on a connected
 //! graph they return the *same* canonical tree — the ground truth against
 //! which every distributed execution in this workspace is verified. On a
 //! disconnected graph they return the minimum spanning forest.
@@ -27,7 +27,7 @@ impl MstResult {
     }
 }
 
-/// Kruskal's algorithm: sort by [`EdgeKey`](crate::EdgeKey), union–find.
+/// Kruskal's algorithm: sort by [`EdgeKey`], union–find.
 ///
 /// ```
 /// use dmst_graphs::{mst, WeightedGraph};

@@ -41,6 +41,14 @@ fn extreme_weights() {
 }
 
 #[test]
+fn empty_and_single_vertex_graphs() {
+    for n in [0, 1] {
+        let g = WeightedGraph::new(n, vec![]).unwrap();
+        testkit::assert_all_match(&g, &format!("edgeless n={n}"));
+    }
+}
+
+#[test]
 fn many_seeds_random_graphs() {
     for seed in 0..12u64 {
         let r = &mut gen::WeightRng::new(seed);

@@ -185,13 +185,6 @@ proptest! {
         prop_assert_eq!(&pipe.edges, &truth.edges);
     }
 
-    /// Leader election always elects the maximum id, regardless of shape.
-    #[test]
-    fn leader_is_max(g in connected_graph()) {
-        let run = dmst::core::leader::elect_leader(&g).expect("election");
-        prop_assert_eq!(run.leader, g.num_nodes() as u64 - 1);
-    }
-
     /// DIMACS round trip is the identity on arbitrary graphs.
     #[test]
     fn dimacs_roundtrip(g in connected_graph()) {
