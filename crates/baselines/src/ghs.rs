@@ -302,7 +302,7 @@ impl GhsNode {
                 Sel::None => {
                     // No outgoing edge: the fragment spans the whole graph.
                     self.finished = true;
-                    for &q in &self.frag_children.clone() {
+                    for &q in &self.frag_children {
                         ctx.send(q, GhsMsg::AlgoDone);
                     }
                 }
@@ -360,8 +360,8 @@ impl GhsNode {
         let fwd = self.flood_ports(None);
         self.frag_id = self.id;
         self.frag_parent = None;
-        self.frag_children = fwd.clone();
-        for q in fwd {
+        self.frag_children = fwd;
+        for &q in &self.frag_children {
             ctx.send(q, GhsMsg::NewFrag { id: self.id });
         }
     }
@@ -373,8 +373,8 @@ impl GhsNode {
         let fwd = self.flood_ports(Some(port));
         self.frag_id = id;
         self.frag_parent = Some(port);
-        self.frag_children = fwd.clone();
-        for q in fwd {
+        self.frag_children = fwd;
+        for &q in &self.frag_children {
             ctx.send(q, GhsMsg::NewFrag { id });
         }
     }
@@ -396,7 +396,7 @@ impl GhsNode {
         self.p = self.fresh_phase();
         self.p.started = true;
         self.merged = false;
-        for &q in &self.bfs_children.clone() {
+        for &q in &self.bfs_children {
             ctx.send(q, GhsMsg::PhaseStart);
         }
         if self.is_frag_root() {
@@ -407,7 +407,7 @@ impl GhsNode {
     fn begin_search(&mut self, ctx: &mut RoundCtx<'_, GhsMsg>) {
         self.p.searching = true;
         self.p.pending = self.frag_children.len();
-        for &q in &self.frag_children.clone() {
+        for &q in &self.frag_children {
             ctx.send(q, GhsMsg::SearchGo);
         }
         self.step_search(ctx);
@@ -442,7 +442,7 @@ impl NodeProgram for GhsNode {
                 GhsMsg::PhaseStart => {
                     self.p.started = true;
                     self.merged = false;
-                    for &q in &self.bfs_children.clone() {
+                    for &q in &self.bfs_children {
                         ctx.send(q, GhsMsg::PhaseStart);
                     }
                     if self.is_frag_root() {
@@ -452,7 +452,7 @@ impl NodeProgram for GhsNode {
                 GhsMsg::SearchGo => {
                     self.p.searching = true;
                     self.p.pending = self.frag_children.len();
-                    for &q in &self.frag_children.clone() {
+                    for &q in &self.frag_children {
                         ctx.send(q, GhsMsg::SearchGo);
                     }
                     self.step_search(ctx);
@@ -503,7 +503,7 @@ impl NodeProgram for GhsNode {
                 GhsMsg::PhaseEnd => self.p.end_children += 1,
                 GhsMsg::AlgoDone => {
                     self.finished = true;
-                    for &q in &self.frag_children.clone() {
+                    for &q in &self.frag_children {
                         ctx.send(q, GhsMsg::AlgoDone);
                     }
                 }

@@ -45,13 +45,14 @@
 //! spontaneously before a given round. The executor then steps a node only
 //! when mail arrives or its wake round is due, and fast-forwards whole
 //! rounds when the network is globally idle, attributing the skipped rounds
-//! to the current stage census exactly as if they had been executed. The
+//! to the current stage census exactly as if they had been executed. Each
+//! shard keeps its far wakes in a calendar keyed by due round, so nodes
+//! sleeping to the same round share one entry. The
 //! default hint (`Some(0)`) steps the node every round;
 //! [`EveryRound`](crate::EveryRound) forces that for any program and
 //! checks the promises it overrides.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::sync::mpsc::{self, Receiver, Sender};
 
 use crate::config::RunConfig;
@@ -395,16 +396,18 @@ struct Shard<'a, P: NodeProgram> {
     /// Nodes (global ids) with mail in the round being assembled.
     touched: Vec<NodeId>,
     actives: Vec<NodeId>,
-    /// Wake heap, `(due round, node)` with lazy deletion: stale earlier
-    /// entries pop as no-op steps (guaranteed harmless by the
+    /// Wake calendar: the nodes due at each future round, with lazy
+    /// deletion — a node woken early by mail keeps its entry, which later
+    /// fires as a no-op step (guaranteed harmless by the
     /// [`NodeProgram::next_wake`] contract). Only *far* wakes (beyond the
     /// next round) live here; the overwhelmingly common "step me again next
-    /// round" hint takes the O(1) [`Self::due`] path instead, so a dense
-    /// always-active workload never pays the heap's O(log n) per step.
-    wake: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// round" hint takes the O(1) [`Self::due`] path instead. Nodes that
+    /// sleep to the same round (every Stage B vertex to the next window
+    /// edge) share one entry, so a wake costs a push onto its round's list.
+    wake: BTreeMap<u64, Vec<NodeId>>,
     /// Nodes due at the next executed round, whatever its number (a wake
     /// for round + 1 stays valid across a fast-forward: firing at a later
-    /// round is exactly the heap's `w <= round` pop rule).
+    /// round is exactly the calendar's `due round <= round` rule).
     due: Vec<NodeId>,
     done: u64,
     prev_done: Vec<bool>,
@@ -477,7 +480,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             mail: vec![u64::MAX; count],
             touched: Vec::new(),
             actives: Vec::new(),
-            wake: BinaryHeap::new(),
+            wake: BTreeMap::new(),
             // Every node gets an initial step at the first executed round,
             // like the legacy executor; its own hints take over from there.
             due: (lo..lo + count).collect(),
@@ -526,12 +529,11 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         self.actives.clear();
         self.actives.append(&mut self.touched);
         self.actives.append(&mut self.due);
-        while let Some(&Reverse((w, v))) = self.wake.peek() {
-            if w > round {
+        while let Some(entry) = self.wake.first_entry() {
+            if *entry.key() > round {
                 break;
             }
-            self.wake.pop();
-            self.actives.push(v);
+            self.actives.append(&mut entry.remove());
         }
         self.actives.sort_unstable();
         self.actives.dedup();
@@ -598,7 +600,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                 if w <= round + 1 {
                     self.due.push(v);
                 } else {
-                    self.wake.push(Reverse((w, v)));
+                    self.wake.entry(w).or_default().push(v);
                 }
             }
         }
@@ -608,9 +610,9 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             done: self.done,
             census: self.census.clone(),
             next_due: if self.due.is_empty() {
-                // Everything <= round was popped above, so the peek is the
-                // true minimum over both wake structures.
-                self.wake.peek().map(|&Reverse((w, _))| w)
+                // Everything <= round was taken above, so the first key is
+                // the true minimum over both wake structures.
+                self.wake.first_key_value().map(|(&w, _)| w)
             } else {
                 Some(round + 1)
             },
@@ -1206,6 +1208,80 @@ mod tests {
         assert_eq!(baseline, Network::new(pair(), nap).run(&cfg(1)).unwrap());
         assert_eq!(baseline, Network::new(pair(), nap).run(&cfg(2)).unwrap());
         assert_eq!(baseline, every_round(2));
+    }
+
+    /// Sleeps (accurate hint) until `fire_at`, then reports the round to
+    /// its port-0 neighbor and is done. Mail that arrives before then
+    /// postpones the fire by 7 rounds, so the executor's calendar keeps a
+    /// stale entry at the old round, which must fire as a no-op.
+    struct Sleeper {
+        fire_at: u64,
+        fired: bool,
+        mail: Vec<(u64, u64)>,
+    }
+
+    impl NodeProgram for Sleeper {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+            let r = ctx.round();
+            self.mail.extend(ctx.inbox().iter().map(|&(_, m)| (r, m)));
+            if !self.fired && !ctx.inbox().is_empty() {
+                self.fire_at += 7;
+            }
+            if !self.fired && r == self.fire_at {
+                self.fired = true;
+                ctx.send(0, r);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.fired
+        }
+        fn stage_tag(&self) -> &'static str {
+            if self.fired {
+                "b"
+            } else {
+                "a"
+            }
+        }
+        fn next_wake(&self, _: u64) -> Option<u64> {
+            (!self.fired).then_some(self.fire_at)
+        }
+    }
+
+    #[test]
+    fn wake_calendar_matches_every_round_stepping() {
+        // A star: the hub (node 0) fires at round 3 into leaf 1, which was
+        // asleep to round 20 together with leaf 2 and now postpones to 27;
+        // leaves 3-5 sleep to distinct far rounds. Every leaf reports to the
+        // hub.
+        let star = || Topology::new(6, &[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1)]);
+        let sleeper = |i: NodeInfo<'_>| Sleeper {
+            fire_at: [3, 20, 20, 30, 45, 60][i.id],
+            fired: false,
+            mail: Vec::new(),
+        };
+        let run = |shards, every_round: bool| {
+            let cfg = RunConfig { shards, ..RunConfig::congest() };
+            if every_round {
+                let mut net = Network::new(star().unwrap(), |i| crate::EveryRound::new(sleeper(i)));
+                let stats = net.run(&cfg).unwrap();
+                let mail = net.into_nodes().into_iter().map(|n| n.into_inner().mail).collect();
+                (stats, mail)
+            } else {
+                let mut net = Network::new(star().unwrap(), sleeper);
+                let stats = net.run(&cfg).unwrap();
+                (stats, net.into_nodes().into_iter().map(|n| n.mail).collect::<Vec<_>>())
+            }
+        };
+        let baseline = run(1, true);
+        let (stats, mail) = &baseline;
+        assert_eq!(mail[1], vec![(4, 3)], "leaf 1 is woken early by the hub's mail");
+        assert_eq!(mail[0], vec![(21, 20), (28, 27), (31, 30), (46, 45), (61, 60)]);
+        assert_eq!((stats.rounds, stats.messages), (62, 6));
+        assert_eq!((stats.rounds_in_stage("a"), stats.rounds_in_stage("b")), (60, 2));
+        for (shards, every_round) in [(1, false), (2, false), (2, true)] {
+            assert_eq!(run(shards, every_round), baseline, "shards {shards}, {every_round}");
+        }
     }
 
     #[test]

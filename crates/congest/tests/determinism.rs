@@ -5,7 +5,7 @@
 //!
 //! The workload is a staggered gossip with wake hints, so these tests
 //! exercise the whole hot path at once: per-port FIFO merge order across
-//! shard boundaries, the wake heap, fast-forward, and the incremental
+//! shard boundaries, the wake calendar, fast-forward, and the incremental
 //! done/stage censuses.
 
 use std::collections::HashSet;

@@ -26,6 +26,7 @@ mod stage_cd;
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 use congest_sim::{NodeInfo, NodeProgram, PortId, RoundCtx};
 
@@ -325,7 +326,12 @@ pub struct ElkinNode {
 
     pub(crate) a: AState,
     pub(crate) params: Option<Params>,
-    pub(crate) sched: Option<Schedule>,
+    /// The Stage B timeline. `run_mst` hands every vertex of a run the same
+    /// cell; the first vertex to adopt the broadcast [`Params`] fills it and
+    /// every other vertex checks it against its own. A bare
+    /// [`ElkinNode::new`] node has no cell until it adopts, then makes a
+    /// private one.
+    pub(crate) sched: Option<Arc<OnceLock<Schedule>>>,
 
     // BFS tree (stage A output).
     pub(crate) depth: u64,

@@ -5,6 +5,8 @@
 //! `O(m)` messages (each edge carries at most one `Bfs` per direction plus
 //! `O(n)` tree messages), matching the paper's accounting for this step.
 
+use std::sync::Arc;
+
 use congest_sim::RoundCtx;
 
 use crate::msg::Msg;
@@ -50,7 +52,7 @@ impl ElkinNode {
                 }
                 Msg::Params { n, h, k, t0 } => {
                     self.a_adopt_params(Params { n, h, k, t0 });
-                    for &p in &self.bfs_children.clone() {
+                    for &p in &self.bfs_children {
                         ctx.send(p, Msg::Params { n, h, k, t0 });
                     }
                 }
@@ -123,14 +125,29 @@ impl ElkinNode {
             let t0 = ctx.round() + h + 2;
             let params = Params { n, h, k, t0 };
             self.a_adopt_params(params);
-            for &p in &self.bfs_children.clone() {
+            for &p in &self.bfs_children {
                 ctx.send(p, Msg::Params { n, h, k, t0 });
             }
         }
     }
 
-    fn a_adopt_params(&mut self, params: Params) {
-        self.sched = Some(Schedule::new(&params, self.cfg.merge_control, self.cfg.schedule_mode));
+    /// Adopts the broadcast parameters and the Stage B timeline they
+    /// determine: built into the run's shared cell if this vertex is the
+    /// first to adopt, otherwise checked against what it received.
+    ///
+    /// # Panics
+    ///
+    /// If the cell holds a timeline built from other parameters.
+    pub(crate) fn a_adopt_params(&mut self, params: Params) {
+        let (merge, mode) = (self.cfg.merge_control, self.cfg.schedule_mode);
+        let cell = self.sched.get_or_insert_with(Arc::default);
+        let sched = cell.get_or_init(|| Schedule::new(&params, merge, mode));
+        assert!(
+            sched.built_from(&params, merge, mode),
+            "vertex {} adopted {params:?}, but the run's shared schedule was built from \
+             other parameters",
+            self.id
+        );
         self.params = Some(params);
     }
 }

@@ -30,6 +30,8 @@
 //!    fragment id. Every edge that joins two fragments is marked MST at
 //!    both endpoints the moment it is used.
 
+use std::sync::OnceLock;
+
 use congest_sim::{PortId, RoundCtx};
 
 use crate::candidate::CandKey;
@@ -64,7 +66,7 @@ impl ElkinNode {
                 Msg::Participate => {
                     if !self.b.participating {
                         self.b.participating = true;
-                        for &p in &self.frag_children.clone() {
+                        for &p in &self.frag_children {
                             ctx.send(p, Msg::Participate);
                         }
                     }
@@ -89,7 +91,7 @@ impl ElkinNode {
                 }
                 Msg::ColorDown { color } => {
                     self.b.color = color;
-                    for &p in &self.frag_children.clone() {
+                    for &p in &self.frag_children {
                         ctx.send(p, Msg::ColorDown { color });
                     }
                     self.b_cross_color(ctx, color);
@@ -159,7 +161,7 @@ impl ElkinNode {
                     }
                 }
                 Msg::StatusDown => {
-                    for &p in &self.frag_children.clone() {
+                    for &p in &self.frag_children {
                         ctx.send(p, Msg::StatusDown);
                     }
                     self.b_status_duties(ctx);
@@ -204,15 +206,17 @@ impl ElkinNode {
     /// begins (`t0`) until its schedule ends, where the vertex enters
     /// Stage C (at once when `k = 1` leaves zero phases).
     pub(crate) fn b_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let sched = self.sched.take().expect("schedule set in stage B");
+        // Moved out and back rather than cloned: no refcount traffic.
+        let cell = self.sched.take().expect("schedule adopted before stage B");
+        let sched = cell.get().expect("adoption fills the cell");
         match sched.locate(ctx.round()) {
-            Some(slot) => self.b_dispatch(ctx, &sched, slot),
+            Some(slot) => self.b_dispatch(ctx, sched, slot),
             None => {
                 self.stage = Stage::CD;
                 self.cd_enter(ctx);
             }
         }
-        self.sched = Some(sched);
+        self.sched = Some(cell);
     }
 
     /// Idle-skip hint for Stage B (the `NodeProgram::next_wake` contract):
@@ -222,7 +226,7 @@ impl ElkinNode {
     /// rounds worth waking for; everything in between is message-driven
     /// (`b_handle`).
     pub(crate) fn b_next_wake(&self, after: u64) -> Option<u64> {
-        self.sched.as_ref().map(|s| s.next_boundary(after))
+        self.sched.as_deref().and_then(OnceLock::get).map(|s| s.next_boundary(after))
     }
 
     /// Executes one scheduled round: the window actions of `slot`.
@@ -255,7 +259,7 @@ impl ElkinNode {
                     && !self.b.overflow
                 {
                     self.b.participating = true;
-                    for &q in &self.frag_children.clone() {
+                    for &q in &self.frag_children {
                         ctx.send(q, Msg::Participate);
                     }
                     match self.b.sel {
@@ -291,7 +295,7 @@ impl ElkinNode {
             Window::Exchange(x) => {
                 if slot.offset == 0 && self.b.participating && self.is_frag_root() {
                     let color = self.b.color;
-                    for &q in &self.frag_children.clone() {
+                    for &q in &self.frag_children {
                         ctx.send(q, Msg::ColorDown { color });
                     }
                     self.b_cross_color(ctx, color);
@@ -344,7 +348,7 @@ impl ElkinNode {
                     && self.b.newly_matched
                 {
                     self.b.newly_matched = false;
-                    for &q in &self.frag_children.clone() {
+                    for &q in &self.frag_children {
                         ctx.send(q, Msg::StatusDown);
                     }
                     self.b_status_duties(ctx);
@@ -433,7 +437,7 @@ impl ElkinNode {
             return; // complete: singleton or leaf-root
         }
         let ttl = (p - 1) as u32;
-        for &q in &self.frag_children.clone() {
+        for &q in &self.frag_children {
             ctx.send(q, Msg::Probe { ttl });
         }
     }
@@ -454,7 +458,7 @@ impl ElkinNode {
             self.b.responded = true;
         } else {
             self.b.probe_pending = self.frag_children.len();
-            for &q in &self.frag_children.clone() {
+            for &q in &self.frag_children {
                 ctx.send(q, Msg::Probe { ttl: ttl - 1 });
             }
         }
@@ -557,21 +561,15 @@ impl ElkinNode {
 
     fn b_flood_init(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         self.b.flooded = true;
-        let mut fwd = self.frag_children.clone();
-        for &q in &self.b.merge_ports {
-            if !fwd.contains(&q) {
-                fwd.push(q);
-            }
-        }
-        if let Some(q) = self.b.matched_port {
-            if !fwd.contains(&q) {
-                fwd.push(q);
+        // The new root keeps its children and adopts every merge edge.
+        for &q in self.b.merge_ports.iter().chain(&self.b.matched_port) {
+            if !self.frag_children.contains(&q) {
+                self.frag_children.push(q);
             }
         }
         self.frag_parent = None;
-        self.frag_children = fwd.clone();
         let id = self.frag_id;
-        for q in fwd {
+        for &q in &self.frag_children {
             ctx.send(q, Msg::NewFrag { id });
         }
     }
@@ -585,30 +583,19 @@ impl ElkinNode {
             return;
         }
         self.b.flooded = true;
+        // Re-orientation: every tree or merge edge except the one the
+        // flood arrived on now leads to a child.
         let mut fwd: Vec<PortId> = Vec::new();
-        if let Some(q) = self.frag_parent {
-            fwd.push(q);
-        }
-        for &q in &self.frag_children {
-            if !fwd.contains(&q) {
+        let tree = self.frag_parent.iter().chain(&self.frag_children);
+        for &q in tree.chain(&self.b.merge_ports).chain(&self.b.matched_port) {
+            if q != port && !fwd.contains(&q) {
                 fwd.push(q);
             }
         }
-        for &q in &self.b.merge_ports {
-            if !fwd.contains(&q) {
-                fwd.push(q);
-            }
-        }
-        if let Some(q) = self.b.matched_port {
-            if !fwd.contains(&q) {
-                fwd.push(q);
-            }
-        }
-        fwd.retain(|&q| q != port);
         self.frag_id = id;
         self.frag_parent = Some(port);
-        self.frag_children = fwd.clone();
-        for q in fwd {
+        self.frag_children = fwd;
+        for &q in &self.frag_children {
             ctx.send(q, Msg::NewFrag { id });
         }
     }

@@ -36,6 +36,18 @@
 //! of the broadcast parameters and [`Schedule::locate`] maps any absolute
 //! round to its slot at every vertex alike.
 //!
+//! # One table, one copy per run
+//!
+//! [`Schedule::new`] lays every phase's windows end to end into one table
+//! of `(start, length, phase, window)` rows. [`Schedule::locate`] and
+//! [`Schedule::next_boundary`], which every vertex calls at every Stage B
+//! step, are one binary search over it, and [`Schedule::phase_len`] is a
+//! view of it. Because the table depends only on what the BFS root
+//! broadcast, one copy serves a whole run: [`run_mst`](crate::run_mst)
+//! hands every vertex the same cell, the first vertex to adopt the
+//! broadcast [`Params`] builds the table into it, and every other vertex
+//! asserts that the table was built from the parameters it received.
+//!
 //! The **uncontrolled** mode (ablation A1) skips coloring and matching
 //! entirely and lets every fragment merge along its MWOE; its flood window
 //! must cover `Θ(n)` because without matching the fragment diameter is
@@ -195,19 +207,31 @@ pub struct Slot {
     pub last: bool,
 }
 
+/// One window of the flattened Stage B timeline: its absolute first round,
+/// its length, and where it sits in the phase structure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
+    start: u64,
+    len: u64,
+    phase: u32,
+    window: Window,
+}
+
 /// The fully determined Stage B schedule, identical at every vertex: a
 /// pure function of the broadcast parameters, the merge control and the
-/// mode. [`Schedule::locate`] maps absolute rounds to slots.
+/// mode. [`Schedule::new`] flattens every phase's windows into one table in
+/// round order, so [`Schedule::locate`] and [`Schedule::next_boundary`] are
+/// one binary search each.
 #[derive(Clone, Debug)]
 pub struct Schedule {
-    t0: u64,
-    num_phases: u32,
-    exchanges: u32,
+    params: Params,
     merge: MergeControl,
     mode: ScheduleMode,
-    n: u64,
-    /// Start round of each phase (absolute), plus the end sentinel.
-    phase_starts: Vec<u64>,
+    num_phases: u32,
+    exchanges: u32,
+    /// Every window of every phase in round order; each phase holds the
+    /// same number of windows, so phase `i` is the `i`-th equal chunk.
+    table: Vec<Span>,
 }
 
 impl Schedule {
@@ -215,21 +239,32 @@ impl Schedule {
     pub fn new(params: &Params, merge: MergeControl, mode: ScheduleMode) -> Self {
         let num_phases = if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 };
         let mut s = Self {
-            t0: params.t0,
-            num_phases,
-            exchanges: steps_to_six(params.n) + 6,
+            params: *params,
             merge,
             mode,
-            n: params.n,
-            phase_starts: Vec::with_capacity(num_phases as usize + 1),
+            num_phases,
+            exchanges: steps_to_six(params.n) + 6,
+            table: Vec::new(),
         };
         let mut start = params.t0;
-        for i in 0..num_phases {
-            s.phase_starts.push(start);
-            start += s.phase_len(i);
+        for phase in 0..num_phases {
+            for (window, len) in s.layout(phase) {
+                s.table.push(Span { start, len, phase, window });
+                start += len;
+            }
         }
-        s.phase_starts.push(start);
         s
+    }
+
+    /// Whether this is the schedule [`Schedule::new`] builds from exactly
+    /// these arguments.
+    pub(crate) fn built_from(
+        &self,
+        params: &Params,
+        merge: MergeControl,
+        mode: ScheduleMode,
+    ) -> bool {
+        (self.params, self.merge, self.mode) == (*params, merge, mode)
     }
 
     /// Number of Controlled-GHS phases (`ceil(log2 k)`).
@@ -244,12 +279,12 @@ impl Schedule {
 
     /// First round of Stage B.
     pub fn start(&self) -> u64 {
-        self.t0
+        self.params.t0
     }
 
     /// First round *after* Stage B (Stage C entry point).
     pub fn end(&self) -> u64 {
-        *self.phase_starts.last().expect("sentinel always present")
+        self.table.last().map_or(self.params.t0, |s| s.start + s.len)
     }
 
     /// The participation radius `2^i` of phase `i`.
@@ -258,7 +293,9 @@ impl Schedule {
     }
 
     /// The window layout of one phase: `(window, length)` in order, the
-    /// module table's column for this schedule's mode.
+    /// module table's column for this schedule's mode. Only
+    /// [`Schedule::new`] (and a test) reads it; everything else reads the
+    /// table.
     fn layout(&self, phase: u32) -> Vec<(Window, u64)> {
         let p = self.radius(phase);
         // Per-window padding beyond the provable minimum: 0 in adaptive
@@ -284,15 +321,22 @@ impl Schedule {
             }
             MergeControl::Uncontrolled => {
                 v.push((Window::MergeGo, 2 * p + 2 + 2 * pad));
-                v.push((Window::MergeFlood, self.n + 2 * p + 6));
+                v.push((Window::MergeFlood, self.params.n + 2 * p + 6));
             }
         }
         v
     }
 
-    /// Total length of phase `i` in rounds: the sum of its windows.
+    /// The table rows of phase `i` (`i < num_phases`).
+    fn phase_spans(&self, phase: u32) -> &[Span] {
+        let per = self.table.len() / self.num_phases as usize;
+        &self.table[phase as usize * per..][..per]
+    }
+
+    /// Total length of phase `i` in rounds (`i < num_phases`): the sum of
+    /// its windows.
     pub fn phase_len(&self, phase: u32) -> u64 {
-        self.layout(phase).iter().map(|&(_, len)| len).sum()
+        self.phase_spans(phase).iter().map(|s| s.len).sum()
     }
 
     /// Classifies exchange window `x` as ladder / shift-down / recolor.
@@ -311,26 +355,20 @@ impl Schedule {
         }
     }
 
-    /// The phase containing `round`, which must lie in `[t0, end)`.
-    fn phase_at(&self, round: u64) -> u32 {
-        (self.phase_starts.partition_point(|&s| s <= round) - 1) as u32
+    /// The window containing `round`, which must lie in `[t0, end)`.
+    fn span_at(&self, round: u64) -> Span {
+        self.table[self.table.partition_point(|s| s.start <= round) - 1]
     }
 
     /// Locates an absolute round within the Stage B schedule. `None` before
     /// `t0` or at/after [`Schedule::end`].
     pub fn locate(&self, round: u64) -> Option<Slot> {
-        if round < self.t0 || round >= self.end() {
+        if round < self.params.t0 || round >= self.end() {
             return None;
         }
-        let phase = self.phase_at(round);
-        let mut offset = round - self.phase_starts[phase as usize];
-        for (window, len) in self.layout(phase) {
-            if offset < len {
-                return Some(Slot { phase, window, offset, last: offset + 1 == len });
-            }
-            offset -= len;
-        }
-        unreachable!("a phase spans exactly its windows")
+        let s = self.span_at(round);
+        let offset = round - s.start;
+        Some(Slot { phase: s.phase, window: s.window, offset, last: offset + 1 == s.len })
     }
 
     /// The next round strictly after `round` that is a window's first or
@@ -342,25 +380,19 @@ impl Schedule {
     /// answer is `t0` itself; at or past the end (not a Stage B round) it
     /// degenerates to `round + 1`.
     pub fn next_boundary(&self, round: u64) -> u64 {
-        if round < self.t0 {
-            return self.t0;
+        if round < self.params.t0 {
+            return self.params.t0;
         }
         if round >= self.end() {
             return round + 1;
         }
-        let phase = self.phase_at(round);
-        let mut start = self.phase_starts[phase as usize];
-        for (_, len) in self.layout(phase) {
-            if start > round {
-                return start;
-            }
-            let last = start + len - 1;
-            if last > round {
-                return last;
-            }
-            start += len;
+        let s = self.span_at(round);
+        let last = s.start + s.len - 1;
+        if last > round {
+            last
+        } else {
+            s.start + s.len
         }
-        start
     }
 }
 
@@ -374,6 +406,11 @@ mod tests {
 
     fn fixed(n: u64, k: u64) -> Schedule {
         Schedule::new(&params(n, k), MergeControl::Matched, ScheduleMode::Fixed)
+    }
+
+    /// First round of phase `i`, read off the table.
+    fn phase_start(s: &Schedule, phase: u32) -> u64 {
+        s.phase_spans(phase)[0].start
     }
 
     #[test]
@@ -462,12 +499,12 @@ mod tests {
     #[test]
     fn locate_rel_is_total_and_open_ended() {
         // The phase-relative view: offset `rel` of phase `i` is the round
-        // `phase_starts[i] + rel`. Every offset below `phase_len` lies in
+        // `phase_start(i) + rel`. Every offset below `phase_len` lies in
         // phase `i`; the merge flood is no longer open-ended, so offset
         // `phase_len` opens the next phase, or leaves Stage B after the last.
         let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
         for phase in 0..s.num_phases() {
-            let start = s.phase_starts[phase as usize];
+            let start = phase_start(&s, phase);
             let len = s.phase_len(phase);
             let mut prev: Option<Slot> = None;
             for rel in 0..len {
@@ -535,7 +572,7 @@ mod tests {
         // end (the next phase's Announce, or Stage C after the last).
         let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
         for phase in 0..s.num_phases() {
-            let start = s.phase_starts[phase as usize];
+            let start = phase_start(&s, phase);
             let len = s.phase_len(phase);
             for rel in 0..len {
                 let nb = s.next_boundary(start + rel) - start;
@@ -553,6 +590,43 @@ mod tests {
         // Past Stage B no window remains: every round is its own successor.
         assert_eq!(s.next_boundary(s.end()), s.end() + 1);
         assert_eq!(s.next_boundary(s.end() + 9), s.end() + 10);
+    }
+
+    #[test]
+    fn table_matches_a_walk_of_the_layouts() {
+        // Every round of [t0 - 2, end + 2): the table's answers equal a
+        // linear walk of the per-phase layouts laid end to end from t0.
+        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
+            for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
+                for (k, n) in
+                    [1, 2, 3, 8, 64].into_iter().flat_map(|k| [2, 64, 16384].map(|n| (k, n)))
+                {
+                    let s = Schedule::new(&params(n, k), merge, mode);
+                    let case = format!("{mode:?}/{merge:?}/k={k}/n={n}");
+                    let at = |r: u64| (s.locate(r), s.next_boundary(r));
+                    for r in s.start() - 2..s.start() {
+                        assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
+                    }
+                    let mut start = s.start();
+                    for phase in 0..s.num_phases() {
+                        for (window, len) in s.layout(phase) {
+                            let last = start + len - 1;
+                            for r in start..=last {
+                                let slot =
+                                    Slot { phase, window, offset: r - start, last: r == last };
+                                let next = if r < last { last } else { last + 1 };
+                                assert_eq!(at(r), (Some(slot), next), "{case}: round {r}");
+                            }
+                            start += len;
+                        }
+                    }
+                    assert_eq!(s.end(), start, "{case}");
+                    for r in start..start + 2 {
+                        assert_eq!(at(r), (None, r + 1), "{case}: round {r}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,9 +72,10 @@ impl From<GraphError> for IoError {
 /// # Errors
 ///
 /// [`IoError::Parse`] on malformed lines, missing/duplicate `p` lines, a
-/// `p` line whose `n` or `2m` exceeds `u32::MAX`, a wrong edge count, or
-/// out-of-range endpoints; [`IoError::Graph`] if the edge list is not a
-/// simple graph.
+/// `p` line whose `n` or `2m` exceeds `u32::MAX` or whose `n` exceeds
+/// `2m + 1` (more vertices than its edges can touch, plus the single-vertex
+/// graph), a wrong edge count, or out-of-range endpoints;
+/// [`IoError::Graph`] if the edge list is not a simple graph.
 ///
 /// ```
 /// let text = "c tiny\np edge 3 2\ne 1 2 7\ne 2 3 9\n";
@@ -117,6 +118,16 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<WeightedGraph, IoError> {
                     return Err(IoError::Parse {
                         line: lineno,
                         msg: format!("graph too large: {n} vertices, {m} edges"),
+                    });
+                }
+                // `m` edges touch at most `2m` vertices; one more admits the
+                // single-vertex graph. The edge count is checked against the
+                // lines before anything is sized, so `n` stays bounded by
+                // the input's own length.
+                if n > 2 * m + 1 {
+                    return Err(IoError::Parse {
+                        line: lineno,
+                        msg: format!("too many vertices: {n} for {m} edges (at most 2m + 1)"),
                     });
                 }
                 header = Some((n as usize, m as usize));
@@ -212,11 +223,22 @@ mod tests {
             ("p edge 2 18446744073709551615\n", "too large"),
             ("p edge 2 4000000000000\n", "too large"),
             ("p edge 5000000000000 1\ne 1 2 3\n", "too large"),
+            // More vertices than the edges can touch: the first would size
+            // 4.3e9 adjacency lists from a one-line file.
+            ("p edge 4294967295 0\n", "too many vertices"),
+            ("p edge 4 1\ne 1 2 3\n", "too many vertices"),
         ];
         for (text, needle) in cases {
             let err = parse_dimacs(text.as_bytes()).unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains(needle), "{text:?}: {msg} should contain {needle:?}");
+        }
+    }
+
+    #[test]
+    fn vertex_bound_admits_one_spare_vertex() {
+        for text in ["p edge 0 0\n", "p edge 1 0\n", "p edge 3 1\ne 1 2 3\n"] {
+            assert!(parse_dimacs(text.as_bytes()).is_ok(), "{text:?}");
         }
     }
 
