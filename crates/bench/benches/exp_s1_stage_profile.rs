@@ -1,10 +1,11 @@
 //! Experiment S1 (supplementary) — where the rounds go, stage by stage.
 //!
-//! The paper's time bound decomposes into Stage A `O(D)`, Stage B
-//! (Controlled-GHS) `O(k log* n)`, Stage C `O(D + n/(kb))`, and Stage D
-//! `O((D + k + n/(kb)) log n)`. This experiment measures the actual split
-//! across the two regimes and both `k` extremes, confirming which term pays
-//! for what — the accounting behind Theorems 3.1/3.2.
+//! The paper's time bound decomposes into Stage A `O(D)` (the BFS tree,
+//! its interval labels and the parameter broadcast), Stage B
+//! (Controlled-GHS) `O(k log* n)`, and Stage D `O((D + k + n/(kb)) log n)`.
+//! This experiment measures the actual split across the two regimes and
+//! both `k` extremes, confirming which term pays for what — the accounting
+//! behind Theorems 3.1/3.2.
 
 use dmst_bench::{banner, header, row, Workload};
 use dmst_core::{run_mst, ElkinConfig, ScheduleMode};
@@ -13,7 +14,7 @@ use dmst_graphs::generators as gen;
 fn main() {
     banner(
         "S1: per-stage round profile",
-        "Stage B scales with k; Stage D carries the log n Boruvka phases; Stage A/C stay ~D",
+        "Stage B scales with k; Stage D carries the log n Boruvka phases; Stage A stays ~D",
     );
 
     let r = &mut gen::WeightRng::new(0x51);
@@ -41,12 +42,12 @@ fn main() {
         ),
     ];
 
-    header(&["workload", "mode", "D", "k", "A", "B", "C", "D(stage)", "total"]);
+    header(&["workload", "mode", "D", "k", "A", "B", "D(stage)", "total"]);
     for (w, cfg) in cases {
         for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
             let run = run_mst(&w.graph, &cfg.with_schedule_mode(mode)).expect("run");
-            let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| run.stats.rounds_in_stage(s));
-            assert_eq!(a + b + c + d, run.stats.rounds, "profile must partition the run");
+            let [a, b, d] = ["a", "b", "d"].map(|s| run.stats.rounds_in_stage(s));
+            assert_eq!(a + b + d, run.stats.rounds, "profile must partition the run");
             row(&[
                 w.name.clone(),
                 format!("{mode:?}").to_lowercase(),
@@ -54,7 +55,6 @@ fn main() {
                 run.k.to_string(),
                 a.to_string(),
                 b.to_string(),
-                c.to_string(),
                 d.to_string(),
                 run.stats.rounds.to_string(),
             ]);
@@ -63,7 +63,7 @@ fn main() {
     println!(
         "\nshape check: Stage B grows ~linearly with k (compare k=4 vs k=256);\n\
          Stage D shrinks as k grows (fewer fragments to pipeline); bandwidth\n\
-         compresses Stages C/D but not Stage A; on the high-D cliquepath the\n\
+         compresses Stage D but not Stage A; on the high-D cliquepath the\n\
          whole profile is dominated by D-proportional terms under Fixed,\n\
          while Adaptive collapses its Stage B column (smaller k + tight\n\
          windows) and moves the cost into log(n/k) Stage D phases."

@@ -252,7 +252,7 @@ impl<'a, M: Message> RoundCtx<'a, M> {
             out.error.get_or_insert(SimError::CapacityExceeded {
                 round: self.round,
                 from: self.id,
-                to: (self.topo.route(g) >> 32) as NodeId,
+                to: self.topo.port_node(self.topo.peer(g)),
                 words: charged,
                 capacity: out.cfg.capacity,
             });

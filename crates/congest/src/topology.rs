@@ -2,9 +2,8 @@
 //!
 //! Internally the adjacency is a flat CSR arena (one `Vec<Port>` plus an
 //! offset table) so the executor's hot loop walks contiguous memory, and
-//! every *directed* port carries a precomputed, word-packed route header
-//! (destination node and destination-local port in one `u64`) so message
-//! delivery needs no lookups beyond a single indexed load.
+//! every *directed* port knows its reverse port and its owning node, the
+//! two lookups the executor's delivery and capacity checks need.
 
 use crate::error::SimError;
 
@@ -51,17 +50,11 @@ pub struct Port {
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
-    edges: Vec<(NodeId, NodeId, u64)>,
     /// CSR offsets: node `v`'s ports live at `port_start[v]..port_start[v+1]`
     /// in every flat per-port table below.
     port_start: Vec<u32>,
     /// Flat adjacency arena, `2m` entries.
     ports: Vec<Port>,
-    /// Word-packed route header per global directed port `g`:
-    /// `(destination node) << 32 | (destination-local reverse port)`. The
-    /// executor reads the high half to route a message and the low half to
-    /// stamp the receiver-side port it arrives on.
-    route: Vec<u64>,
     /// Global index of the reverse directed port (`peer[g]` is the port at
     /// the other endpoint of the same edge).
     peer: Vec<u32>,
@@ -82,11 +75,11 @@ impl Topology {
     ///
     /// Returns [`SimError::InvalidTopology`] on self-loops, duplicate edges
     /// (in either orientation), endpoints `>= n`, or sizes exceeding the
-    /// packed-header range (`n` or `2m` beyond `u32`).
+    /// `u32` port tables (`n` or `2m` beyond `u32`).
     pub fn new(n: usize, edges: &[(NodeId, NodeId, u64)]) -> Result<Self, SimError> {
         if n as u64 > u64::from(u32::MAX) || 2 * edges.len() as u64 > u64::from(u32::MAX) {
             return Err(SimError::InvalidTopology(format!(
-                "topology too large for packed routing ({n} nodes, {} edges)",
+                "topology too large for u32 port tables ({n} nodes, {} edges)",
                 edges.len()
             )));
         }
@@ -127,7 +120,6 @@ impl Topology {
         let total = acc as usize;
         let dummy = Port { neighbor: 0, edge: 0, weight: 0 };
         let mut ports = vec![dummy; total];
-        let mut route = vec![0u64; total];
         let mut peer = vec![0u32; total];
         let mut port_node = vec![0u32; total];
         let mut cursor: Vec<u32> = port_start[..n].to_vec();
@@ -138,10 +130,6 @@ impl Topology {
             cursor[v] += 1;
             ports[gu as usize] = Port { neighbor: v, edge: eid, weight: w };
             ports[gv as usize] = Port { neighbor: u, edge: eid, weight: w };
-            let pu = u64::from(gu - port_start[u]);
-            let pv = u64::from(gv - port_start[v]);
-            route[gu as usize] = (v as u64) << 32 | pv;
-            route[gv as usize] = (u as u64) << 32 | pu;
             peer[gu as usize] = gv;
             peer[gv as usize] = gu;
         }
@@ -161,7 +149,7 @@ impl Topology {
             d.sort_unstable_by_key(|&p| ports[lo + p as usize].neighbor);
         }
 
-        Ok(Self { n, edges: edges.to_vec(), port_start, ports, route, peer, port_node, drain })
+        Ok(Self { n, port_start, ports, peer, port_node, drain })
     }
 
     /// Number of nodes.
@@ -173,7 +161,7 @@ impl Topology {
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.ports.len() / 2
     }
 
     /// The adjacency list (ports) of node `v`.
@@ -196,12 +184,6 @@ impl Topology {
         (self.port_start[v + 1] - self.port_start[v]) as usize
     }
 
-    /// The original edge list `(u, v, w)` in input order.
-    #[inline]
-    pub fn edges(&self) -> &[(NodeId, NodeId, u64)] {
-        &self.edges
-    }
-
     /// First global directed-port index of node `v` (CSR offset).
     #[inline]
     pub(crate) fn port_lo(&self, v: NodeId) -> usize {
@@ -212,13 +194,6 @@ impl Topology {
     #[inline]
     pub(crate) fn port_range(&self, v: NodeId) -> std::ops::Range<usize> {
         self.port_start[v] as usize..self.port_start[v + 1] as usize
-    }
-
-    /// The packed route header of global port `g`:
-    /// `dest_node << 32 | dest_local_port`.
-    #[inline]
-    pub(crate) fn route(&self, g: usize) -> u64 {
-        self.route[g]
     }
 
     /// Global index of the reverse directed port of `g`.
@@ -243,7 +218,8 @@ impl Topology {
     /// The port at `ports(v)[p].neighbor` leading back to `v`.
     #[cfg(test)]
     pub(crate) fn reverse_port(&self, v: NodeId, p: PortId) -> PortId {
-        (self.route[self.port_start[v] as usize + p] & 0xFFFF_FFFF) as PortId
+        let back = self.peer(self.port_lo(v) + p);
+        back - self.port_lo(self.port_node(back))
     }
 
     /// Whether the graph is connected (every pair of nodes joined by a path).
@@ -291,15 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn packed_routes_and_peers_agree_with_ports() {
+    fn peers_agree_with_ports() {
         let t = Topology::new(4, &[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4), (0, 2, 5)]).unwrap();
+        assert_eq!(t.num_edges(), 5);
         for v in 0..4 {
             for (p, port) in t.ports(v).iter().enumerate() {
                 let g = t.port_lo(v) + p;
                 assert_eq!(t.port_node(g), v);
-                let header = t.route(g);
-                assert_eq!((header >> 32) as usize, port.neighbor);
-                assert_eq!((header & 0xFFFF_FFFF) as usize, t.reverse_port(v, p));
                 // The peer port lives at the neighbor and routes back here.
                 let peer = t.peer(g);
                 assert_eq!(t.port_node(peer), port.neighbor);

@@ -36,7 +36,8 @@ pub struct Candidate {
     /// Coarse fragment id on the other side of the edge.
     pub dst_coarse: u64,
     /// Interval slot of the base fragment's root — the routing address the
-    /// BFS root uses to answer (and to mark the edge chosen).
+    /// BFS root uses to answer (and to mark the edge chosen), and in
+    /// Borůvka phase 0 how the root learns that the base fragment exists.
     pub src_slot: u64,
 }
 

@@ -8,8 +8,9 @@
 //! interval contains the destination ("it finds a child u of v whose
 //! interval I(u) contains I(rF), and sends the message to this child").
 //!
-//! These are the pure helpers used by the Stage C/D code; properties
-//! (partition, nesting, routability) are tested here directly.
+//! These are the pure helpers behind Stage A's labeling (each `Params`
+//! copy carries its receiver's interval start) and Stage D's routing;
+//! properties (partition, nesting, routability) are tested here directly.
 
 /// Splits a parent interval `[start, start + 1 + Σ sizes)` into the
 /// parent's own slot (`start`) and consecutive child intervals

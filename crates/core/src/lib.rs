@@ -10,17 +10,18 @@
 //! rounds using `O(m log n + n log n log* n)` messages (Theorems 3.1/3.2),
 //! via:
 //!
-//! 1. an auxiliary BFS tree and global parameter agreement (Stage A);
+//! 1. an auxiliary BFS tree, global parameter agreement, and interval
+//!    labeling of the BFS tree for point-to-point routing, the labels
+//!    riding the parameter broadcast (Stage A);
 //! 2. **Controlled-GHS** (paper §4): `ceil(log k)` phases of bounded-radius
 //!    MWOE probing, Cole–Vishkin 3-coloring of the fragment forest
 //!    ([`cv`]), maximal matching, and merge floods, yielding an
 //!    `(O(n/k), O(k))` base MST forest (Theorem 4.3, standalone via
 //!    [`run_forest`]);
-//! 3. interval labeling of the BFS tree for point-to-point routing
-//!    (Stage C);
-//! 4. Borůvka phases over the base forest with pipelined, filtered
-//!    candidate upcasts to the BFS root, root-local fragment-graph merging,
-//!    and interval-routed answers (Stage D).
+//! 3. Borůvka phases over the base forest, opened as soon as Stage B ends,
+//!    with pipelined, filtered candidate upcasts to the BFS root,
+//!    root-local fragment-graph merging, and interval-routed answers
+//!    (Stage D; the stages keep the letters of the census tags).
 //!
 //! ## Quick start
 //!

@@ -11,8 +11,9 @@
 //! every variant, so each one fits an edge at `b = 1`.
 //!
 //! Quantities bounded by the vertex count (ids, slots, colors, phases —
-//! `Topology` caps `n` at `u32::MAX`) ride in the tag word's packed half;
-//! only full-range edge weights always occupy whole words.
+//! `Topology` caps `n` at `u32::MAX`) ride in the tag word's packed half,
+//! which holds one of them per message; a second one takes a whole word,
+//! and full-range edge weights always do.
 
 use congest_sim::{Message, WireReader, WireWriter};
 
@@ -43,18 +44,14 @@ const TAG_STATUS_CROSS: u8 = 19;
 const TAG_MERGE_PATH: u8 = 20;
 const TAG_MERGE_CROSS: u8 = 21;
 const TAG_NEW_FRAG: u8 = 22;
-const TAG_INTERVAL: u8 = 23;
-const TAG_REGISTER: u8 = 24;
-const TAG_REG_DONE: u8 = 25;
-const TAG_INIT_COARSE: u8 = 26;
-const TAG_COARSE_ANNOUNCE: u8 = 27;
-const TAG_FRAG_MWOE_UP: u8 = 28;
-const TAG_CANDIDATE: u8 = 29;
-const TAG_UP_DONE: u8 = 30;
-const TAG_ASSIGN: u8 = 31;
-const TAG_NEW_COARSE: u8 = 32;
-const TAG_MARK_PATH: u8 = 33;
-const TAG_MARK_CROSS: u8 = 34;
+const TAG_COARSE_ANNOUNCE: u8 = 23;
+const TAG_FRAG_MWOE_UP: u8 = 24;
+const TAG_CANDIDATE: u8 = 25;
+const TAG_UP_DONE: u8 = 26;
+const TAG_ASSIGN: u8 = 27;
+const TAG_NEW_COARSE: u8 = 28;
+const TAG_MARK_PATH: u8 = 29;
+const TAG_MARK_CROSS: u8 = 30;
 
 /// Writes a [`CandKey`] as three full words (the weight needs all 64
 /// bits; the endpoints get whole words so the key stays one fixed shape
@@ -72,10 +69,11 @@ fn decode_key(r: &mut WireReader<'_>) -> CandKey {
 
 /// Protocol messages, grouped by stage. The stage/phase a message belongs to
 /// is implicit in the (synchronized) round schedule for Stage B and in the
-/// explicit control flow for Stages A, C, D.
+/// explicit control flow for Stages A and D.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Msg {
-    // ---- Stage A: BFS tree, sizes, parameter broadcast ----
+    // ---- Stage A: BFS tree, sizes, parameter broadcast and interval
+    // labels (paper §3) ----
     /// BFS wave from the root; receivers adopt the sender as parent.
     Bfs,
     /// "You are my BFS parent" — lets parents learn their child ports.
@@ -87,7 +85,10 @@ pub enum Msg {
         /// Height of that subtree (max depth below the sender).
         height: u64,
     },
-    /// Root broadcast of the globally agreed parameters.
+    /// Root broadcast of the globally agreed parameters. Each copy also
+    /// carries where its receiver's interval of the BFS tree starts (see
+    /// [`intervals`](crate::intervals)): the receiver's slot, the address
+    /// Stage D answers are routed by.
     Params {
         /// Number of vertices.
         n: u64,
@@ -97,6 +98,8 @@ pub enum Msg {
         k: u64,
         /// Absolute round at which Stage B begins.
         t0: u64,
+        /// The receiver's interval start: its own slot.
+        slot: u64,
     },
 
     // ---- Stage B: Controlled-GHS (paper §4). Every phase ends on its
@@ -184,41 +187,18 @@ pub enum Msg {
         id: u64,
     },
 
-    // ---- Stage C: intervals and fragment registration (paper §3) ----
-    /// Parent assigns a child its interval `[start, start + size)`.
-    Interval {
-        /// First slot of the child's interval (the child's own slot).
-        start: u64,
-        /// Interval length (the child's BFS subtree size).
-        size: u64,
-    },
-    /// Base-fragment root registers `(its slot)` with the BFS root;
-    /// pipelined up the BFS tree.
-    Register {
-        /// Slot of the registering fragment root.
-        slot: u64,
-    },
-    /// Pipeline completion marker for the registration upcast.
-    RegDone,
-    /// Base-fragment root tells its vertices their initial coarse id.
-    /// Receiving it (or owning a slot, at fragment roots) *is* the start
-    /// of Borůvka phase 0 — there is no separate start broadcast.
-    InitCoarse {
-        /// Initial coarse fragment id (the root's slot).
-        id: u64,
-    },
-
     // ---- Stage D: Boruvka on top of the base forest (paper §3).
     //
     // Phases are event-driven and fused: no per-phase barrier messages
-    // exist. A vertex announces phase `j` as soon as its coarse id for `j`
-    // is current, aggregates its fragment subtree as soon as all of its
-    // *own* neighbors' announcements have landed, and starts phase `j+1`
-    // the moment the phase-`j` answer (`Assign`/`NewCoarse`, which carry
-    // the next phase) reaches it. Neighboring vertices are never more
-    // than one phase apart (the per-phase `UpDone` convergecast gates the
-    // root merge on every vertex), so receivers classify `CoarseAnnounce`
-    // / `Candidate` / `UpDone` by per-port FIFO counting. ----
+    // exist. Every vertex opens phase 0 when Stage B ends, announces phase
+    // `j` as soon as its coarse id for `j` is current, aggregates its
+    // fragment subtree as soon as all of its *own* neighbors'
+    // announcements have landed, and starts phase `j+1` the moment the
+    // phase-`j` answer (`Assign`/`NewCoarse`) reaches it. Neighboring
+    // vertices are never more than one phase apart (the per-phase `UpDone`
+    // convergecast gates the root merge on every vertex), so receivers
+    // classify `CoarseAnnounce` / `Candidate` / `UpDone` by per-port FIFO
+    // counting. ----
     /// Per-phase refresh of `(coarse id, sender id)` to all neighbors.
     /// Sent exactly once per phase in phase order, so the receiver infers
     /// the phase from its per-port receive count (per-edge FIFO).
@@ -247,8 +227,8 @@ pub enum Msg {
     /// [`Msg::CoarseAnnounce`]).
     UpDone,
     /// Interval-routed answer to one base fragment (pipelined downcast).
-    /// Carries the *next* phase index: receipt is the start-of-phase
-    /// signal, so fragments re-announce immediately.
+    /// Receipt closes the answered phase and opens the next one, so
+    /// fragments re-announce immediately.
     Assign {
         /// Destination slot (the base fragment root's interval start).
         dest_slot: u64,
@@ -258,19 +238,15 @@ pub enum Msg {
         chosen: bool,
         /// Whether the algorithm is globally finished after this phase.
         done: bool,
-        /// The phase the destination fragment starts on receipt (answered
-        /// phase + 1).
-        next: u64,
     },
-    /// Base-fragment-internal broadcast of the new coarse id (+ done flag
-    /// + next phase): the fragment-local leg of [`Msg::Assign`].
+    /// Base-fragment-internal broadcast of the new coarse id (+ done
+    /// flag): the fragment-local leg of [`Msg::Assign`], and the whole
+    /// answer when a lone base fragment spans the graph.
     NewCoarse {
         /// New coarse id.
         id: u64,
         /// Global termination flag.
         done: bool,
-        /// The phase the receiver starts immediately (answered phase + 1).
-        next: u64,
     },
     /// Downcast along the remembered argmin path: mark the candidate edge.
     /// Travels the same fragment-tree edges as the same phase's
@@ -298,9 +274,6 @@ impl Message for Msg {
             | Msg::StatusDown
             | Msg::StatusCross => "b:match",
             Msg::MergePath | Msg::MergeCross | Msg::NewFrag { .. } => "b:merge",
-            Msg::Interval { .. } | Msg::Register { .. } | Msg::RegDone | Msg::InitCoarse { .. } => {
-                "c:intervals"
-            }
             Msg::CoarseAnnounce { .. } => "d:announce",
             Msg::FragMwoeUp { .. } => "d:fragmwoe",
             Msg::Candidate { .. } | Msg::UpDone => "d:upcast",
@@ -318,12 +291,13 @@ impl Message for Msg {
                 w.pack(*size); // subtree size <= n
                 w.word(*height);
             }
-            Msg::Params { n, h, k, t0 } => {
+            Msg::Params { n, h, k, t0, slot } => {
                 w.tag(TAG_PARAMS);
                 w.pack(*n);
                 w.word(*h);
                 w.word(*k);
                 w.word(*t0);
+                w.word(*slot);
             }
             Msg::FragAnnounce { frag, me } => {
                 w.tag(TAG_FRAG_ANNOUNCE);
@@ -384,23 +358,9 @@ impl Message for Msg {
                 w.tag(TAG_NEW_FRAG);
                 w.pack(*id);
             }
-            Msg::Interval { start, size } => {
-                w.tag(TAG_INTERVAL);
-                w.pack(*start); // slots are < n
-                w.word(*size);
-            }
-            Msg::Register { slot } => {
-                w.tag(TAG_REGISTER);
-                w.pack(*slot);
-            }
-            Msg::RegDone => w.tag(TAG_REG_DONE),
-            Msg::InitCoarse { id } => {
-                w.tag(TAG_INIT_COARSE);
-                w.pack(*id);
-            }
             Msg::CoarseAnnounce { coarse, me } => {
                 w.tag(TAG_COARSE_ANNOUNCE);
-                w.pack(*coarse); // coarse ids are interval slots < n
+                w.pack(*coarse); // coarse ids are vertex ids < n
                 w.word(*me);
             }
             Msg::FragMwoeUp { cand } => {
@@ -419,19 +379,17 @@ impl Message for Msg {
                 w.word(rec.dst_coarse);
             }
             Msg::UpDone => w.tag(TAG_UP_DONE),
-            Msg::Assign { dest_slot, new_coarse, chosen, done, next } => {
+            Msg::Assign { dest_slot, new_coarse, chosen, done } => {
                 w.tag(TAG_ASSIGN);
                 w.flag(0, *chosen);
                 w.flag(1, *done);
-                w.word(*dest_slot);
+                w.pack(*dest_slot); // slots are < n
                 w.word(*new_coarse);
-                w.word(*next);
             }
-            Msg::NewCoarse { id, done, next } => {
+            Msg::NewCoarse { id, done } => {
                 w.tag(TAG_NEW_COARSE);
                 w.flag(0, *done);
-                w.word(*id);
-                w.word(*next);
+                w.pack(*id);
             }
             Msg::MarkPath => w.tag(TAG_MARK_PATH),
             Msg::MarkCross => w.tag(TAG_MARK_CROSS),
@@ -443,7 +401,13 @@ impl Message for Msg {
             TAG_BFS => Msg::Bfs,
             TAG_BFS_CHILD => Msg::BfsChild,
             TAG_SIZE_UP => Msg::SizeUp { size: r.packed(), height: r.word() },
-            TAG_PARAMS => Msg::Params { n: r.packed(), h: r.word(), k: r.word(), t0: r.word() },
+            TAG_PARAMS => Msg::Params {
+                n: r.packed(),
+                h: r.word(),
+                k: r.word(),
+                t0: r.word(),
+                slot: r.word(),
+            },
             TAG_FRAG_ANNOUNCE => Msg::FragAnnounce { frag: r.packed(), me: r.word() },
             TAG_PROBE => Msg::Probe { ttl: r.packed() as u32 },
             TAG_MWOE_UP => {
@@ -468,10 +432,6 @@ impl Message for Msg {
             TAG_MERGE_PATH => Msg::MergePath,
             TAG_MERGE_CROSS => Msg::MergeCross,
             TAG_NEW_FRAG => Msg::NewFrag { id: r.packed() },
-            TAG_INTERVAL => Msg::Interval { start: r.packed(), size: r.word() },
-            TAG_REGISTER => Msg::Register { slot: r.packed() },
-            TAG_REG_DONE => Msg::RegDone,
-            TAG_INIT_COARSE => Msg::InitCoarse { id: r.packed() },
             TAG_COARSE_ANNOUNCE => Msg::CoarseAnnounce { coarse: r.packed(), me: r.word() },
             TAG_FRAG_MWOE_UP => {
                 let some = r.flag(0);
@@ -488,18 +448,13 @@ impl Message for Msg {
                 }
             }
             TAG_UP_DONE => Msg::UpDone,
-            TAG_ASSIGN => {
-                let chosen = r.flag(0);
-                let done = r.flag(1);
-                Msg::Assign {
-                    dest_slot: r.word(),
-                    new_coarse: r.word(),
-                    chosen,
-                    done,
-                    next: r.word(),
-                }
-            }
-            TAG_NEW_COARSE => Msg::NewCoarse { id: r.word(), done: r.flag(0), next: r.word() },
+            TAG_ASSIGN => Msg::Assign {
+                dest_slot: r.packed(),
+                new_coarse: r.word(),
+                chosen: r.flag(0),
+                done: r.flag(1),
+            },
+            TAG_NEW_COARSE => Msg::NewCoarse { id: r.packed(), done: r.flag(0) },
             TAG_MARK_PATH => Msg::MarkPath,
             TAG_MARK_CROSS => Msg::MarkCross,
             other => unreachable!("unknown Msg wire tag {other}"),
@@ -525,13 +480,13 @@ mod tests {
         let samples = [
             Msg::Bfs,
             Msg::SizeUp { size: 1, height: 2 },
-            Msg::Params { n: 1, h: 2, k: 3, t0: 4 },
+            Msg::Params { n: 1, h: 2, k: 3, t0: 4, slot: 5 },
             Msg::FragAnnounce { frag: 1, me: 2 },
             Msg::MwoeUp { cand: Some(CandKey::new(1, 2, 3)), overflow: false },
             Msg::FragMwoeUp { cand: Some((CandKey::new(1, 2, 3), 4, 5)) },
             Msg::Candidate { rec },
-            Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false, next: 3 },
-            Msg::NewCoarse { id: 2, done: false, next: 3 },
+            Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false },
+            Msg::NewCoarse { id: 2, done: false },
         ];
         for m in samples {
             let len = encoded_len(&m);
@@ -544,17 +499,19 @@ mod tests {
     }
 
     #[test]
-    fn register_is_one_word() {
-        // Regression (PR 3): `Register` used to drag a dead `height` field
-        // that doubled its cost against the per-edge word budget.
-        assert_eq!(encoded_len(&Msg::Register { slot: 9 }), 1);
+    fn answers_pack_their_address() {
+        // `Assign`'s slot and `NewCoarse`'s id are below n, so they ride
+        // in the tag word: at b = 1 an edge carries four `Assign`s a round.
+        let assign = Msg::Assign { dest_slot: 7, new_coarse: 3, chosen: true, done: true };
+        assert_eq!(encoded_len(&assign), 2);
+        assert_eq!(encoded_len(&Msg::NewCoarse { id: 7, done: true }), 1);
     }
 
     #[test]
     fn tags_group_by_stage() {
         assert_eq!(Msg::Bfs.tag(), "a:bfs");
         assert_eq!(Msg::NewFrag { id: 3 }.tag(), "b:merge");
-        assert_eq!(Msg::Register { slot: 0 }.tag(), "c:intervals");
+        assert_eq!(Msg::NewCoarse { id: 0, done: true }.tag(), "d:newcoarse");
         assert_eq!(Msg::UpDone.tag(), "d:upcast");
     }
 
@@ -571,11 +528,10 @@ mod tests {
             Msg::ColorUp { color: 7 },
             Msg::StatusCross,
             Msg::MergePath,
-            Msg::Register { slot: 0 },
             Msg::CoarseAnnounce { coarse: 1, me: 2 },
             Msg::FragMwoeUp { cand: None },
             Msg::UpDone,
-            Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false, next: 3 },
+            Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false },
             Msg::MarkPath,
         ];
         let guards = crate::node::TAG_GUARDS;

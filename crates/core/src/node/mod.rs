@@ -1,23 +1,23 @@
 //! The per-vertex state machine implementing Elkin's algorithm.
 //!
 //! One [`ElkinNode`] runs at every vertex of the simulated network and
-//! progresses through four stages:
+//! progresses through three stages:
 //!
 //! * **Stage A** (`stage_a.rs`): BFS tree from the designated root, subtree
 //!   size/height convergecast, broadcast of the agreed parameters
-//!   `(n, H, k, t0)` (paper §3, "auxiliary BFS tree").
+//!   `(n, H, k, t0)` together with each vertex's interval label (paper §3,
+//!   "auxiliary BFS tree").
 //! * **Stage B** (`stage_b.rs`): Controlled-GHS on the fixed round schedule
 //!   of [`Schedule`](crate::schedule::Schedule), producing the
 //!   `(O(n/k), O(k))` base MST forest (paper §4).
-//! * **Stage C** (`stage_cd.rs`): interval labeling of the BFS tree and
-//!   pipelined registration of base-fragment roots (paper §3).
 //! * **Stage D** (`stage_cd.rs`): Borůvka phases over the base forest with
 //!   pipelined, filtered candidate upcasts and interval-routed downcasts
-//!   (paper §3). Phases are *fused*: there is no per-phase barrier — every
-//!   sub-step triggers on local completion events, and the next phase rides
-//!   the previous phase's answer path (see `stage_cd.rs` and DESIGN.md §2).
+//!   (paper §3). Phase 0 opens at every vertex when Stage B ends. Phases
+//!   are *fused*: there is no per-phase barrier — every sub-step triggers
+//!   on local completion events, and the next phase rides the previous
+//!   phase's answer path (see `stage_cd.rs` and DESIGN.md §2).
 //!
-//! Stages C/D are event-driven (completion messages, not round windows);
+//! Stage D is event-driven (completion messages, not round windows);
 //! DESIGN.md explains why this is faithful to the paper's cost accounting.
 
 mod stage_a;
@@ -242,16 +242,6 @@ pub(crate) struct BScratch {
     pub flooded: bool,
 }
 
-/// Stage C working state.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CState {
-    pub interval_received: bool,
-    pub registered: bool,
-    pub reg_queue: VecDeque<u64>,
-    pub reg_done_children: usize,
-    pub reg_done_sent: bool,
-}
-
 /// Per-phase Stage D scratch, replaced wholesale when the phase rolls
 /// (`ElkinNode::cd_roll_phase`, triggered by the `Assign`/`NewCoarse`
 /// answer path). Messages of the *next* phase that arrive early are held
@@ -293,10 +283,8 @@ pub(crate) struct DScratch {
 /// stores the fragment graph locally).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RootState {
-    pub slots: Vec<u64>,
-    pub reg_done_children: usize,
-    pub reg_complete: bool,
-    /// Current coarse id of each registered base fragment (by slot).
+    /// Current coarse id of each base fragment, by its root's slot; filled
+    /// from phase 0's candidates (see `cd_root_merge`).
     pub slot_coarse: BTreeMap<u64, u64>,
 }
 
@@ -339,22 +327,21 @@ pub struct ElkinNode {
     pub(crate) bfs_children: Vec<PortId>,
     pub(crate) child_sizes: Vec<u64>,
 
-    // Fragment membership (evolves through stage B; fixed in C/D).
+    // Fragment membership (evolves through stage B; fixed in D).
     pub(crate) frag_id: u64,
     pub(crate) frag_parent: Option<PortId>,
     pub(crate) frag_children: Vec<PortId>,
 
     pub(crate) b: BScratch,
 
-    // Stage C/D state.
+    // Interval label (stage A output): my slot and my BFS children's
+    // intervals, by which stage D routes its answers.
     pub(crate) slot: u64,
     pub(crate) child_ivs: Vec<(u64, u64)>,
+
+    // Stage D state. The coarse id is current for `d.phase`: the roll and
+    // the id update are one event.
     pub(crate) coarse: u64,
-    /// `Some(j)`: the coarse id is current for phase `j` (always equal to
-    /// `d.phase` once initialized — the roll and the id update are one
-    /// event).
-    pub(crate) coarse_ready: Option<u64>,
-    pub(crate) c: CState,
     pub(crate) d: DScratch,
 
     // Fused-phase skew buffers (survive the per-phase scratch roll).
@@ -411,8 +398,6 @@ impl ElkinNode {
             slot: 0,
             child_ivs: Vec::new(),
             coarse: 0,
-            coarse_ready: None,
-            c: CState::default(),
             d: DScratch::default(),
             ann_recv_next: 0,
             updone_next: 0,
@@ -486,7 +471,6 @@ pub(crate) const TAG_GUARDS: &[(&str, char, &str)] = &[
     ("b:match", 'b', "b_next_wake"),
     ("b:merge", 'b', "b_next_wake"),
     ("b:mwoe", 'b', "b_next_wake"),
-    ("c:intervals", 'c', "cd_next_wake"),
     ("d:announce", 'd', "cd_next_wake"),
     ("d:downcast", 'd', "cd_next_wake"),
     ("d:fragmwoe", 'd', "cd_next_wake"),
@@ -549,12 +533,10 @@ impl NodeProgram for ElkinNode {
         let letter = match self.stage {
             Stage::A => "a",
             Stage::B => "b",
-            // Stage D begins when this vertex holds its initial coarse id
-            // (it can announce phase 0 from then on). A round counts as
-            // "c" until the last vertex crosses, so the network-level
-            // partition a+b+c+d == rounds still holds under fused phases.
-            Stage::CD if self.coarse_ready.is_some() => "d",
-            Stage::CD => "c",
+            // Stage D opens at every vertex in the round Stage B ends
+            // (`run_forest`'s vertices finish in that round, and report
+            // "d" as well).
+            Stage::CD => "d",
         };
         debug_assert!(
             TAG_GUARDS.iter().any(|&(_, l, _)| letter.starts_with(l)),

@@ -1,6 +1,11 @@
 //! Stage A: BFS tree construction, size/height convergecast, parameter
 //! broadcast (paper §3, the auxiliary tree `τ` and its preprocessing).
 //!
+//! The broadcast also labels `τ` with nested intervals: a vertex holds its
+//! children's subtree sizes by the time `Params` reaches it, so each copy
+//! it passes down carries the child's interval start (its slot; see
+//! [`intervals`](crate::intervals)).
+//!
 //! Costs: `O(D)` rounds (BFS wave down, convergecast up, broadcast down) and
 //! `O(m)` messages (each edge carries at most one `Bfs` per direction plus
 //! `O(n)` tree messages), matching the paper's accounting for this step.
@@ -9,6 +14,7 @@ use std::sync::Arc;
 
 use congest_sim::RoundCtx;
 
+use crate::intervals;
 use crate::msg::Msg;
 use crate::schedule::{choose_k, choose_k_cost, Params, Schedule, ScheduleMode};
 
@@ -50,11 +56,9 @@ impl ElkinNode {
                         self.a_report(ctx);
                     }
                 }
-                Msg::Params { n, h, k, t0 } => {
+                Msg::Params { n, h, k, t0, slot } => {
                     self.a_adopt_params(Params { n, h, k, t0 });
-                    for &p in &self.bfs_children {
-                        ctx.send(p, Msg::Params { n, h, k, t0 });
-                    }
+                    self.a_pass_params(ctx, slot);
                 }
                 ref other => unreachable!("stage A received {other:?}"),
             }
@@ -123,11 +127,20 @@ impl ElkinNode {
             // overflows the schedule.
             let k = k.min(2 * n.next_power_of_two());
             let t0 = ctx.round() + h + 2;
-            let params = Params { n, h, k, t0 };
-            self.a_adopt_params(params);
-            for &p in &self.bfs_children {
-                ctx.send(p, Msg::Params { n, h, k, t0 });
-            }
+            self.a_adopt_params(Params { n, h, k, t0 });
+            self.a_pass_params(ctx, 0);
+        }
+    }
+
+    /// Takes the interval starting at `slot` (the BFS root owns `[0, n)`)
+    /// and passes the adopted parameters on, each BFS child's copy
+    /// carrying its sub-interval's start.
+    fn a_pass_params(&mut self, ctx: &mut RoundCtx<'_, Msg>, slot: u64) {
+        let Params { n, h, k, t0 } = self.params.expect("parameters adopted first");
+        self.slot = slot;
+        self.child_ivs = intervals::assign_children(slot, &self.child_sizes);
+        for (&p, &(start, _)) in self.bfs_children.iter().zip(&self.child_ivs) {
+            ctx.send(p, Msg::Params { n, h, k, t0, slot: start });
         }
     }
 

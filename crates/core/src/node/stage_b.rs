@@ -204,7 +204,7 @@ impl ElkinNode {
 
     /// Runs the scheduled actions of this round, from the round Stage B
     /// begins (`t0`) until its schedule ends, where the vertex enters
-    /// Stage C (at once when `k = 1` leaves zero phases).
+    /// Stage D (at once when `k = 1` leaves zero phases).
     pub(crate) fn b_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         // Moved out and back rather than cloned: no refcount traffic.
         let cell = self.sched.take().expect("schedule adopted before stage B");
@@ -213,7 +213,7 @@ impl ElkinNode {
             Some(slot) => self.b_dispatch(ctx, sched, slot),
             None => {
                 self.stage = Stage::CD;
-                self.cd_enter(ctx);
+                self.cd_enter();
             }
         }
         self.sched = Some(cell);
@@ -222,7 +222,7 @@ impl ElkinNode {
     /// Idle-skip hint for Stage B (the `NodeProgram::next_wake` contract):
     /// the next round at which `b_act` does anything with an empty inbox.
     /// `b_dispatch` only acts at window boundaries (`offset == 0` or
-    /// `slot.last`) and at the Stage C transition, so those are the only
+    /// `slot.last`) and at the Stage D transition, so those are the only
     /// rounds worth waking for; everything in between is message-driven
     /// (`b_handle`).
     pub(crate) fn b_next_wake(&self, after: u64) -> Option<u64> {

@@ -1,19 +1,22 @@
-//! Stages C and D: interval labeling, fragment registration, and the
-//! fused, event-driven Borůvka phases over the base forest (paper §3).
+//! Stage D: the fused, event-driven Borůvka phases over the base forest
+//! (paper §3).
 //!
-//! Unlike Stage B, these stages are *event-driven*: every sub-step triggers
-//! on local completion events. Since PR 3 the Borůvka phases are **fused**
-//! — no per-phase BFS-tree barrier exists. The seed protocol spent four
+//! Unlike Stage B, this stage is *event-driven*: every sub-step triggers
+//! on local completion events. The Borůvka phases are **fused** — no
+//! per-phase BFS-tree barrier exists. An earlier protocol spent four
 //! `O(H)` tree traversals per phase (`AnnDone` up, `MwoeGo` down,
 //! `PhaseDone` up, `StartPhase` down) purely on control flow; the paper's
 //! `O((D + k + n/(kb)) log n)` budget for this stage never required them,
 //! and Pandurangan–Robinson–Scquizzato (arXiv:1703.02411) run the same
 //! Borůvka-over-a-BFS-backbone with phases driven by local completion.
 //!
-//! Per phase `j`, fused:
+//! Phase 0 opens at every vertex in the round Stage B ends: each base
+//! fragment is its own coarse fragment, with its id (`frag_id`, a vertex
+//! id) as coarse id, and the slots of Stage A's interval labels are the
+//! answers' addresses. Per phase `j`, fused:
 //!
 //! 1. A vertex broadcasts `CoarseAnnounce` to all neighbors the moment its
-//!    coarse id for phase `j` is current (`InitCoarse` for `j = 0`, the
+//!    coarse id for phase `j` is current (at once for `j = 0`, on the
 //!    `Assign`/`NewCoarse` answer of phase `j - 1` otherwise).
 //! 2. It aggregates its *fragment subtree* as soon as all of its **own**
 //!    neighbors' announcements have landed (local readiness — no global
@@ -26,16 +29,22 @@
 //!    bounds the phase skew between any two vertices to one.
 //! 4. The BFS root merges the fragment graph locally (exactly the
 //!    computation the paper assigns to `rt`) and answers every base
-//!    fragment with an interval-routed, pipelined `Assign` **carrying
-//!    phase `j + 1`**: receipt closes phase `j` and opens `j + 1` in one
-//!    event, so fragments re-announce immediately.
-//! 5. Fragment roots broadcast `NewCoarse` (also carrying `j + 1`); chosen
-//!    candidates are marked by a `MarkPath` downcast along the remembered
-//!    argmin path plus a `MarkCross` over the edge itself. `MarkPath` is
+//!    fragment with an interval-routed, pipelined `Assign`: receipt closes
+//!    phase `j` and opens `j + 1` in one event, so fragments re-announce
+//!    immediately. The root learns the base fragments themselves from
+//!    phase 0's candidates: with two or more base fragments in a connected
+//!    graph each has an outgoing edge, and in phase 0 each has a coarse id
+//!    of its own, so the per-coarse-id filter passes every one of them.
+//! 5. Fragment roots broadcast `NewCoarse`; chosen candidates are marked
+//!    by a `MarkPath` downcast along the remembered argmin path plus a
+//!    `MarkCross` over the edge itself. `MarkPath` is
 //!    always sent before the same edge's `NewCoarse`, so per-edge FIFO
 //!    delivers it while the phase-`j` scratch (and its `Sel`) is intact.
 //!    Termination needs no extra control flow: `done` rides the final
-//!    answer path and every vertex quiesces once its queues drain.
+//!    answer path and every vertex quiesces once its queues drain. A lone
+//!    base fragment (phase 0 finds no outgoing edge) spans the graph: its
+//!    root floods `NewCoarse { done: true }` itself, and the BFS root,
+//!    whose upcast that fragment root never completes, never merges.
 //!
 //! Messages of phase `j + 1` can arrive while a vertex still works on `j`
 //! (its own answer may be stuck in the pipelined downcast); they park in
@@ -52,8 +61,9 @@ use crate::msg::Msg;
 use super::{DScratch, ElkinNode, Sel, UNKNOWN};
 
 impl ElkinNode {
-    /// Called once when Stage B's schedule ends.
-    pub(crate) fn cd_enter(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+    /// Called once when Stage B's schedule ends: opens Borůvka phase 0,
+    /// in which every base fragment is its own coarse fragment.
+    pub(crate) fn cd_enter(&mut self) {
         if self.forest_only {
             // Theorem 4.3 standalone: the base forest is the deliverable.
             self.finished = true;
@@ -62,61 +72,13 @@ impl ElkinNode {
         self.down = vec![std::collections::VecDeque::new(); self.bfs_children.len()];
         if self.is_bfs_root() {
             self.root = Some(Box::default());
-            self.cd_take_interval(ctx, 0);
         }
-    }
-
-    /// Receive my interval, hand sub-intervals to my BFS children, and (if I
-    /// root a base fragment) register with the BFS root and initialize my
-    /// fragment's coarse id — which opens Borůvka phase 0 for me.
-    fn cd_take_interval(&mut self, ctx: &mut RoundCtx<'_, Msg>, start: u64) {
-        self.slot = start;
-        self.c.interval_received = true;
-        self.child_ivs = crate::intervals::assign_children(start, &self.child_sizes);
-        for (&q, &(cstart, size)) in self.bfs_children.iter().zip(&self.child_ivs) {
-            ctx.send(q, Msg::Interval { start: cstart, size });
-        }
-        if self.is_frag_root() {
-            self.c.registered = true;
-            self.cd_register(start);
-            self.cd_init_coarse(ctx, start);
-        }
-    }
-
-    /// Queues a base fragment's `slot` toward the BFS root, or at the root
-    /// records it.
-    fn cd_register(&mut self, slot: u64) {
-        if let Some(root) = self.root.as_mut() {
-            root.slots.push(slot);
-            root.slot_coarse.insert(slot, slot);
-        } else {
-            self.c.reg_queue.push_back(slot);
-        }
-    }
-
-    /// Adopts the fragment's initial coarse id, which opens Borůvka phase 0
-    /// here, and passes it down the fragment.
-    fn cd_init_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64) {
-        self.coarse = id;
-        self.coarse_ready = Some(0);
-        for &q in &self.frag_children {
-            ctx.send(q, Msg::InitCoarse { id });
-        }
+        self.coarse = self.frag_id;
     }
 
     pub(crate) fn cd_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
-                Msg::Interval { start, .. } => self.cd_take_interval(ctx, start),
-                Msg::InitCoarse { id } => self.cd_init_coarse(ctx, id),
-                Msg::Register { slot } => self.cd_register(slot),
-                Msg::RegDone => {
-                    if let Some(root) = self.root.as_mut() {
-                        root.reg_done_children += 1;
-                    } else {
-                        self.c.reg_done_children += 1;
-                    }
-                }
                 Msg::CoarseAnnounce { coarse, me } => {
                     // The sender announces once per phase in phase order,
                     // so the per-port count *is* the announce's phase.
@@ -183,23 +145,21 @@ impl ElkinNode {
                         self.updone_next += 1;
                     }
                 }
-                Msg::Assign { dest_slot, new_coarse, chosen, done, next } => {
+                Msg::Assign { dest_slot, new_coarse, chosen, done } => {
                     if dest_slot == self.slot {
-                        self.cd_consume_assign(ctx, new_coarse, chosen, done, next);
+                        self.cd_consume_assign(ctx, new_coarse, chosen, done);
                     } else {
                         let idx = self.cd_route(dest_slot);
                         self.down[idx].push_back(msg.clone());
                     }
                 }
-                Msg::NewCoarse { id, done, next } => {
-                    self.cd_apply_new_coarse(ctx, id, done, next);
-                }
+                Msg::NewCoarse { id, done } => self.cd_apply_new_coarse(ctx, id, done),
                 // `MarkPath` was sent before the same phase's `NewCoarse`
                 // on this edge, so FIFO guarantees it is processed while
                 // `d.sel` still holds the phase's argmin selection.
                 Msg::MarkPath => self.cd_mark_path(ctx),
                 Msg::MarkCross => self.ports.mark_mst(port),
-                ref other => unreachable!("stage C/D received {other:?}"),
+                ref other => unreachable!("stage D received {other:?}"),
             }
         }
     }
@@ -208,8 +168,8 @@ impl ElkinNode {
     /// forwards, announce, `FragMwoeUp`, `NewCoarse`/`MarkPath` via the
     /// root merge) run before the pipeline flushes, which go through
     /// [`RoundCtx::try_send`] and so spend exactly what is left of each
-    /// edge's word budget this round. The completion markers
-    /// (`UpDone`/`RegDone`) are gated the same way and deferred while the
+    /// edge's word budget this round. The completion marker (`UpDone`) is
+    /// gated the same way and deferred while the
     /// edge is full, so a shared BFS-/fragment-tree edge is never
     /// oversubscribed and no headroom needs reserving; the simulator's
     /// capacity check loudly rejects any future unconditional send placed
@@ -219,16 +179,8 @@ impl ElkinNode {
     /// same one [`cd_next_wake`](Self::cd_next_wake) ORs into the wake
     /// hint.
     pub(crate) fn cd_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        // --- Stage C: root-side registration completion (gates merge 0).
-        if self.cd_latch_ready() {
-            let root = self.root.as_mut().expect("only the BFS root latches");
-            root.reg_complete = true;
-            root.slots.sort_unstable();
-        }
-
-        // (a) Announce the current phase as soon as the coarse id is
-        // current (for phase 0 that is `InitCoarse` receipt; afterwards
-        // the answer path rolls `coarse_ready` and `d.phase` together).
+        // (a) Announce the current phase: phase 0 from the round Stage B
+        // ends, later phases as soon as the answer path rolls them.
         if self.cd_announce_ready() {
             self.d.announced = true;
             let coarse = self.coarse;
@@ -249,7 +201,11 @@ impl ElkinNode {
                     self.d.sel = sel;
                 }
             }
-            if self.is_frag_root() {
+            if self.is_frag_root() && self.d.phase == 0 && self.d.agg.is_none() {
+                // No edge leaves this base fragment: it spans the graph,
+                // so it answers itself and the run is over.
+                self.cd_apply_new_coarse(ctx, self.coarse, true);
+            } else if self.is_frag_root() {
                 self.cd_inject();
             } else {
                 let up = self.frag_parent.expect("non-root has a fragment parent");
@@ -257,23 +213,7 @@ impl ElkinNode {
             }
         }
 
-        // (c) Stage C registration pipeline toward the BFS root.
-        if let Some(parent) = self.bfs_parent.filter(|_| self.cd_register_ready()) {
-            while let Some(&slot) = self.c.reg_queue.front() {
-                if ctx.try_send(parent, Msg::Register { slot }).is_err() {
-                    break;
-                }
-                self.c.reg_queue.pop_front();
-            }
-            if self.cd_reg_done_due()
-                && self.c.reg_queue.is_empty()
-                && ctx.try_send(parent, Msg::RegDone).is_ok()
-            {
-                self.c.reg_done_sent = true;
-            }
-        }
-
-        // (d) Candidate pipeline flush toward the BFS parent.
+        // (c) Candidate pipeline flush toward the BFS parent.
         if let Some(parent) = self.bfs_parent.filter(|_| self.cd_upcast_ready()) {
             while let Some(&(key, sc)) = self.d.up_pending.iter().next() {
                 let rec = self.d.up_best[&sc];
@@ -286,7 +226,7 @@ impl ElkinNode {
             }
         }
 
-        // (e) Upcast completion / root-local merge. `UpDone` may fire in
+        // (d) Upcast completion / root-local merge. `UpDone` may fire in
         // the same round as the last candidate (it follows them in FIFO
         // order) and is deferred while the edge is full.
         if self.cd_updone_ready() {
@@ -300,7 +240,7 @@ impl ElkinNode {
             }
         }
 
-        // (f) Downcast pipeline flush (also drains the answers the root
+        // (e) Downcast pipeline flush (also drains the answers the root
         // merge just queued, and keeps draining after `done`).
         if self.cd_downcast_ready() {
             for (queue, &port) in self.down.iter_mut().zip(&self.bfs_children) {
@@ -320,7 +260,7 @@ impl ElkinNode {
         }
     }
 
-    /// Idle-skip hint for Stages C/D (the `NodeProgram::next_wake`
+    /// Idle-skip hint for Stage D (the `NodeProgram::next_wake`
     /// contract): `Some(after + 1)` iff the readiness predicate of some
     /// `cd_act` step holds, else `None` (purely message-driven).
     ///
@@ -330,10 +270,8 @@ impl ElkinNode {
     /// which correctly re-arms the wake for the next round, when the
     /// edge's budget is fresh.
     pub(crate) fn cd_next_wake(&self, after: u64) -> Option<u64> {
-        (self.cd_latch_ready()
-            || self.cd_announce_ready()
+        (self.cd_announce_ready()
             || self.cd_aggregate_ready()
-            || self.cd_register_ready()
             || self.cd_upcast_ready()
             || self.cd_updone_ready()
             || self.cd_downcast_ready()
@@ -343,19 +281,9 @@ impl ElkinNode {
 
     // ---- readiness predicates of the `cd_act` steps ----
 
-    /// The BFS root has its interval and every child's `RegDone`: latch
-    /// registration complete.
-    fn cd_latch_ready(&self) -> bool {
-        self.root.as_ref().is_some_and(|root| {
-            !root.reg_complete
-                && self.c.interval_received
-                && root.reg_done_children == self.bfs_children.len()
-        })
-    }
-
-    /// (a) The coarse id is current for a phase not yet announced.
+    /// (a) The current phase is not yet announced.
     fn cd_announce_ready(&self) -> bool {
-        !self.done_seen && !self.d.announced && self.coarse_ready == Some(self.d.phase)
+        !self.done_seen && !self.d.announced
     }
 
     /// (b) Every neighbor announced and every fragment child reported.
@@ -366,38 +294,22 @@ impl ElkinNode {
             && self.d.frag_up_recv == self.frag_children.len()
     }
 
-    /// (c) A non-root with its interval has slots queued or owes `RegDone`.
-    fn cd_register_ready(&self) -> bool {
-        self.c.interval_received
-            && !self.c.reg_done_sent
-            && self.bfs_parent.is_some()
-            && (!self.c.reg_queue.is_empty() || self.cd_reg_done_due())
-    }
-
-    /// My own slot is registered (if I own one) and every BFS child is
-    /// through: `RegDone` is due once my queue drains.
-    fn cd_reg_done_due(&self) -> bool {
-        (!self.is_frag_root() || self.c.registered)
-            && self.c.reg_done_children == self.bfs_children.len()
-    }
-
-    /// (d) Candidates wait to go up.
+    /// (c) Candidates wait to go up.
     fn cd_upcast_ready(&self) -> bool {
         self.bfs_parent.is_some() && !self.d.up_pending.is_empty()
     }
 
-    /// (e) My subtree's upcast is complete: send `UpDone`, or at the BFS
-    /// root, once registration is latched, merge.
+    /// (d) My subtree's upcast is complete: send `UpDone`, or at the BFS
+    /// root, merge.
     fn cd_updone_ready(&self) -> bool {
         !self.done_seen
             && !self.d.updone_sent
             && (!self.is_frag_root() || self.d.injected)
             && self.d.updone_children == self.bfs_children.len()
             && self.d.up_pending.is_empty()
-            && (self.bfs_parent.is_some() || self.root.as_ref().is_some_and(|r| r.reg_complete))
     }
 
-    /// (f) Answers wait to go down.
+    /// (e) Answers wait to go down.
     fn cd_downcast_ready(&self) -> bool {
         self.down.iter().any(|q| !q.is_empty())
     }
@@ -407,7 +319,6 @@ impl ElkinNode {
         self.done_seen
             && !self.finished
             && self.d.up_pending.is_empty()
-            && self.c.reg_queue.is_empty()
             && self.down.iter().all(|q| q.is_empty())
     }
 
@@ -462,39 +373,34 @@ impl ElkinNode {
     /// BFS-root-local Borůvka merge of the fragment graph (paper §3: `rt`
     /// computes the MWOEs, merges fragments, and answers every base
     /// fragment). Under the fused protocol the answers are also the next
-    /// phase's start signal: every `Assign` carries phase `j + 1`, so a
-    /// fragment re-announces the moment its answer lands — the
-    /// `PhaseDone`/`StartPhase` barrier pair this replaces is gone. The
-    /// pure computation lives in
+    /// phase's start signal: a fragment re-announces the moment its
+    /// `Assign` lands — the `PhaseDone`/`StartPhase` barrier pair this
+    /// replaces is gone. The pure computation lives in
     /// [`merge_fragment_graph`](crate::fraggraph::merge_fragment_graph).
     fn cd_root_merge(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         let mut root = self.root.take().expect("only the BFS root merges");
+        if self.d.phase == 0 {
+            // Every base fragment's candidate got through (module docs):
+            // they name the fragments this root answers from now on.
+            let base = self.d.up_best.values().map(|rec| (rec.src_slot, rec.src_coarse));
+            root.slot_coarse = base.collect();
+        }
 
         let coarse_ids: Vec<u64> = root.slot_coarse.values().copied().collect();
         let outcome = crate::fraggraph::merge_fragment_graph(&coarse_ids, &self.d.up_best);
         let done = outcome.done;
-        let next = self.d.phase + 1;
 
-        // Answer every base fragment with its new coarse id (+ next phase).
-        let slots = root.slots.clone();
-        for &slot in &slots {
-            let old = root.slot_coarse[&slot];
-            let nc = outcome.new_id[&old];
-            root.slot_coarse.insert(slot, nc);
+        // Answer every base fragment with its new coarse id.
+        for (&slot, coarse) in &mut root.slot_coarse {
+            let nc = outcome.new_id[coarse];
+            *coarse = nc;
             let chosen = outcome.chosen_slots.contains(&slot);
             if slot == self.slot {
-                self.root = Some(root);
-                self.cd_consume_assign(ctx, nc, chosen, done, next);
-                root = self.root.take().expect("restored above");
+                self.cd_consume_assign(ctx, nc, chosen, done);
             } else {
                 let idx = self.cd_route(slot);
-                self.down[idx].push_back(Msg::Assign {
-                    dest_slot: slot,
-                    new_coarse: nc,
-                    chosen,
-                    done,
-                    next,
-                });
+                let answer = Msg::Assign { dest_slot: slot, new_coarse: nc, chosen, done };
+                self.down[idx].push_back(answer);
             }
         }
         self.root = Some(root);
@@ -508,20 +414,19 @@ impl ElkinNode {
 
     /// A base-fragment root received its phase answer: mark the chosen
     /// edge (before `NewCoarse`, so FIFO protects every hop's `Sel`),
-    /// broadcast the new coarse id, and roll into phase `next` myself.
+    /// broadcast the new coarse id, and roll into the next phase myself.
     fn cd_consume_assign(
         &mut self,
         ctx: &mut RoundCtx<'_, Msg>,
         nc: u64,
         chosen: bool,
         done: bool,
-        next: u64,
     ) {
         debug_assert!(self.is_frag_root());
         if chosen {
             self.cd_mark_path(ctx);
         }
-        self.cd_apply_new_coarse(ctx, nc, done, next);
+        self.cd_apply_new_coarse(ctx, nc, done);
     }
 
     /// Marks the chosen edge along the phase's argmin path: its endpoint
@@ -537,19 +442,13 @@ impl ElkinNode {
         }
     }
 
-    fn cd_apply_new_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64, done: bool, next: u64) {
+    /// The one phase-roll call site: pass the new coarse id down the
+    /// fragment, adopt it, roll the scratch, and latch global termination.
+    fn cd_apply_new_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64, done: bool) {
         for &q in &self.frag_children {
-            ctx.send(q, Msg::NewCoarse { id, done, next });
+            ctx.send(q, Msg::NewCoarse { id, done });
         }
-        self.cd_apply_new_coarse_local(id, done, next);
-    }
-
-    /// The one phase-roll call site: adopt the new coarse id, roll the
-    /// scratch, and latch global termination.
-    fn cd_apply_new_coarse_local(&mut self, id: u64, done: bool, next: u64) {
-        debug_assert_eq!(next, self.d.phase + 1, "answer path phase skew at vertex {}", self.id);
         self.coarse = id;
-        self.coarse_ready = Some(next);
         self.cd_roll_phase();
         if done {
             self.done_seen = true;

@@ -62,12 +62,11 @@ pub struct MstRun {
     /// Total raw weight of the tree.
     pub total_weight: u128,
     /// Rounds, messages, words, per-tag breakdown. Rounds per stage are
-    /// `stats.rounds_in_stage("a")` through `"d"`: the simulator charges
+    /// `stats.rounds_in_stage("a")`, `"b"` and `"d"`: the simulator charges
     /// every executed round to the earliest stage any vertex is still in,
-    /// so each boundary reflects the *last* vertex to cross it and the four
-    /// counts partition `stats.rounds`. (Stages C and D overlap per vertex
-    /// under the fused protocol; a round is "c" until the last vertex holds
-    /// its initial coarse id.)
+    /// so each boundary reflects the *last* vertex to cross it and the
+    /// three counts partition `stats.rounds`. (Stage D opens at every
+    /// vertex in the round Stage B ends; no round is `"c"`.)
     pub stats: RunStats,
     /// The base-forest parameter the run settled on.
     pub k: u64,
@@ -207,7 +206,7 @@ pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError>
     // Every ElkinNode reports a stage tag every round, so the simulator's
     // per-stage attribution partitions the run exactly.
     debug_assert_eq!(
-        ["a", "b", "c", "d"].iter().map(|s| stats.rounds_in_stage(s)).sum::<u64>(),
+        ["a", "b", "d"].iter().map(|s| stats.rounds_in_stage(s)).sum::<u64>(),
         stats.rounds,
         "stage attribution must partition the run"
     );

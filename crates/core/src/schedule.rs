@@ -107,8 +107,8 @@ pub fn choose_k(n: u64, h: u64, bandwidth: u32) -> u64 {
     isqrt(nb).max(h).max(1)
 }
 
-// Stage C/D constants of `choose_k_cost` in 32nds of a round, fitted by
-// relative least squares to the measured Stage C + D rounds of 96 runs
+// Stage D constants of `choose_k_cost` in 32nds of a round, fitted by
+// relative least squares to the measured post-Stage-B rounds of 96 runs
 // (the T1 trio at n = 256, 1024 and 2304, the A3 and S1 workloads, and the
 // n = 16384 random graph, each swept over `k`; DESIGN.md §2): `α = 27/32`
 // rounds per Borůvka phase per unit of BFS height, `γ = 152/32` rounds per
@@ -123,8 +123,8 @@ const CD_SCALE: u128 = 32;
 ///
 /// Every candidate `k` gets a predicted round count: Stage B is the sum of
 /// the adaptive schedule's [`Schedule::phase_len`] over its `ceil(log2 k)`
-/// phases (exact, since every phase ends on its schedule), and Stages C/D
-/// are `ceil(log2(n/k)) * (α·H + γ) + β·n/(k·b)` (constants above). The
+/// phases (exact, since every phase ends on its schedule), and Stage D
+/// is `ceil(log2(n/k)) * (α·H + γ) + β·n/(k·b)` (constants above). The
 /// candidates are the powers of two from 2 plus the cap `isqrt(n/b)` — the
 /// paper's `k` (Eq. (1)), past which Stage B only grows — restricted to
 /// `k >= min(ceil(H/8), cap)`. That floor is the paper's reason for
@@ -282,7 +282,7 @@ impl Schedule {
         self.params.t0
     }
 
-    /// First round *after* Stage B (Stage C entry point).
+    /// First round *after* Stage B (Stage D entry point).
     pub fn end(&self) -> u64 {
         self.table.last().map_or(self.params.t0, |s| s.start + s.len)
     }
@@ -372,7 +372,7 @@ impl Schedule {
     }
 
     /// The next round strictly after `round` that is a window's first or
-    /// final round, or [`Schedule::end`] (the Stage C transition) when no
+    /// final round, or [`Schedule::end`] (the Stage D transition) when no
     /// window remains. These are exactly the rounds at which
     /// [`crate::node::ElkinNode`] acts spontaneously — every window arms its
     /// actions at offset 0 and/or its last round — so they are the Stage B
@@ -569,7 +569,7 @@ mod tests {
     fn next_boundary_rel_walks_window_edges() {
         // `next_boundary` seen from inside one phase: the next boundary
         // after any offset is a window edge of that phase, or the phase's
-        // end (the next phase's Announce, or Stage C after the last).
+        // end (the next phase's Announce, or Stage D after the last).
         let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
         for phase in 0..s.num_phases() {
             let start = phase_start(&s, phase);

@@ -45,7 +45,9 @@ fn k_exceeding_n_yields_one_fragment() {
 
 /// An override far past `n` is clamped at the BFS root to
 /// `2 * n.next_power_of_two()`: it neither runs into the round cap nor
-/// overflows the schedule, and still collapses the forest to the MST.
+/// overflows the schedule, and still collapses the forest to the MST. That
+/// lone base fragment answers itself: its root finds no outgoing edge in
+/// Borůvka phase 0 and floods the end, so the BFS root routes no answer.
 #[test]
 fn oversized_k_override_is_clamped() {
     let g = gen::random_connected(20, 40, &mut gen::WeightRng::new(8));
@@ -55,6 +57,9 @@ fn oversized_k_override_is_clamped() {
         let run = run_mst(&g, &cfg).unwrap_or_else(|e| panic!("k = {k}: {e}"));
         assert_eq!(run.edges, truth.edges, "k = {k}: wrong MST");
         assert_eq!(run.k, 64, "k = {k}: not clamped to 2 * 32");
+        assert_eq!(run.stats.messages_with_tag("d:downcast"), 0, "k = {k}: an answer was routed");
+        let stage_c: Vec<_> = run.stats.by_tag.keys().filter(|t| t.starts_with("c:")).collect();
+        assert!(stage_c.is_empty(), "k = {k}: Stage C messages {stage_c:?}");
         let forest = run_forest(&g, &cfg).unwrap_or_else(|e| panic!("k = {k}: {e}"));
         assert_eq!(analyze_forest(&g, &forest).num_fragments, 1, "k = {k}");
     }

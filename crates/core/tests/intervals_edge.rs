@@ -1,4 +1,4 @@
-//! Edge-case tests for the nested interval labels of Stage C: singletons,
+//! Edge-case tests for the nested interval labels of Stage A: singletons,
 //! zero-sized children, boundary routing, and the ancestor-containment
 //! property (the root's interval covers every descendant's).
 
@@ -126,7 +126,7 @@ fn root_interval_covers_all_descendants() {
     }
 
     // Every non-root slot is routable hop-by-hop from the root to its
-    // owner: simulate the Stage C/D routing loop.
+    // owner: simulate the Stage D routing loop.
     for target in 1..n as u64 {
         let mut v = 0usize;
         let mut hops = 0;

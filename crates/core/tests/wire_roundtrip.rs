@@ -30,7 +30,7 @@ fn check(m: &Msg) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Deterministically builds one of the 35 variants from raw components.
+/// Deterministically builds one of the 31 variants from raw components.
 /// `small*` feed packed (tag-word) fields, `big*` feed full-word fields.
 #[allow(clippy::too_many_arguments)]
 fn build(
@@ -50,7 +50,7 @@ fn build(
         0 => Msg::Bfs,
         1 => Msg::BfsChild,
         2 => Msg::SizeUp { size: id, height: big },
-        3 => Msg::Params { n: id, h: big, k: big2, t0: big3 },
+        3 => Msg::Params { n: id, h: big, k: big2, t0: big3, slot: big.rotate_left(32) },
         4 => Msg::FragAnnounce { frag: id, me: big },
         5 => Msg::Probe { ttl: small },
         6 => Msg::MwoeUp { cand: flag.then_some(key), overflow: flag2 },
@@ -70,21 +70,15 @@ fn build(
         20 => Msg::MergePath,
         21 => Msg::MergeCross,
         22 => Msg::NewFrag { id },
-        23 => Msg::Interval { start: id, size: big },
-        24 => Msg::Register { slot: id },
-        25 => Msg::RegDone,
-        26 => Msg::InitCoarse { id },
-        27 => Msg::CoarseAnnounce { coarse: id, me: big },
-        28 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
-        29 => Msg::Candidate {
+        23 => Msg::CoarseAnnounce { coarse: id, me: big },
+        24 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
+        25 => Msg::Candidate {
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
-        30 => Msg::UpDone,
-        31 => {
-            Msg::Assign { dest_slot: big, new_coarse: big2, chosen: flag, done: flag2, next: big3 }
-        }
-        32 => Msg::NewCoarse { id: big, done: flag, next: big2 },
-        33 => Msg::MarkPath,
+        26 => Msg::UpDone,
+        27 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
+        28 => Msg::NewCoarse { id, done: flag },
+        29 => Msg::MarkPath,
         _ => Msg::MarkCross,
     }
 }
@@ -96,7 +90,7 @@ proptest! {
     /// message.
     #[test]
     fn msg_roundtrip(
-        sel in 0usize..35,
+        sel in 0usize..31,
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),
@@ -113,7 +107,7 @@ proptest! {
     /// sequentially to the original sequence, each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
-        sels in proptest::collection::vec(0usize..35, 1..8),
+        sels in proptest::collection::vec(0usize..31, 1..8),
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),

@@ -6,7 +6,9 @@
 //!
 //! ```text
 //! cargo run --release --example repin            # the n = 256 trio pins
-//! cargo run --release --example repin -- --large # + the n = 1024/2304 cliquepaths
+//! cargo run --release --example repin -- --large # + the n = 2304 cliquepath
+//!                                                #   and the two n = 16384
+//!                                                #   `wallclock -- --gate` runs
 //! ```
 //!
 //! The simulator is deterministic, so these numbers are bit-exact across
@@ -56,11 +58,30 @@ fn main() {
             .expect("trio contains a cliquepath")
             .graph;
         let run = run_mst(&g2304, &ElkinConfig::default()).expect("adaptive 2304");
-        let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| run.stats.rounds_in_stage(s));
+        let [a, b, d] = ["a", "b", "d"].map(|s| run.stats.rounds_in_stage(s));
         println!(
             "cliquepath 288x8 adaptive: rounds {} messages {} wire words {} \
-             profile a/b/c/d = {}/{}/{}/{}",
-            run.stats.rounds, run.stats.messages, run.stats.wire_words, a, b, c, d
+             profile a/b/d = {}/{}/{}",
+            run.stats.rounds, run.stats.messages, run.stats.wire_words, a, b, d
         );
+
+        println!("\n# crates/bench/benches/wallclock.rs --gate exact pins\n");
+        let gates = [
+            (
+                "elkin_random_16384",
+                gen::random_connected(16_384, 32_768, &mut gen::WeightRng::new(0x5CA1E)),
+            ),
+            (
+                "elkin_cliquepath_16384",
+                gen::path_of_cliques(2048, 8, &mut gen::WeightRng::new(0x51)),
+            ),
+        ];
+        for (label, g) in &gates {
+            let stats = run_mst(g, &ElkinConfig::default()).expect(label).stats;
+            println!(
+                "{label:<24} rounds {} messages {} wire words {}",
+                stats.rounds, stats.messages, stats.wire_words
+            );
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Scaling probe: runs the full four-stage algorithm on a random connected
+//! Scaling probe: runs the full algorithm (Stages A, B, D) on a random connected
 //! graph and prints rounds, messages, per-stage attribution, and wallclock
 //! — the measurement tool behind the EXPERIMENTS.md simulator-throughput
 //! table and the first-pin numbers of the wallclock gate.
@@ -26,10 +26,10 @@ fn main() {
     let t1 = Instant::now();
     let run = run_mst(&g, &cfg).expect("run");
     let dt = t1.elapsed();
-    let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| run.stats.rounds_in_stage(s));
+    let [a, b, d] = ["a", "b", "d"].map(|s| run.stats.rounds_in_stage(s));
     println!(
-        "solve:    rounds = {} (a {} / b {} / c {} / d {}), messages = {}, words = {}, k = {}",
-        run.stats.rounds, a, b, c, d, run.stats.messages, run.stats.wire_words, run.k,
+        "solve:    rounds = {} (a {} / b {} / d {}), messages = {}, words = {}, k = {}",
+        run.stats.rounds, a, b, d, run.stats.messages, run.stats.wire_words, run.k,
     );
     let node_rounds = run.stats.rounds as u128 * g.num_nodes() as u128;
     println!(

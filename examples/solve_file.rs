@@ -71,10 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!(
-        "\nstage profile (elkin): A={} B={} C={} D={} rounds; k = {}",
+        "\nstage profile (elkin): A={} B={} D={} rounds; k = {}",
         elkin.stats.rounds_in_stage("a"),
         elkin.stats.rounds_in_stage("b"),
-        elkin.stats.rounds_in_stage("c"),
         elkin.stats.rounds_in_stage("d"),
         elkin.k
     );

@@ -9,8 +9,8 @@
 //!   simulator (rounds, per-edge bandwidth in words, message statistics);
 //! * [`graphs`] — weighted graphs, deterministic generators, BFS/diameter
 //!   analysis, and the sequential MST oracles (Kruskal/Prim/Borůvka);
-//! * [`core`] — Elkin's algorithm itself (Stages A–D) plus the standalone
-//!   Controlled-GHS forest construction of Theorem 4.3;
+//! * [`core`] — Elkin's algorithm itself (Stages A, B and D) plus the
+//!   standalone Controlled-GHS forest construction of Theorem 4.3;
 //! * [`baselines`] — the GHS-style and GKP98 Pipeline baselines from the
 //!   paper's §1.1 comparison.
 //!

@@ -1,6 +1,6 @@
 //! Executor equivalences on the real algorithm, over the T1 trio.
 //!
-//! Sequential vs sharded: the full four-stage run must produce
+//! Sequential vs sharded: the full run (Stages A, B and D) must produce
 //! bit-identical [`RunStats`](dmst::congest::RunStats) — rounds, messages,
 //! per-tag tables, and the `rounds_by_stage` census — and the same MST,
 //! for every shard count. Together with the absolute pins of
@@ -10,10 +10,13 @@
 //! Hinted vs every round: [`EveryRound`] steps every `ElkinNode` in every
 //! round and panics on a step that breaks its wake hint, so the hints the
 //! executor skips rounds on are checked on the protocol itself; the run
-//! must also equal `run_mst`'s bit for bit.
+//! must also equal `run_mst`'s bit for bit. One extra input, a graph that
+//! Stage B collapses to a single base fragment, covers the lone-fragment
+//! finish of Stage D.
 
 use dmst::congest::{EveryRound, Network, RunConfig, Topology};
 use dmst::core::{marked_mst_edges, run_mst, ElkinConfig, ElkinNode, MergeControl};
+use dmst::graphs::generators as gen;
 use dmst_bench::standard_trio;
 
 #[test]
@@ -40,19 +43,24 @@ fn t1_trio_stats_are_shard_invariant() {
 fn t1_trio_matches_every_round_stepping() {
     let uncontrolled =
         ElkinConfig { merge_control: MergeControl::Uncontrolled, ..ElkinConfig::default() };
+    let mut inputs = Vec::new();
     for cfg in [ElkinConfig::default(), ElkinConfig::fixed(), uncontrolled] {
         let label = format!("{:?}, {:?}", cfg.schedule_mode, cfg.merge_control);
         for w in standard_trio(256, 0x51) {
-            let g = &w.graph;
-            let topo = Topology::new(g.num_nodes(), g.edges()).expect("valid topology");
-            let mut net = Network::new(topo, |info| EveryRound::new(ElkinNode::new(info, cfg)));
-            let stats = net.run(&RunConfig::congest_b(cfg.bandwidth)).expect("every-round run");
-            let edges =
-                marked_mst_edges(g, &net, |n: &EveryRound<ElkinNode>| n.inner().mst_ports())
-                    .expect("symmetric marks");
-            let hinted = run_mst(g, &cfg).expect("hinted run");
-            assert_eq!(edges, hinted.edges, "{} ({label}): MST diverged", w.name);
-            assert_eq!(stats, hinted.stats, "{} ({label}): stats diverged", w.name);
+            inputs.push((format!("{} ({label})", w.name), w.graph, cfg));
         }
+    }
+    // One base fragment (`forest_shape::oversized_k_override_is_clamped`).
+    let lone = gen::random_connected(20, 40, &mut gen::WeightRng::new(8));
+    inputs.push(("lone base fragment".to_string(), lone, ElkinConfig::with_k(1 << 20)));
+    for (label, g, cfg) in &inputs {
+        let topo = Topology::new(g.num_nodes(), g.edges()).expect("valid topology");
+        let mut net = Network::new(topo, |info| EveryRound::new(ElkinNode::new(info, *cfg)));
+        let stats = net.run(&RunConfig::congest_b(cfg.bandwidth)).expect("every-round run");
+        let edges = marked_mst_edges(g, &net, |n: &EveryRound<ElkinNode>| n.inner().mst_ports())
+            .expect("symmetric marks");
+        let hinted = run_mst(g, cfg).expect("hinted run");
+        assert_eq!(edges, hinted.edges, "{label}: MST diverged");
+        assert_eq!(stats, hinted.stats, "{label}: stats diverged");
     }
 }

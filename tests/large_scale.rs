@@ -11,14 +11,14 @@ use dmst::graphs::{generators as gen, mst};
 
 /// Promoted from the `#[ignore]`d set: the T1 cliquepath at n = 2304 —
 /// the workload that motivated adaptive scheduling — runs in the default
-/// suite. `ScheduleMode::Adaptive` (PR 2) cut it from ~51k rounds (Fixed,
-/// k = Θ(H)) to 12465; the fused event-driven Stage D (PR 3) cuts it
-/// further to 7853, with Stage D itself at 2565 rounds — within ~3% of
-/// the 4H + 2k structural floor of the two Borůvka phases this workload
-/// needs (H = 575, k = 48; see EXPERIMENTS.md S1). The caps are the PR 3
-/// goldens with the suite's standard 10% slack, far inside the issue's
-/// <= 11.5k acceptance bar; `exp_t1_comparison -- --smoke` re-checks
-/// them in release CI together with the Stage D share ceiling.
+/// suite. `ScheduleMode::Adaptive` cut it from ~51k rounds (Fixed,
+/// k = Θ(H)) to 12465; the fused event-driven Stage D cut it further to
+/// 7853, and opening Stage D as soon as Stage B ends to 7195, with Stage D
+/// itself at 2538 rounds — within ~6% of the 4H + 2k = 2396-round floor of
+/// the two Borůvka phases this workload needs (H = 575, k = 48; see
+/// EXPERIMENTS.md S1). The caps are those goldens with the suite's
+/// standard 10% slack; `exp_t1_comparison -- --smoke` re-checks them in
+/// release CI together with the Stage D share ceiling.
 #[test]
 fn cliquepath_2304_adaptive_within_budget() {
     let g = dmst_bench::standard_trio(2304, 0x51)
@@ -30,18 +30,18 @@ fn cliquepath_2304_adaptive_within_budget() {
     let run = run_mst(&g, &ElkinConfig::default()).expect("adaptive run");
     assert_eq!(run.edges, truth.edges);
     assert!(
-        run.stats.rounds <= 8640,
-        "adaptive cliquepath rounds {} exceed the 7853-round golden (+10%)",
+        run.stats.rounds <= 7915,
+        "adaptive cliquepath rounds {} exceed the 7195-round golden (+10%)",
         run.stats.rounds
     );
     assert!(
-        run.stats.rounds_in_stage("d") <= 2820,
-        "adaptive cliquepath Stage D rounds {} exceed the 2565-round golden (+10%)",
+        run.stats.rounds_in_stage("d") <= 2792,
+        "adaptive cliquepath Stage D rounds {} exceed the 2538-round golden (+10%)",
         run.stats.rounds_in_stage("d")
     );
 }
 
-/// The executor-rebuild acceptance run: one million vertices, all four
+/// The executor-rebuild acceptance run: one million vertices, all three
 /// stages, through the *sharded* executor, checked against the Kruskal
 /// oracle. Sharding is forced (`shards: 2`) so the cross-shard delivery
 /// path runs at scale even on a single-core runner; the stats are
@@ -62,7 +62,7 @@ fn million_vertex_random_end_to_end() {
     assert_eq!(total, run.stats.rounds, "stage census must partition the rounds");
     assert!(
         run.stats.rounds_in_stage("d") > 0,
-        "all four stages must actually execute (got {:?})",
+        "all three stages must actually execute (got {:?})",
         run.stats.rounds_by_stage
     );
 }

@@ -33,10 +33,10 @@ fn trio_256() -> Vec<(String, WeightedGraph)> {
 #[test]
 fn elkin_fixed_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(1098, 23954),
-        RoundBudget::new(992, 31976),
-        RoundBudget::new(3515, 37690),
-        RoundBudget::new(1022, 23798),
+        RoundBudget::new(1070, 23129),
+        RoundBudget::new(978, 31198),
+        RoundBudget::new(3361, 36850),
+        RoundBudget::new(999, 22931),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::fixed());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
@@ -47,10 +47,10 @@ fn elkin_fixed_t1_trio_pins() {
 #[test]
 fn elkin_adaptive_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(310, 15811),
-        RoundBudget::new(198, 17701),
-        RoundBudget::new(1150, 29773),
-        RoundBudget::new(231, 11146),
+        RoundBudget::new(275, 14317),
+        RoundBudget::new(178, 16765),
+        RoundBudget::new(1057, 28485),
+        RoundBudget::new(210, 9531),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::default());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
@@ -108,6 +108,12 @@ fn stage_b_lasts_exactly_its_schedule() {
                     scheduled,
                     "{label}, {mode:?}, k = {k}: Stage B ran past its schedule"
                 );
+                // Stage D opens in the round Stage B ends: no "c" round
+                // and no "c:" message stand between them.
+                assert_eq!(run.stats.rounds_in_stage("c"), 0, "{label}, {mode:?}, k = {k}");
+                let c_tags: Vec<_> =
+                    run.stats.by_tag.keys().filter(|t| t.starts_with("c:")).collect();
+                assert!(c_tags.is_empty(), "{label}, {mode:?}, k = {k}: {c_tags:?}");
             }
         }
     }
@@ -146,7 +152,7 @@ fn elkin_adaptive_cliquepath_1024_pin() {
         &Algorithm::Elkin(ElkinConfig::default()),
         &g,
         "cliquepath 128x8",
-        &RoundBudget::new(4392, 170_187),
+        &RoundBudget::new(4075, 165_247),
     );
 }
 
