@@ -16,8 +16,8 @@
 //!
 //! Pass `--smoke` to run only the CI guard: the n = 2304 cliquepath in
 //! both modes (asserting the >= 3x adaptive win, the fused-Stage-D round
-//! budgets, the Stage D share ceiling, and per-row total-wire-word
-//! ceilings at measured x 1.1) plus one low-diameter sanity point.
+//! budgets and per-row total-wire-word ceilings at measured x 1.1) plus
+//! one low-diameter sanity point.
 
 use dmst_baselines::{run_ghs, run_pipeline};
 use dmst_bench::{banner, header, row, standard_trio};
@@ -26,7 +26,7 @@ use dmst_core::{run_mst, ElkinConfig};
 fn smoke() {
     banner(
         "T1 (smoke): adaptive-schedule + fused-Stage-D round budget guard",
-        "cliquepath n=2304: Adaptive <= 1/3 of Fixed, total <= 7915, Stage D <= 2792 and <= 36% of the run; identical MST",
+        "cliquepath n=2304: Adaptive <= 1/3 of Fixed, total <= 7590, Stage D <= 2590; identical MST",
     );
     header(&["workload", "mode", "rounds", "stage D", "messages", "wire words"]);
     let cliquepath = standard_trio(2304, 0x51)
@@ -52,25 +52,22 @@ fn smoke() {
         ada.stats.rounds,
         fixed.stats.rounds
     );
-    // Fused-Stage-D gates: golden 7195 total / 2538 Stage D rounds (+10%
-    // slack), plus a share ceiling so Stage D cannot quietly become the
-    // bottleneck again. The measured Stage D sits within ~6% of the
-    // 4H + 2k = 2396-round floor of this workload's two Borůvka phases.
+    // Fused-Stage-D gates: the golden 6900 total rounds (+10% slack), and
+    // a Stage D ceiling of 2590 rounds, 36% of the 7195-round total it was
+    // first pinned against, so Stage D cannot quietly become the
+    // bottleneck again. It is a fixed bound, not a share: a faster
+    // Stage B must not fail it. The measured 2537 Stage D rounds sit
+    // within ~6% of the 4H + 2k = 2396-round floor of this workload's two
+    // Borůvka phases.
     assert!(
-        ada.stats.rounds <= 7915,
-        "adaptive cliquepath total {} exceeds the 7195-round golden (+10%)",
+        ada.stats.rounds <= 7590,
+        "adaptive cliquepath total {} exceeds the 6900-round golden (+10%)",
         ada.stats.rounds
     );
     assert!(
-        ada.stats.rounds_in_stage("d") <= 2792,
-        "adaptive cliquepath Stage D {} exceeds the 2538-round golden (+10%)",
+        ada.stats.rounds_in_stage("d") <= 2590,
+        "adaptive cliquepath Stage D {} exceeds the 2590-round ceiling",
         ada.stats.rounds_in_stage("d")
-    );
-    assert!(
-        100 * ada.stats.rounds_in_stage("d") <= 36 * ada.stats.rounds,
-        "Stage D share {}/{} exceeds the 36% ceiling on the cliquepath",
-        ada.stats.rounds_in_stage("d"),
-        ada.stats.rounds
     );
     let torus = standard_trio(256, 0x51).into_iter().next().expect("trio has a torus");
     let tf = run_mst(&torus.graph, &ElkinConfig::fixed()).expect("torus fixed");
@@ -84,10 +81,10 @@ fn smoke() {
     // that bloats the physical representation trips this even when the
     // declared budgets stay flat.
     for (label, run, ceiling) in [
-        ("cliquepath/fixed", &fixed, 902_122u64),
-        ("cliquepath/adaptive", &ada, 743_958),
-        ("torus/fixed", &tf, 40_872),
-        ("torus/adaptive", &ta, 42_816),
+        ("cliquepath/fixed", &fixed, 655_317u64),
+        ("cliquepath/adaptive", &ada, 530_798),
+        ("torus/fixed", &tf, 30_401),
+        ("torus/adaptive", &ta, 31_613),
     ] {
         println!("wire gate: {label:<22} {:>9} (ceiling {ceiling})", run.stats.wire_words);
         assert!(

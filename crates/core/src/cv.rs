@@ -19,7 +19,9 @@
 //!    roots pick a fresh color. Properness is preserved.
 //! 3. **Recolor** ([`recolor`]): one color class `c ∈ {3, 4, 5}` at a time
 //!    moves into `{0, 1, 2}`, avoiding the (single) parent color and the
-//!    (uniform, equal to the vertex's own pre-shift color) child color.
+//!    vertex's own pre-shift color, which is what its children, if any,
+//!    all hold. A leaf excludes it too: it costs a leaf nothing it needs,
+//!    and no vertex has to learn whether it has children.
 //!
 //! All functions are deterministic and total; properness invariants are
 //! exercised by unit tests and a whole-forest property test.
@@ -71,12 +73,12 @@ pub fn shift_down_root(my_prev: u64) -> u64 {
 
 /// Recoloring of class `c` after a shift-down: a vertex whose current color
 /// is in `{3, 4, 5}` picks the smallest color in `{0, 1, 2}` avoiding its
-/// parent's current color and its children's (uniform) current color.
-///
-/// `children` is `None` for leaves.
-pub fn recolor(parent: Option<u64>, children: Option<u64>) -> u64 {
+/// parent's current color and `children`, its own pre-shift color — the
+/// color every child of it adopted. Leaves pass it as well, so the rule is
+/// uniform.
+pub fn recolor(parent: Option<u64>, children: u64) -> u64 {
     (0..3)
-        .find(|&c| Some(c) != parent && Some(c) != children)
+        .find(|&c| Some(c) != parent && c != children)
         .expect("three candidates, at most two excluded")
 }
 
@@ -124,8 +126,7 @@ pub fn three_color_forest(parent: &[usize]) -> Vec<u64> {
                 let p = (parent[v] != usize::MAX).then(|| cur[parent[v]]);
                 // After shift-down all children of v carry v's pre-shift
                 // color, which equals what v just handed down: prev[v].
-                let has_children = parent.contains(&v);
-                color[v] = recolor(p, has_children.then_some(prev[v]));
+                color[v] = recolor(p, prev[v]);
             }
         }
     }

@@ -31,27 +31,26 @@ const TAG_MWOE_UP: u8 = 6;
 const TAG_PARTICIPATE: u8 = 7;
 const TAG_MWOE_PATH: u8 = 8;
 const TAG_CONNECT_REQ: u8 = 9;
-const TAG_KIDS_UP: u8 = 10;
-const TAG_COLOR_DOWN: u8 = 11;
-const TAG_COLOR_CROSS: u8 = 12;
-const TAG_COLOR_UP: u8 = 13;
-const TAG_UNMATCHED_UP: u8 = 14;
-const TAG_ACCEPT_PATH: u8 = 15;
-const TAG_ACCEPT_CROSS: u8 = 16;
-const TAG_MATCHED_UP: u8 = 17;
-const TAG_STATUS_DOWN: u8 = 18;
-const TAG_STATUS_CROSS: u8 = 19;
-const TAG_MERGE_PATH: u8 = 20;
-const TAG_MERGE_CROSS: u8 = 21;
-const TAG_NEW_FRAG: u8 = 22;
-const TAG_COARSE_ANNOUNCE: u8 = 23;
-const TAG_FRAG_MWOE_UP: u8 = 24;
-const TAG_CANDIDATE: u8 = 25;
-const TAG_UP_DONE: u8 = 26;
-const TAG_ASSIGN: u8 = 27;
-const TAG_NEW_COARSE: u8 = 28;
-const TAG_MARK_PATH: u8 = 29;
-const TAG_MARK_CROSS: u8 = 30;
+const TAG_COLOR_DOWN: u8 = 10;
+const TAG_COLOR_CROSS: u8 = 11;
+const TAG_COLOR_UP: u8 = 12;
+const TAG_UNMATCHED_UP: u8 = 13;
+const TAG_ACCEPT_PATH: u8 = 14;
+const TAG_ACCEPT_CROSS: u8 = 15;
+const TAG_MATCHED_UP: u8 = 16;
+const TAG_STATUS_PATH: u8 = 17;
+const TAG_STATUS_CROSS: u8 = 18;
+const TAG_MERGE_PATH: u8 = 19;
+const TAG_MERGE_CROSS: u8 = 20;
+const TAG_NEW_FRAG: u8 = 21;
+const TAG_COARSE_ANNOUNCE: u8 = 22;
+const TAG_FRAG_MWOE_UP: u8 = 23;
+const TAG_CANDIDATE: u8 = 24;
+const TAG_UP_DONE: u8 = 25;
+const TAG_ASSIGN: u8 = 26;
+const TAG_NEW_COARSE: u8 = 27;
+const TAG_MARK_PATH: u8 = 28;
+const TAG_MARK_CROSS: u8 = 29;
 
 /// Writes a [`CandKey`] as three full words (the weight needs all 64
 /// bits; the endpoints get whole words so the key stays one fixed shape
@@ -75,9 +74,17 @@ pub enum Msg {
     // ---- Stage A: BFS tree, sizes, parameter broadcast and interval
     // labels (paper §3) ----
     /// BFS wave from the root; receivers adopt the sender as parent.
-    Bfs,
+    /// Every vertex sends exactly one `Bfs` or [`Msg::BfsChild`] over each
+    /// of its ports, so the pair teaches every vertex its neighbors' ids.
+    Bfs {
+        /// Sender's vertex id.
+        me: u64,
+    },
     /// "You are my BFS parent" — lets parents learn their child ports.
-    BfsChild,
+    BfsChild {
+        /// Sender's vertex id.
+        me: u64,
+    },
     /// Convergecast of `(subtree size, subtree height)` toward the BFS root.
     SizeUp {
         /// Number of vertices in the sender's BFS subtree.
@@ -105,12 +112,10 @@ pub enum Msg {
     // ---- Stage B: Controlled-GHS (paper §4). Every phase ends on its
     // round schedule in both schedule modes, so no message marks a phase
     // end: the window a message belongs to is implicit in the round. ----
-    /// Per-phase refresh of `(fragment id, sender id)` to all neighbors.
+    /// Per-phase refresh of the sender's fragment id to all neighbors.
     FragAnnounce {
         /// Sender's current fragment id.
         frag: u64,
-        /// Sender's vertex id (teaches neighbors our identity — clean model).
-        me: u64,
     },
     /// Depth-budgeted broadcast from the fragment root; participation test.
     Probe {
@@ -134,11 +139,6 @@ pub enum Msg {
     ConnectReq {
         /// The child fragment's id.
         child_frag: u64,
-    },
-    /// Convergecast: does any vertex of this fragment host a foreign child?
-    KidsUp {
-        /// OR-aggregate over the subtree.
-        has: bool,
     },
     /// Fragment-internal broadcast of the fragment's current CV color.
     ColorDown {
@@ -172,10 +172,11 @@ pub enum Msg {
         /// The partner (parent) fragment's id.
         partner: u64,
     },
-    /// Fragment-internal broadcast: "we are matched".
-    StatusDown,
-    /// Matched-status notification over a cross edge (to foreign children
-    /// and to the fragment's own MWOE parent).
+    /// Downcast along the MWOE argmin path of a fragment that just
+    /// accepted a child: "we are matched".
+    StatusPath,
+    /// Matched-status notice across the MWOE to the fragment's forest
+    /// parent, which registered the sender's fragment as a foreign child.
     StatusCross,
     /// Downcast along the argmin path: unmatched fragment merges via MWOE.
     MergePath,
@@ -199,14 +200,12 @@ pub enum Msg {
     // convergecast gates the root merge on every vertex), so receivers
     // classify `CoarseAnnounce` / `Candidate` / `UpDone` by per-port FIFO
     // counting. ----
-    /// Per-phase refresh of `(coarse id, sender id)` to all neighbors.
+    /// Per-phase refresh of the sender's coarse id to all neighbors.
     /// Sent exactly once per phase in phase order, so the receiver infers
     /// the phase from its per-port receive count (per-edge FIFO).
     CoarseAnnounce {
         /// Sender's current coarse fragment id.
         coarse: u64,
-        /// Sender's vertex id.
-        me: u64,
     },
     /// Event-driven base-fragment convergecast of the best candidate
     /// w.r.t. the coarse partition: sent to the fragment parent as soon
@@ -260,18 +259,18 @@ pub enum Msg {
 impl Message for Msg {
     fn tag(&self) -> &'static str {
         match self {
-            Msg::Bfs | Msg::BfsChild | Msg::SizeUp { .. } | Msg::Params { .. } => "a:bfs",
+            Msg::Bfs { .. } | Msg::BfsChild { .. } | Msg::SizeUp { .. } | Msg::Params { .. } => {
+                "a:bfs"
+            }
             Msg::FragAnnounce { .. } => "b:announce",
             Msg::Probe { .. } | Msg::MwoeUp { .. } => "b:mwoe",
-            Msg::Participate | Msg::MwoePath | Msg::ConnectReq { .. } | Msg::KidsUp { .. } => {
-                "b:connect"
-            }
+            Msg::Participate | Msg::MwoePath | Msg::ConnectReq { .. } => "b:connect",
             Msg::ColorDown { .. } | Msg::ColorCross { .. } | Msg::ColorUp { .. } => "b:color",
             Msg::UnmatchedUp { .. }
             | Msg::AcceptPath
             | Msg::AcceptCross { .. }
             | Msg::MatchedUp { .. }
-            | Msg::StatusDown
+            | Msg::StatusPath
             | Msg::StatusCross => "b:match",
             Msg::MergePath | Msg::MergeCross | Msg::NewFrag { .. } => "b:merge",
             Msg::CoarseAnnounce { .. } => "d:announce",
@@ -284,8 +283,14 @@ impl Message for Msg {
 
     fn encode(&self, w: &mut WireWriter<'_>) {
         match self {
-            Msg::Bfs => w.tag(TAG_BFS),
-            Msg::BfsChild => w.tag(TAG_BFS_CHILD),
+            Msg::Bfs { me } => {
+                w.tag(TAG_BFS);
+                w.pack(*me);
+            }
+            Msg::BfsChild { me } => {
+                w.tag(TAG_BFS_CHILD);
+                w.pack(*me);
+            }
             Msg::SizeUp { size, height } => {
                 w.tag(TAG_SIZE_UP);
                 w.pack(*size); // subtree size <= n
@@ -299,10 +304,9 @@ impl Message for Msg {
                 w.word(*t0);
                 w.word(*slot);
             }
-            Msg::FragAnnounce { frag, me } => {
+            Msg::FragAnnounce { frag } => {
                 w.tag(TAG_FRAG_ANNOUNCE);
                 w.pack(*frag); // fragment ids are vertex ids
-                w.word(*me);
             }
             Msg::Probe { ttl } => {
                 w.tag(TAG_PROBE);
@@ -319,10 +323,6 @@ impl Message for Msg {
             Msg::ConnectReq { child_frag } => {
                 w.tag(TAG_CONNECT_REQ);
                 w.pack(*child_frag);
-            }
-            Msg::KidsUp { has } => {
-                w.tag(TAG_KIDS_UP);
-                w.flag(0, *has);
             }
             Msg::ColorDown { color } => {
                 w.tag(TAG_COLOR_DOWN);
@@ -350,7 +350,7 @@ impl Message for Msg {
                 w.tag(TAG_MATCHED_UP);
                 w.pack(*partner);
             }
-            Msg::StatusDown => w.tag(TAG_STATUS_DOWN),
+            Msg::StatusPath => w.tag(TAG_STATUS_PATH),
             Msg::StatusCross => w.tag(TAG_STATUS_CROSS),
             Msg::MergePath => w.tag(TAG_MERGE_PATH),
             Msg::MergeCross => w.tag(TAG_MERGE_CROSS),
@@ -358,10 +358,9 @@ impl Message for Msg {
                 w.tag(TAG_NEW_FRAG);
                 w.pack(*id);
             }
-            Msg::CoarseAnnounce { coarse, me } => {
+            Msg::CoarseAnnounce { coarse } => {
                 w.tag(TAG_COARSE_ANNOUNCE);
                 w.pack(*coarse); // coarse ids are vertex ids < n
-                w.word(*me);
             }
             Msg::FragMwoeUp { cand } => {
                 w.tag(TAG_FRAG_MWOE_UP);
@@ -398,8 +397,8 @@ impl Message for Msg {
 
     fn decode(r: &mut WireReader<'_>) -> Self {
         match r.tag() {
-            TAG_BFS => Msg::Bfs,
-            TAG_BFS_CHILD => Msg::BfsChild,
+            TAG_BFS => Msg::Bfs { me: r.packed() },
+            TAG_BFS_CHILD => Msg::BfsChild { me: r.packed() },
             TAG_SIZE_UP => Msg::SizeUp { size: r.packed(), height: r.word() },
             TAG_PARAMS => Msg::Params {
                 n: r.packed(),
@@ -408,7 +407,7 @@ impl Message for Msg {
                 t0: r.word(),
                 slot: r.word(),
             },
-            TAG_FRAG_ANNOUNCE => Msg::FragAnnounce { frag: r.packed(), me: r.word() },
+            TAG_FRAG_ANNOUNCE => Msg::FragAnnounce { frag: r.packed() },
             TAG_PROBE => Msg::Probe { ttl: r.packed() as u32 },
             TAG_MWOE_UP => {
                 let some = r.flag(0);
@@ -419,7 +418,6 @@ impl Message for Msg {
             TAG_PARTICIPATE => Msg::Participate,
             TAG_MWOE_PATH => Msg::MwoePath,
             TAG_CONNECT_REQ => Msg::ConnectReq { child_frag: r.packed() },
-            TAG_KIDS_UP => Msg::KidsUp { has: r.flag(0) },
             TAG_COLOR_DOWN => Msg::ColorDown { color: r.packed() },
             TAG_COLOR_CROSS => Msg::ColorCross { color: r.packed() },
             TAG_COLOR_UP => Msg::ColorUp { color: r.packed() },
@@ -427,12 +425,12 @@ impl Message for Msg {
             TAG_ACCEPT_PATH => Msg::AcceptPath,
             TAG_ACCEPT_CROSS => Msg::AcceptCross { parent_frag: r.packed() },
             TAG_MATCHED_UP => Msg::MatchedUp { partner: r.packed() },
-            TAG_STATUS_DOWN => Msg::StatusDown,
+            TAG_STATUS_PATH => Msg::StatusPath,
             TAG_STATUS_CROSS => Msg::StatusCross,
             TAG_MERGE_PATH => Msg::MergePath,
             TAG_MERGE_CROSS => Msg::MergeCross,
             TAG_NEW_FRAG => Msg::NewFrag { id: r.packed() },
-            TAG_COARSE_ANNOUNCE => Msg::CoarseAnnounce { coarse: r.packed(), me: r.word() },
+            TAG_COARSE_ANNOUNCE => Msg::CoarseAnnounce { coarse: r.packed() },
             TAG_FRAG_MWOE_UP => {
                 let some = r.flag(0);
                 let src = r.packed();
@@ -478,10 +476,10 @@ mod tests {
         let rec =
             Candidate { key: CandKey::new(1, 2, 3), src_coarse: 4, dst_coarse: 5, src_slot: 6 };
         let samples = [
-            Msg::Bfs,
+            Msg::Bfs { me: 1 },
             Msg::SizeUp { size: 1, height: 2 },
             Msg::Params { n: 1, h: 2, k: 3, t0: 4, slot: 5 },
-            Msg::FragAnnounce { frag: 1, me: 2 },
+            Msg::FragAnnounce { frag: 1 },
             Msg::MwoeUp { cand: Some(CandKey::new(1, 2, 3)), overflow: false },
             Msg::FragMwoeUp { cand: Some((CandKey::new(1, 2, 3), 4, 5)) },
             Msg::Candidate { rec },
@@ -508,8 +506,22 @@ mod tests {
     }
 
     #[test]
+    fn ids_ride_the_packed_half() {
+        // Stage A's wave carries the sender's id in the tag word, so it
+        // stays one word and the announces need no id of their own.
+        for m in [
+            Msg::Bfs { me: 7 },
+            Msg::BfsChild { me: 7 },
+            Msg::FragAnnounce { frag: 7 },
+            Msg::CoarseAnnounce { coarse: 7 },
+        ] {
+            assert_eq!(encoded_len(&m), 1, "{m:?}");
+        }
+    }
+
+    #[test]
     fn tags_group_by_stage() {
-        assert_eq!(Msg::Bfs.tag(), "a:bfs");
+        assert_eq!(Msg::Bfs { me: 0 }.tag(), "a:bfs");
         assert_eq!(Msg::NewFrag { id: 3 }.tag(), "b:merge");
         assert_eq!(Msg::NewCoarse { id: 0, done: true }.tag(), "d:newcoarse");
         assert_eq!(Msg::UpDone.tag(), "d:upcast");
@@ -521,14 +533,14 @@ mod tests {
         // row here *and* in `node::TAG_GUARDS` fails both this test and the
         // `dmst-analysis` tag-guard rule.
         let reps = [
-            Msg::Bfs,
-            Msg::FragAnnounce { frag: 1, me: 2 },
+            Msg::Bfs { me: 1 },
+            Msg::FragAnnounce { frag: 1 },
             Msg::MwoeUp { cand: None, overflow: false },
             Msg::Participate,
             Msg::ColorUp { color: 7 },
             Msg::StatusCross,
             Msg::MergePath,
-            Msg::CoarseAnnounce { coarse: 1, me: 2 },
+            Msg::CoarseAnnounce { coarse: 1 },
             Msg::FragMwoeUp { cand: None },
             Msg::UpDone,
             Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false },

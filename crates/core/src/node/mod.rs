@@ -44,7 +44,8 @@ pub(crate) const UNKNOWN: u64 = u64::MAX;
 mod lane {
     /// Incident edge weight (immutable after construction).
     pub const WEIGHT: usize = 0;
-    /// Neighbor vertex id learned from announces (`UNKNOWN` until heard).
+    /// Neighbor vertex id, learned from the one `Bfs` or `BfsChild` every
+    /// neighbor sends over the edge in Stage A (`UNKNOWN` until heard).
     pub const NBR_ID: usize = 1;
     /// Neighbor base-fragment id (`UNKNOWN` until announced, stage B).
     pub const NBR_FRAG: usize = 2;
@@ -104,7 +105,8 @@ impl PortArena {
         self.get(lane::WEIGHT, q)
     }
 
-    /// Neighbor vertex id behind port `q` (`UNKNOWN` until announced).
+    /// Neighbor vertex id behind port `q` (`UNKNOWN` until Stage A's wave
+    /// crosses the edge).
     #[inline]
     pub(crate) fn nbr_id(&self, q: usize) -> u64 {
         self.get(lane::NBR_ID, q)
@@ -225,14 +227,10 @@ pub(crate) struct BScratch {
     /// Port-indexed: `(child fragment id, matched?)` for registered foreign
     /// children.
     pub foreign_child: Vec<Option<(u64, bool)>>,
-    pub kids_pending: usize,
-    pub kids_agg: bool,
-    pub has_kids: bool,
     pub color: u64,
     pub prev_color: u64,
     pub parent_color: Option<u64>,
     pub matched: bool,
-    pub newly_matched: bool,
     pub partner: Option<u64>,
     pub col_pending: usize,
     pub col_agg: Option<u64>,

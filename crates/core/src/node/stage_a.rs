@@ -7,8 +7,10 @@
 //! [`intervals`](crate::intervals)).
 //!
 //! Costs: `O(D)` rounds (BFS wave down, convergecast up, broadcast down) and
-//! `O(m)` messages (each edge carries at most one `Bfs` per direction plus
-//! `O(n)` tree messages), matching the paper's accounting for this step.
+//! `O(m)` messages (each edge carries one `Bfs` or `BfsChild` per direction
+//! plus `O(n)` tree messages), matching the paper's accounting for this
+//! step. Both carry the sender's id, so the wave teaches every vertex its
+//! neighbors' ids and no later message carries one.
 
 use std::sync::Arc;
 
@@ -24,24 +26,25 @@ impl ElkinNode {
     pub(crate) fn a_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         let round = ctx.round();
         for &(port, ref msg) in ctx.inbox() {
+            if let Msg::Bfs { me } | Msg::BfsChild { me } = *msg {
+                self.ports.set_nbr_id(port, me);
+            }
             match *msg {
-                Msg::Bfs => {
+                Msg::Bfs { .. } => {
                     if !self.a.seen {
                         self.a.seen = true;
                         self.depth = round;
                         self.bfs_parent = Some(port);
                         self.a.close_round = round + 2;
-                        ctx.send(port, Msg::BfsChild);
+                        ctx.send(port, Msg::BfsChild { me: self.id });
                         for p in 0..self.deg {
                             if p != port {
-                                ctx.send(p, Msg::Bfs);
+                                ctx.send(p, Msg::Bfs { me: self.id });
                             }
                         }
                     }
                 }
-                Msg::BfsChild => {
-                    self.bfs_children.push(port);
-                }
+                Msg::BfsChild { .. } => self.bfs_children.push(port),
                 Msg::SizeUp { size, height } => {
                     let idx = self
                         .bfs_children
@@ -79,7 +82,7 @@ impl ElkinNode {
                 return;
             }
             for p in 0..self.deg {
-                ctx.send(p, Msg::Bfs);
+                ctx.send(p, Msg::Bfs { me: self.id });
             }
         }
 

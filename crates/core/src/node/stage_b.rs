@@ -3,8 +3,8 @@
 //! Each phase `i` (participation radius `p = 2^i`) runs the windows laid out
 //! in [`Schedule`](crate::schedule::Schedule):
 //!
-//! 1. **Announce** — every vertex refreshes `(fragment id, own id)` to all
-//!    neighbors.
+//! 1. **Announce** — every vertex refreshes its fragment id to all
+//!    neighbors (their vertex ids came with Stage A's BFS wave).
 //! 2. **Probe** — fragment roots launch a depth-`p` budgeted
 //!    broadcast/convergecast computing the fragment MWOE; subtrees deeper
 //!    than the budget report *overflow*, excluding tall fragments
@@ -15,15 +15,18 @@
 //!    `ConnectReq` across the edge, registering a *foreign child* on the
 //!    other side. Mutual-MWOE pairs resolve parenthood by higher fragment
 //!    id (paper §4).
-//! 4. **Kids** — convergecast: does this fragment have any foreign child?
-//!    (needed by the Cole–Vishkin recolor step).
-//! 5. **Exchange × X** — Cole–Vishkin 3-coloring of the fragment forest:
+//! 4. **Exchange × X** — Cole–Vishkin 3-coloring of the fragment forest:
 //!    each exchange broadcasts the fragment color, crosses child MWOEs, and
-//!    routes the parent color back to the child's root.
-//! 6. **Collect / Accept / Status × 3** — maximal matching, one color class
-//!    at a time: roots of class-`c` unmatched fragments pick their smallest
-//!    unmatched foreign child and notify it; new statuses propagate.
-//! 7. **MergeGo / MergeFlood** — unmatched fragments merge along their
+//!    routes the parent color back to the child's root. A recoloring root
+//!    excludes its own pre-shift color whether or not it has a foreign
+//!    child, since no one reads a childless fragment's color.
+//! 5. **Collect / Accept × 3** — maximal matching, one color class at a
+//!    time: roots of class-`c` unmatched fragments pick their smallest
+//!    unmatched foreign child and notify it. In the same window each
+//!    accepting root tells its own forest parent, the only fragment whose
+//!    choice its matched status can change: `StatusPath` down its MWOE
+//!    argmin path, then `StatusCross` across the MWOE.
+//! 6. **MergeGo / MergeFlood** — unmatched fragments merge along their
 //!    MWOEs; the merged fragment's new root (higher-id endpoint of the
 //!    matched pair, or the untouched root of a non-participating fragment)
 //!    floods `NewFrag`, re-orienting parent pointers and installing the new
@@ -45,10 +48,7 @@ impl ElkinNode {
     pub(crate) fn b_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
-                Msg::FragAnnounce { frag, me } => {
-                    self.ports.set_nbr_frag(port, frag);
-                    self.ports.set_nbr_id(port, me);
-                }
+                Msg::FragAnnounce { frag } => self.ports.set_nbr_frag(port, frag),
                 Msg::Probe { ttl } => self.b_probe_receive(ctx, port, ttl),
                 Msg::MwoeUp { cand, overflow } => {
                     self.b.overflow |= overflow;
@@ -71,23 +71,9 @@ impl ElkinNode {
                         }
                     }
                 }
-                Msg::MwoePath => match self.b.sel {
-                    Sel::Mine(q) => {
-                        self.b.out_port = Some(q);
-                        ctx.send(q, Msg::ConnectReq { child_frag: self.frag_id });
-                    }
-                    Sel::Child(c) => ctx.send(c, Msg::MwoePath),
-                    Sel::None => unreachable!("MwoePath reached a subtree without a candidate"),
-                },
+                Msg::MwoePath => self.b_mwoe_path(ctx),
                 Msg::ConnectReq { child_frag } => {
                     self.b.foreign_child[port] = Some((child_frag, false));
-                }
-                Msg::KidsUp { has } => {
-                    self.b.kids_agg |= has;
-                    self.b.kids_pending -= 1;
-                    if self.b.kids_pending == 0 {
-                        self.b_kids_complete(ctx);
-                    }
                 }
                 Msg::ColorDown { color } => {
                     self.b.color = color;
@@ -98,22 +84,10 @@ impl ElkinNode {
                 }
                 Msg::ColorCross { color } => {
                     if Some(port) == self.b.out_port {
-                        if self.is_frag_root() {
-                            self.b.parent_color = Some(color);
-                        } else {
-                            let up = self.frag_parent.expect("non-root has a fragment parent");
-                            ctx.send(up, Msg::ColorUp { color });
-                        }
+                        self.b_color_up(ctx, color);
                     }
                 }
-                Msg::ColorUp { color } => {
-                    if self.is_frag_root() {
-                        self.b.parent_color = Some(color);
-                    } else {
-                        let up = self.frag_parent.expect("non-root has a fragment parent");
-                        ctx.send(up, Msg::ColorUp { color });
-                    }
-                }
+                Msg::ColorUp { color } => self.b_color_up(ctx, color),
                 Msg::UnmatchedUp { child } => {
                     if let Some(c) = child {
                         if self.b.col_agg.is_none_or(|a| c < a) {
@@ -126,59 +100,19 @@ impl ElkinNode {
                         self.b_collect_complete(ctx);
                     }
                 }
-                Msg::AcceptPath => match self.b.col_sel {
-                    Sel::Mine(q) => {
-                        self.b.matched_port = Some(q);
-                        self.ports.mark_mst(q);
-                        ctx.send(q, Msg::AcceptCross { parent_frag: self.frag_id });
-                    }
-                    Sel::Child(c) => ctx.send(c, Msg::AcceptPath),
-                    Sel::None => unreachable!("AcceptPath reached a subtree without a candidate"),
-                },
+                Msg::AcceptPath => self.b_accept_path(ctx),
                 Msg::AcceptCross { parent_frag } => {
                     self.b.matched_port = Some(port);
                     self.ports.mark_mst(port);
-                    if self.is_frag_root() {
-                        self.b.matched = true;
-                        self.b.newly_matched = true;
-                        self.b.partner = Some(parent_frag);
-                    } else {
-                        let up = self.frag_parent.expect("non-root has a fragment parent");
-                        ctx.send(up, Msg::MatchedUp { partner: parent_frag });
-                    }
+                    self.b_matched_up(ctx, parent_frag);
                 }
-                Msg::MatchedUp { partner } => {
-                    if self.is_frag_root() {
-                        // In matched mode: our fragment was picked by its
-                        // forest parent. In uncontrolled mode: our MWOE is
-                        // mutual; `partner` decides who initiates the flood.
-                        self.b.matched = true;
-                        self.b.newly_matched = true;
-                        self.b.partner = Some(partner);
-                    } else {
-                        let up = self.frag_parent.expect("non-root has a fragment parent");
-                        ctx.send(up, Msg::MatchedUp { partner });
-                    }
-                }
-                Msg::StatusDown => {
-                    for &p in &self.frag_children {
-                        ctx.send(p, Msg::StatusDown);
-                    }
-                    self.b_status_duties(ctx);
-                }
+                Msg::MatchedUp { partner } => self.b_matched_up(ctx, partner),
+                Msg::StatusPath => self.b_status_path(ctx),
                 Msg::StatusCross => {
-                    if let Some((_, matched)) = &mut self.b.foreign_child[port] {
-                        *matched = true;
-                    }
+                    let child = self.b.foreign_child[port].as_mut();
+                    child.expect("a status notice comes from a registered foreign child").1 = true;
                 }
-                Msg::MergePath => match self.b.sel {
-                    Sel::Mine(q) => {
-                        self.ports.mark_mst(q);
-                        ctx.send(q, Msg::MergeCross);
-                    }
-                    Sel::Child(c) => ctx.send(c, Msg::MergePath),
-                    Sel::None => unreachable!("MergePath reached a subtree without a candidate"),
-                },
+                Msg::MergePath => self.b_merge_path(ctx),
                 Msg::MergeCross => {
                     self.ports.mark_mst(port);
                     self.b.merge_ports.push(port);
@@ -187,13 +121,7 @@ impl ElkinNode {
                     {
                         // Mutual MWOE: tell the root so the higher-id side
                         // can initiate the flood.
-                        let partner = self.ports.nbr_frag(port);
-                        if self.is_frag_root() {
-                            self.b.partner = Some(partner);
-                        } else {
-                            let up = self.frag_parent.expect("non-root has a fragment parent");
-                            ctx.send(up, Msg::MatchedUp { partner });
-                        }
+                        self.b_matched_up(ctx, self.ports.nbr_frag(port));
                     }
                 }
                 Msg::NewFrag { id } => self.b_flood_receive(ctx, port, id),
@@ -243,7 +171,7 @@ impl ElkinNode {
                     ..BScratch::default()
                 };
                 for q in 0..self.deg {
-                    ctx.send(q, Msg::FragAnnounce { frag: self.frag_id, me: self.id });
+                    ctx.send(q, Msg::FragAnnounce { frag: self.frag_id });
                 }
             }
             Window::Probe => {
@@ -262,13 +190,9 @@ impl ElkinNode {
                     for &q in &self.frag_children {
                         ctx.send(q, Msg::Participate);
                     }
-                    match self.b.sel {
-                        Sel::Mine(q) => {
-                            self.b.out_port = Some(q);
-                            ctx.send(q, Msg::ConnectReq { child_frag: self.frag_id });
-                        }
-                        Sel::Child(c) => ctx.send(c, Msg::MwoePath),
-                        Sel::None => {} // no outgoing edge: whole graph is one fragment
+                    // No outgoing edge: the whole graph is one fragment.
+                    if self.b.sel != Sel::None {
+                        self.b_mwoe_path(ctx);
                     }
                 }
                 if slot.last {
@@ -281,14 +205,6 @@ impl ElkinNode {
                         {
                             self.b.foreign_child[q] = None;
                         }
-                    }
-                }
-            }
-            Window::Kids => {
-                if slot.offset == 0 && self.b.participating {
-                    self.b.kids_pending = self.frag_children.len();
-                    if self.b.kids_pending == 0 {
-                        self.b_kids_complete(ctx);
                     }
                 }
             }
@@ -327,31 +243,10 @@ impl ElkinNode {
                 {
                     if let Some(child) = self.b.col_agg {
                         self.b.matched = true;
-                        self.b.newly_matched = true;
                         self.b.partner = Some(child);
-                        match self.b.col_sel {
-                            Sel::Mine(q) => {
-                                self.b.matched_port = Some(q);
-                                self.ports.mark_mst(q);
-                                ctx.send(q, Msg::AcceptCross { parent_frag: self.frag_id });
-                            }
-                            Sel::Child(ch) => ctx.send(ch, Msg::AcceptPath),
-                            Sel::None => unreachable!("col_agg implies a selection"),
-                        }
+                        self.b_accept_path(ctx);
+                        self.b_status_path(ctx);
                     }
-                }
-            }
-            Window::MatchStatus(_) => {
-                if slot.offset == 0
-                    && self.b.participating
-                    && self.is_frag_root()
-                    && self.b.newly_matched
-                {
-                    self.b.newly_matched = false;
-                    for &q in &self.frag_children {
-                        ctx.send(q, Msg::StatusDown);
-                    }
-                    self.b_status_duties(ctx);
                 }
             }
             Window::MergeGo => {
@@ -365,14 +260,7 @@ impl ElkinNode {
                     && fire
                     && self.b.sel != Sel::None
                 {
-                    match self.b.sel {
-                        Sel::Mine(q) => {
-                            self.ports.mark_mst(q);
-                            ctx.send(q, Msg::MergeCross);
-                        }
-                        Sel::Child(c) => ctx.send(c, Msg::MergePath),
-                        Sel::None => unreachable!("guarded above"),
-                    }
+                    self.b_merge_path(ctx);
                 }
             }
             Window::MergeFlood => {
@@ -473,16 +361,15 @@ impl ElkinNode {
         ctx.send(up, Msg::MwoeUp { cand: self.b.agg, overflow: self.b.overflow });
     }
 
-    // ---- kids convergecast ----
-
-    fn b_kids_complete(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let local = self.b.foreign_child.iter().any(Option::is_some);
-        let has = self.b.kids_agg || local;
-        if self.is_frag_root() {
-            self.b.has_kids = has;
-        } else {
-            let up = self.frag_parent.expect("non-root has a fragment parent");
-            ctx.send(up, Msg::KidsUp { has });
+    /// One hop down the MWOE argmin path; its endpoint fires `ConnectReq`.
+    fn b_mwoe_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        match self.b.sel {
+            Sel::Mine(q) => {
+                self.b.out_port = Some(q);
+                ctx.send(q, Msg::ConnectReq { child_frag: self.frag_id });
+            }
+            Sel::Child(c) => ctx.send(c, Msg::MwoePath),
+            Sel::None => unreachable!("MwoePath reached a subtree without a candidate"),
         }
     }
 
@@ -495,6 +382,16 @@ impl ElkinNode {
             if self.b.foreign_child[q].is_some() {
                 ctx.send(q, Msg::ColorCross { color });
             }
+        }
+    }
+
+    /// Carries the parent fragment's color up to the fragment root.
+    fn b_color_up(&mut self, ctx: &mut RoundCtx<'_, Msg>, color: u64) {
+        if self.is_frag_root() {
+            self.b.parent_color = Some(color);
+        } else {
+            let up = self.frag_parent.expect("non-root has a fragment parent");
+            ctx.send(up, Msg::ColorUp { color });
         }
     }
 
@@ -516,8 +413,7 @@ impl ElkinNode {
             }
             ExchangeKind::Recolor(class) => {
                 if self.b.color == class {
-                    let children = self.b.has_kids.then_some(self.b.prev_color);
-                    self.b.color = cv::recolor(parent, children);
+                    self.b.color = cv::recolor(parent, self.b.prev_color);
                 }
             }
         }
@@ -546,18 +442,63 @@ impl ElkinNode {
         ctx.send(up, Msg::UnmatchedUp { child: self.b.col_agg });
     }
 
-    fn b_status_duties(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        for q in 0..self.deg {
-            if self.b.foreign_child[q].is_some() {
-                ctx.send(q, Msg::StatusCross);
+    /// One hop down the collect's argmin path; its endpoint accepts the
+    /// chosen child across their cross edge, which joins the MST.
+    fn b_accept_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        match self.b.col_sel {
+            Sel::Mine(q) => {
+                self.b.matched_port = Some(q);
+                self.ports.mark_mst(q);
+                ctx.send(q, Msg::AcceptCross { parent_frag: self.frag_id });
             }
+            Sel::Child(c) => ctx.send(c, Msg::AcceptPath),
+            Sel::None => unreachable!("AcceptPath reached a subtree without a candidate"),
         }
-        if let Some(q) = self.b.out_port {
-            ctx.send(q, Msg::StatusCross);
+    }
+
+    /// Carries a match up to the fragment root, which records its partner.
+    /// In matched mode the fragment was picked by its forest parent; in
+    /// uncontrolled mode its MWOE is mutual, and `partner` decides who
+    /// initiates the flood.
+    fn b_matched_up(&mut self, ctx: &mut RoundCtx<'_, Msg>, partner: u64) {
+        if self.is_frag_root() {
+            self.b.matched = true;
+            self.b.partner = Some(partner);
+        } else {
+            let up = self.frag_parent.expect("non-root has a fragment parent");
+            ctx.send(up, Msg::MatchedUp { partner });
+        }
+    }
+
+    /// One hop of the accepting root's notice to its own forest parent,
+    /// the only fragment whose choice its matched status can change: down
+    /// the MWOE argmin path, then across the MWOE. A fragment that its
+    /// parent matched tells no one: only that parent could pick it.
+    fn b_status_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        match self.b.sel {
+            // The fragment behind the MWOE is my foreign child: I am the
+            // higher side of a mutual MWOE and have no forest parent.
+            Sel::Mine(q) if self.b.foreign_child[q].is_some() => {}
+            Sel::Mine(q) => ctx.send(q, Msg::StatusCross),
+            Sel::Child(c) => ctx.send(c, Msg::StatusPath),
+            Sel::None => unreachable!("a fragment with a foreign child has an MWOE"),
         }
     }
 
     // ---- merge flood ----
+
+    /// One hop down the MWOE argmin path of a merging fragment; its
+    /// endpoint marks the MWOE and crosses it.
+    fn b_merge_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        match self.b.sel {
+            Sel::Mine(q) => {
+                self.ports.mark_mst(q);
+                ctx.send(q, Msg::MergeCross);
+            }
+            Sel::Child(c) => ctx.send(c, Msg::MergePath),
+            Sel::None => unreachable!("MergePath reached a subtree without a candidate"),
+        }
+    }
 
     fn b_flood_init(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         self.b.flooded = true;

@@ -79,10 +79,9 @@ impl ElkinNode {
     pub(crate) fn cd_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
-                Msg::CoarseAnnounce { coarse, me } => {
+                Msg::CoarseAnnounce { coarse } => {
                     // The sender announces once per phase in phase order,
                     // so the per-port count *is* the announce's phase.
-                    self.ports.set_nbr_id(port, me);
                     let ph = self.ports.bump_ann_count(port);
                     if ph == self.d.phase {
                         self.ports.set_nbr_coarse(port, coarse);
@@ -185,7 +184,7 @@ impl ElkinNode {
             self.d.announced = true;
             let coarse = self.coarse;
             for q in 0..self.deg {
-                ctx.send(q, Msg::CoarseAnnounce { coarse, me: self.id });
+                ctx.send(q, Msg::CoarseAnnounce { coarse });
             }
         }
 

@@ -21,15 +21,16 @@
 //! | Announce | `1` | `1` | one local send; delivered at the next window's offset 0 |
 //! | Probe | `2p+2` | `2p+1` | descend `p` (depth-`j` vertex hears at offset `j`), ascend `p`: root hears the last `MwoeUp` at offset `2p` |
 //! | Connect | `p+3` | `p+2` | `MwoePath` descends `<= p`, `ConnectReq` crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
-//! | Kids | `p+2` | `p+1` | all vertices start at offset 0; ascend `<= p` |
 //! | Exchange × X | `2p+3` | `2p+2` | `ColorDown` descends `<= p`, `ColorCross` (+1), `ColorUp` ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
 //! | Collect (×3) | `p+2` | `p+1` | pure convergecast, ascend `<= p` |
-//! | Accept (×3) | `2p+4` | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p` |
-//! | Status (×3) | `p+3` | `p+2` | `StatusDown` descends `<= p`, `StatusCross` (+1) |
+//! | Accept (×3) | `2p+4` | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p`; alongside, `StatusPath` descends `<= p` and `StatusCross` (+1) lands by offset `p+1` |
 //! | MergeGo | `p+2` / `2p+4` unc. | `p+2` / `2p+2` unc. | `MergePath` descends `<= p`, `MergeCross` (+1); uncontrolled adds the mutual `MatchedUp` ascent `<= p` |
 //! | MergeFlood | `6p+6` / `n+2p+6` unc. | `5p+5` / `n+2p+6` unc. | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
 //!
-//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations as before.
+//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations as before. Summed, a
+//! matched phase lasts `(2X+18)p + (2X+20)` rounds (adaptive) or
+//! `(2X+19)p + (3X+32)` (fixed), an uncontrolled one `n + 7p + 12` or
+//! `n + 7p + 16`.
 //!
 //! Both modes end every phase on its schedule: the merge flood sleeps out
 //! its worst-case window, so the whole Stage B timeline is a pure function
@@ -167,16 +168,13 @@ pub enum Window {
     Probe,
     /// Participate flood, argmin downcast, cross-edge connect.
     Connect,
-    /// Foreign-children existence convergecast.
-    Kids,
     /// One Cole–Vishkin exchange; see [`ExchangeKind`].
     Exchange(u32),
     /// Matching: collect unmatched children (for color class `c`).
     MatchCollect(u8),
-    /// Matching: accept one child (for color class `c`).
+    /// Matching: accept one child and tell the own forest parent (for
+    /// color class `c`).
     MatchAccept(u8),
-    /// Matching: propagate new matched statuses (for color class `c`).
-    MatchStatus(u8),
     /// Unmatched fragments fire their MWOE.
     MergeGo,
     /// New-fragment flood: ids + re-orientation.
@@ -301,20 +299,18 @@ impl Schedule {
         // Per-window padding beyond the provable minimum: 0 in adaptive
         // mode, the seed's slack in fixed mode (see the module table).
         let pad = u64::from(self.mode == ScheduleMode::Fixed);
-        let mut v = Vec::with_capacity(7 + self.exchanges as usize + 9);
+        let mut v = Vec::with_capacity(5 + self.exchanges as usize + 6);
         v.push((Window::Announce, 1));
         v.push((Window::Probe, 2 * p + 1 + pad));
         v.push((Window::Connect, p + 2 + pad));
         match self.merge {
             MergeControl::Matched => {
-                v.push((Window::Kids, p + 1 + pad));
                 for x in 0..self.exchanges {
                     v.push((Window::Exchange(x), 2 * p + 2 + pad));
                 }
                 for c in 0..3u8 {
                     v.push((Window::MatchCollect(c), p + 1 + pad));
                     v.push((Window::MatchAccept(c), 2 * p + 2 + 2 * pad));
-                    v.push((Window::MatchStatus(c), p + 2 + pad));
                 }
                 v.push((Window::MergeGo, p + 2));
                 v.push((Window::MergeFlood, 5 * p + 5 + pad * (p + 1)));
@@ -648,11 +644,7 @@ mod tests {
             assert!(
                 !matches!(
                     slot.window,
-                    Window::Kids
-                        | Window::Exchange(_)
-                        | Window::MatchCollect(_)
-                        | Window::MatchAccept(_)
-                        | Window::MatchStatus(_)
+                    Window::Exchange(_) | Window::MatchCollect(_) | Window::MatchAccept(_)
                 ),
                 "uncontrolled schedule contains {:?}",
                 slot.window
@@ -660,6 +652,35 @@ mod tests {
         }
         // The flood window is Θ(n).
         assert!(s.phase_len(0) > 64);
+    }
+
+    #[test]
+    fn phase_lengths_follow_the_closed_forms() {
+        // Every phase of k = 64 (p = 2^i, X CV exchanges): the sums of the
+        // module table's columns.
+        for n in [2, 64, 16384] {
+            for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
+                for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
+                    let s = Schedule::new(&params(n, 64), merge, mode);
+                    let x = u64::from(s.exchanges());
+                    assert_eq!(s.num_phases(), 6);
+                    for i in 0..s.num_phases() {
+                        let p = s.radius(i);
+                        let want = match (merge, mode) {
+                            (MergeControl::Matched, ScheduleMode::Adaptive) => {
+                                (2 * x + 18) * p + 2 * x + 20
+                            }
+                            (MergeControl::Matched, ScheduleMode::Fixed) => {
+                                (2 * x + 19) * p + 3 * x + 32
+                            }
+                            (MergeControl::Uncontrolled, ScheduleMode::Adaptive) => n + 7 * p + 12,
+                            (MergeControl::Uncontrolled, ScheduleMode::Fixed) => n + 7 * p + 16,
+                        };
+                        assert_eq!(s.phase_len(i), want, "{merge:?}/{mode:?}/n={n}: phase {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

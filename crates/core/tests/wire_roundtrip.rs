@@ -30,7 +30,7 @@ fn check(m: &Msg) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Deterministically builds one of the 31 variants from raw components.
+/// Deterministically builds one of the 30 variants from raw components.
 /// `small*` feed packed (tag-word) fields, `big*` feed full-word fields.
 #[allow(clippy::too_many_arguments)]
 fn build(
@@ -47,38 +47,37 @@ fn build(
     let id2 = u64::from(small2);
     let key = CandKey::new(big, big2, big3);
     match sel {
-        0 => Msg::Bfs,
-        1 => Msg::BfsChild,
+        0 => Msg::Bfs { me: id },
+        1 => Msg::BfsChild { me: id2 },
         2 => Msg::SizeUp { size: id, height: big },
         3 => Msg::Params { n: id, h: big, k: big2, t0: big3, slot: big.rotate_left(32) },
-        4 => Msg::FragAnnounce { frag: id, me: big },
+        4 => Msg::FragAnnounce { frag: id },
         5 => Msg::Probe { ttl: small },
         6 => Msg::MwoeUp { cand: flag.then_some(key), overflow: flag2 },
         7 => Msg::Participate,
         8 => Msg::MwoePath,
         9 => Msg::ConnectReq { child_frag: id },
-        10 => Msg::KidsUp { has: flag },
-        11 => Msg::ColorDown { color: id },
-        12 => Msg::ColorCross { color: id },
-        13 => Msg::ColorUp { color: id },
-        14 => Msg::UnmatchedUp { child: flag.then_some(id) },
-        15 => Msg::AcceptPath,
-        16 => Msg::AcceptCross { parent_frag: id },
-        17 => Msg::MatchedUp { partner: id },
-        18 => Msg::StatusDown,
-        19 => Msg::StatusCross,
-        20 => Msg::MergePath,
-        21 => Msg::MergeCross,
-        22 => Msg::NewFrag { id },
-        23 => Msg::CoarseAnnounce { coarse: id, me: big },
-        24 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
-        25 => Msg::Candidate {
+        10 => Msg::ColorDown { color: id },
+        11 => Msg::ColorCross { color: id },
+        12 => Msg::ColorUp { color: id },
+        13 => Msg::UnmatchedUp { child: flag.then_some(id) },
+        14 => Msg::AcceptPath,
+        15 => Msg::AcceptCross { parent_frag: id },
+        16 => Msg::MatchedUp { partner: id },
+        17 => Msg::StatusPath,
+        18 => Msg::StatusCross,
+        19 => Msg::MergePath,
+        20 => Msg::MergeCross,
+        21 => Msg::NewFrag { id },
+        22 => Msg::CoarseAnnounce { coarse: id },
+        23 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
+        24 => Msg::Candidate {
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
-        26 => Msg::UpDone,
-        27 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
-        28 => Msg::NewCoarse { id, done: flag },
-        29 => Msg::MarkPath,
+        25 => Msg::UpDone,
+        26 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
+        27 => Msg::NewCoarse { id, done: flag },
+        28 => Msg::MarkPath,
         _ => Msg::MarkCross,
     }
 }
@@ -90,7 +89,7 @@ proptest! {
     /// message.
     #[test]
     fn msg_roundtrip(
-        sel in 0usize..31,
+        sel in 0usize..30,
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),
@@ -107,7 +106,7 @@ proptest! {
     /// sequentially to the original sequence, each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
-        sels in proptest::collection::vec(0usize..31, 1..8),
+        sels in proptest::collection::vec(0usize..30, 1..8),
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),

@@ -33,10 +33,10 @@ fn trio_256() -> Vec<(String, WeightedGraph)> {
 #[test]
 fn elkin_fixed_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(1070, 23129),
-        RoundBudget::new(978, 31198),
-        RoundBudget::new(3361, 36850),
-        RoundBudget::new(999, 22931),
+        RoundBudget::new(966, 21839),
+        RoundBudget::new(874, 29790),
+        RoundBudget::new(3043, 35109),
+        RoundBudget::new(895, 21645),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::fixed());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
@@ -47,10 +47,10 @@ fn elkin_fixed_t1_trio_pins() {
 #[test]
 fn elkin_adaptive_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(275, 14317),
-        RoundBudget::new(178, 16765),
-        RoundBudget::new(1057, 28485),
-        RoundBudget::new(210, 9531),
+        RoundBudget::new(264, 13975),
+        RoundBudget::new(167, 16445),
+        RoundBudget::new(1007, 27494),
+        RoundBudget::new(199, 9171),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::default());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
@@ -130,10 +130,10 @@ fn baseline_t1_trio_pins() {
     // The Pipeline baseline's phase 1 reuses `run_forest`, so it also
     // rides the (now default) adaptive Stage B schedule.
     let pipe_pins = [
-        RoundBudget::new(883, 23538),
-        RoundBudget::new(817, 32419),
-        RoundBudget::new(1115, 27278),
-        RoundBudget::new(892, 26891),
+        RoundBudget::new(795, 22248),
+        RoundBudget::new(731, 28770),
+        RoundBudget::new(1027, 26081),
+        RoundBudget::new(804, 25605),
     ];
     for ((label, g), (ghs, pipe)) in trio_256().iter().zip(ghs_pins.iter().zip(&pipe_pins)) {
         assert_round_budget(&Algorithm::Ghs, g, label, ghs);
@@ -152,7 +152,7 @@ fn elkin_adaptive_cliquepath_1024_pin() {
         &Algorithm::Elkin(ElkinConfig::default()),
         &g,
         "cliquepath 128x8",
-        &RoundBudget::new(4075, 165_247),
+        &RoundBudget::new(3915, 158_524),
     );
 }
 
