@@ -147,7 +147,7 @@ fn gate() {
         "gate workload rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 1_699_251,
+        run.stats.messages, 1_390_096,
         "gate workload messages moved; re-pin deliberately (`repin -- --large`)"
     );
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
@@ -162,11 +162,11 @@ fn gate() {
         run_mst(&g, &ElkinConfig::default()).unwrap()
     });
     assert_eq!(
-        run.stats.rounds, 51_171,
+        run.stats.rounds, 51_161,
         "cliquepath rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 3_872_253,
+        run.stats.messages, 2_707_743,
         "cliquepath messages moved; re-pin deliberately (`repin -- --large`)"
     );
 

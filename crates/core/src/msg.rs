@@ -112,7 +112,9 @@ pub enum Msg {
     // ---- Stage B: Controlled-GHS (paper §4). Every phase ends on its
     // round schedule in both schedule modes, so no message marks a phase
     // end: the window a message belongs to is implicit in the round. ----
-    /// Per-phase refresh of the sender's fragment id to all neighbors.
+    /// The sender's new fragment id, sent at a phase's Announce window
+    /// over its live ports, and only if the id changed since its last
+    /// announce (Stage A's wave delivered the first: a vertex id).
     FragAnnounce {
         /// Sender's current fragment id.
         frag: u64,
@@ -200,9 +202,11 @@ pub enum Msg {
     // convergecast gates the root merge on every vertex), so receivers
     // classify `CoarseAnnounce` / `Candidate` / `UpDone` by per-port FIFO
     // counting. ----
-    /// Per-phase refresh of the sender's coarse id to all neighbors.
-    /// Sent exactly once per phase in phase order, so the receiver infers
-    /// the phase from its per-port receive count (per-edge FIFO).
+    /// Per-phase refresh of the sender's coarse id over its live ports.
+    /// Sent exactly once per phase in phase order until the port is
+    /// retired, so the receiver infers the phase from its per-port receive
+    /// count (per-edge FIFO). Sent even when the id did not change: the
+    /// announce is also the receiver's readiness signal.
     CoarseAnnounce {
         /// Sender's current coarse fragment id.
         coarse: u64,

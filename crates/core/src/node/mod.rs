@@ -47,9 +47,12 @@ mod lane {
     /// Neighbor vertex id, learned from the one `Bfs` or `BfsChild` every
     /// neighbor sends over the edge in Stage A (`UNKNOWN` until heard).
     pub const NBR_ID: usize = 1;
-    /// Neighbor base-fragment id (`UNKNOWN` until announced, stage B).
+    /// Neighbor base-fragment id: its vertex id from Stage A's wave (a
+    /// singleton's fragment id), then whatever it announces in Stage B.
+    /// Goes stale once the port is retired.
     pub const NBR_FRAG: usize = 2;
-    /// Neighbor coarse id for the current Borůvka phase.
+    /// Neighbor coarse id for the current Borůvka phase (stale once the
+    /// port is retired).
     pub const NBR_COARSE: usize = 3;
     /// Neighbor coarse id announced one phase early (fused-phase skew).
     pub const NBR_COARSE_NEXT: usize = 4;
@@ -58,10 +61,20 @@ mod lane {
     pub const ANN_COUNT: usize = 5;
     /// Total `UpDone`s received on this port.
     pub const UPDONE_COUNT: usize = 6;
-    /// 1 if the incident edge has been marked an MST edge, else 0.
-    pub const MST: usize = 7;
+    /// Per-port flag bits, see [`flag`](super::flag).
+    pub const FLAGS: usize = 7;
     /// Number of lanes.
     pub const COUNT: usize = 8;
+}
+
+/// Bits of the [`lane::FLAGS`] lane.
+mod flag {
+    /// The incident edge has been marked an MST edge.
+    pub const MST: u64 = 1;
+    /// The port is retired: both endpoints once held the same fragment or
+    /// coarse id, so the edge is internal for good and carries no more
+    /// announces (GHS's permanent reject).
+    pub const RETIRED: u64 = 2;
 }
 
 /// Struct-of-arrays per-port state: every port-indexed attribute of an
@@ -175,16 +188,45 @@ impl PortArena {
         ph
     }
 
+    #[inline]
+    fn has_flag(&self, q: usize, bit: u64) -> bool {
+        self.get(lane::FLAGS, q) & bit != 0
+    }
+
+    #[inline]
+    fn raise_flag(&mut self, q: usize, bit: u64) {
+        self.set(lane::FLAGS, q, self.get(lane::FLAGS, q) | bit);
+    }
+
     /// Whether the edge behind port `q` is marked as an MST edge.
     #[inline]
     pub(crate) fn mst(&self, q: usize) -> bool {
-        self.get(lane::MST, q) != 0
+        self.has_flag(q, flag::MST)
     }
 
     /// Marks the edge behind port `q` as an MST edge.
     #[inline]
     pub(crate) fn mark_mst(&mut self, q: usize) {
-        self.set(lane::MST, q, 1);
+        self.raise_flag(q, flag::MST);
+    }
+
+    /// Whether port `q` is retired (its edge is internal for good).
+    #[inline]
+    pub(crate) fn retired(&self, q: usize) -> bool {
+        self.has_flag(q, flag::RETIRED)
+    }
+
+    /// Retires every live port whose neighbor id in lane `l` equals `mine`
+    /// and returns how many it retired.
+    fn retire_matching(&mut self, l: usize, mine: u64) -> usize {
+        let mut retired = 0;
+        for q in 0..self.deg {
+            if !self.retired(q) && self.get(l, q) == mine {
+                self.raise_flag(q, flag::RETIRED);
+                retired += 1;
+            }
+        }
+        retired
     }
 }
 
@@ -252,8 +294,9 @@ pub(crate) struct DScratch {
     pub phase: u64,
     /// This vertex broadcast its `CoarseAnnounce` for `phase`.
     pub announced: bool,
-    /// `CoarseAnnounce`s of `phase` received (aggregation may start at
-    /// `deg` — *local* readiness; no global announce barrier exists).
+    /// `CoarseAnnounce`s of `phase` received. Only live ports carry them,
+    /// so aggregation may start at `ElkinNode::live` — *local* readiness;
+    /// no global announce barrier exists.
     pub ann_recv: usize,
     /// `FragMwoeUp`s of `phase` received from fragment children.
     pub frag_up_recv: usize,
@@ -301,8 +344,14 @@ pub struct ElkinNode {
     pub(crate) forest_only: bool,
 
     /// All port-indexed state — weights, neighbor knowledge, announce and
-    /// `UpDone` counts, MST marks — in one lane-major allocation.
+    /// `UpDone` counts, MST and retirement marks — in one lane-major
+    /// allocation.
     pub(crate) ports: PortArena,
+    /// Number of ports not yet retired.
+    pub(crate) live: usize,
+    /// The fragment id my live neighbors hold for me: my vertex id until
+    /// I first announce another.
+    pub(crate) known_frag: u64,
 
     // Stage progression.
     pub(crate) stage: Stage,
@@ -377,6 +426,8 @@ impl ElkinNode {
             id: info.id as u64,
             deg,
             ports: PortArena::new(deg, info.ports.iter().map(|p| p.weight)),
+            live: deg,
+            known_frag: info.id as u64,
             cfg,
             forest_only: false,
             stage: Stage::A,
@@ -415,6 +466,20 @@ impl ElkinNode {
     #[inline]
     pub(crate) fn is_frag_root(&self) -> bool {
         self.frag_id == self.id
+    }
+
+    /// Retires every live port whose neighbor's id in lane `nbr` equals
+    /// `mine`, the id this vertex last announced. Both ends compare the
+    /// same pair of ids, so they retire the edge together, and fragments
+    /// only ever merge, so an edge whose ends once shared an id stays
+    /// internal for good.
+    pub(crate) fn retire_internal(&mut self, nbr: usize, mine: u64) {
+        self.live -= self.ports.retire_matching(nbr, mine);
+    }
+
+    /// The ports not yet retired, in ascending order.
+    pub(crate) fn live_ports(&self) -> impl Iterator<Item = PortId> + '_ {
+        (0..self.deg).filter(|&q| !self.ports.retired(q))
     }
 
     /// Ports that are incident MST edges, in ascending order — the

@@ -10,7 +10,8 @@
 //! `O(m)` messages (each edge carries one `Bfs` or `BfsChild` per direction
 //! plus `O(n)` tree messages), matching the paper's accounting for this
 //! step. Both carry the sender's id, so the wave teaches every vertex its
-//! neighbors' ids and no later message carries one.
+//! neighbors' ids, which double as their phase-0 fragment ids, and no
+//! later message carries one.
 
 use std::sync::Arc;
 
@@ -28,6 +29,9 @@ impl ElkinNode {
         for &(port, ref msg) in ctx.inbox() {
             if let Msg::Bfs { me } | Msg::BfsChild { me } = *msg {
                 self.ports.set_nbr_id(port, me);
+                // A singleton's fragment id is its vertex id, so phase 0
+                // of Stage B needs no announce.
+                self.ports.set_nbr_frag(port, me);
             }
             match *msg {
                 Msg::Bfs { .. } => {

@@ -3,8 +3,13 @@
 //! Each phase `i` (participation radius `p = 2^i`) runs the windows laid out
 //! in [`Schedule`](crate::schedule::Schedule):
 //!
-//! 1. **Announce** — every vertex refreshes its fragment id to all
-//!    neighbors (their vertex ids came with Stage A's BFS wave).
+//! 1. **Announce** — a vertex first retires every live port whose
+//!    neighbor announced the id it announced itself: both ends held one
+//!    fragment id at the last window, so the edge is internal for good
+//!    and both ends retire it together. Then, only if its fragment id
+//!    changed since its last announce, it sends the new id over its live
+//!    ports. Stage A's wave already delivered every vertex id, which is a
+//!    singleton's fragment id, so phase 0 sends nothing.
 //! 2. **Probe** — fragment roots launch a depth-`p` budgeted
 //!    broadcast/convergecast computing the fragment MWOE; subtrees deeper
 //!    than the budget report *overflow*, excluding tall fragments
@@ -42,13 +47,16 @@ use crate::cv;
 use crate::msg::Msg;
 use crate::schedule::{ExchangeKind, MergeControl, Schedule, Slot, Window};
 
-use super::{BScratch, ElkinNode, Sel, Stage};
+use super::{lane, BScratch, ElkinNode, Sel, Stage};
 
 impl ElkinNode {
     pub(crate) fn b_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
-                Msg::FragAnnounce { frag } => self.ports.set_nbr_frag(port, frag),
+                Msg::FragAnnounce { frag } => {
+                    assert!(!self.ports.retired(port), "FragAnnounce over a retired port");
+                    self.ports.set_nbr_frag(port, frag);
+                }
                 Msg::Probe { ttl } => self.b_probe_receive(ctx, port, ttl),
                 Msg::MwoeUp { cand, overflow } => {
                     self.b.overflow |= overflow;
@@ -170,8 +178,13 @@ impl ElkinNode {
                     prev_color: self.frag_id,
                     ..BScratch::default()
                 };
-                for q in 0..self.deg {
-                    ctx.send(q, Msg::FragAnnounce { frag: self.frag_id });
+                self.retire_internal(lane::NBR_FRAG, self.known_frag);
+                if self.frag_id != self.known_frag {
+                    self.known_frag = self.frag_id;
+                    let frag = self.frag_id;
+                    for q in self.live_ports() {
+                        ctx.send(q, Msg::FragAnnounce { frag });
+                    }
                 }
             }
             Window::Probe => {
@@ -300,11 +313,13 @@ impl ElkinNode {
 
     // ---- probe / MWOE ----
 
+    /// Lightest incident edge leaving my fragment. A retired port's
+    /// `nbr_frag` is stale, but its edge is internal anyway.
     fn b_local_candidate(&self) -> (Option<CandKey>, Sel) {
         let mut best: Option<CandKey> = None;
         let mut sel = Sel::None;
-        for q in 0..self.deg {
-            if self.ports.nbr_frag(q) != self.frag_id && self.ports.nbr_frag(q) != super::UNKNOWN {
+        for q in self.live_ports() {
+            if self.ports.nbr_frag(q) != self.frag_id {
                 let k = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
                 if best.is_none_or(|b| k < b) {
                     best = Some(k);

@@ -15,11 +15,22 @@
 //! id) as coarse id, and the slots of Stage A's interval labels are the
 //! answers' addresses. Per phase `j`, fused:
 //!
-//! 1. A vertex broadcasts `CoarseAnnounce` to all neighbors the moment its
+//! 1. A vertex sends `CoarseAnnounce` over its live ports the moment its
 //!    coarse id for phase `j` is current (at once for `j = 0`, on the
-//!    `Assign`/`NewCoarse` answer of phase `j - 1` otherwise).
-//! 2. It aggregates its *fragment subtree* as soon as all of its **own**
-//!    neighbors' announcements have landed (local readiness — no global
+//!    `Assign`/`NewCoarse` answer of phase `j - 1` otherwise). A port is
+//!    retired, and carries no more announces, once both of its ends held
+//!    the same id: Stage D opens with Stage B's retire sweep run once
+//!    more, and before adopting its phase-`j + 1` id a vertex retires
+//!    every live port whose neighbor announced the same phase-`j` coarse
+//!    id as the vertex itself. All of phase `j`'s announces have landed
+//!    by then, since the root merges `j` only after every vertex
+//!    aggregated `j`, and both ends compare the same pair of ids. An
+//!    unchanged coarse id is still announced: no global window marks the
+//!    phase, so the announce itself is the readiness signal, and a
+//!    skipped one would look like one from a neighbor still in phase
+//!    `j - 1`.
+//! 2. It aggregates its *fragment subtree* as soon as the announces of all
+//!    of its **own** live ports have landed (local readiness — no global
 //!    announce barrier) and all fragment children reported, then sends
 //!    `FragMwoeUp` to its fragment parent; fragment roots turn the
 //!    aggregate into a pipelined `Candidate` record instead.
@@ -58,17 +69,19 @@ use congest_sim::RoundCtx;
 use crate::candidate::{CandKey, Candidate};
 use crate::msg::Msg;
 
-use super::{DScratch, ElkinNode, Sel, UNKNOWN};
+use super::{lane, DScratch, ElkinNode, Sel, UNKNOWN};
 
 impl ElkinNode {
-    /// Called once when Stage B's schedule ends: opens Borůvka phase 0,
-    /// in which every base fragment is its own coarse fragment.
+    /// Called once when Stage B's schedule ends: retires the ports Stage
+    /// B's last announces showed internal and opens Borůvka phase 0, in
+    /// which every base fragment is its own coarse fragment.
     pub(crate) fn cd_enter(&mut self) {
         if self.forest_only {
             // Theorem 4.3 standalone: the base forest is the deliverable.
             self.finished = true;
             return;
         }
+        self.retire_internal(lane::NBR_FRAG, self.known_frag);
         self.down = vec![std::collections::VecDeque::new(); self.bfs_children.len()];
         if self.is_bfs_root() {
             self.root = Some(Box::default());
@@ -80,8 +93,10 @@ impl ElkinNode {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
                 Msg::CoarseAnnounce { coarse } => {
-                    // The sender announces once per phase in phase order,
-                    // so the per-port count *is* the announce's phase.
+                    assert!(!self.ports.retired(port), "CoarseAnnounce over a retired port");
+                    // The sender announces once per phase in phase order
+                    // while the port is live, so the per-port count *is*
+                    // the announce's phase.
                     let ph = self.ports.bump_ann_count(port);
                     if ph == self.d.phase {
                         self.ports.set_nbr_coarse(port, coarse);
@@ -183,7 +198,7 @@ impl ElkinNode {
         if self.cd_announce_ready() {
             self.d.announced = true;
             let coarse = self.coarse;
-            for q in 0..self.deg {
+            for q in self.live_ports() {
                 ctx.send(q, Msg::CoarseAnnounce { coarse });
             }
         }
@@ -285,11 +300,11 @@ impl ElkinNode {
         !self.done_seen && !self.d.announced
     }
 
-    /// (b) Every neighbor announced and every fragment child reported.
+    /// (b) Every live port announced and every fragment child reported.
     fn cd_aggregate_ready(&self) -> bool {
         self.d.announced
             && !self.d.responded
-            && self.d.ann_recv == self.deg
+            && self.d.ann_recv == self.live
             && self.d.frag_up_recv == self.frag_children.len()
     }
 
@@ -323,13 +338,14 @@ impl ElkinNode {
 
     // ---- helpers ----
 
-    /// Lightest incident edge leaving my *coarse* fragment.
+    /// Lightest incident edge leaving my *coarse* fragment. A retired
+    /// port's `nbr_coarse` is stale, but its edge is internal anyway.
     fn cd_local_candidate(&self) -> (Option<(CandKey, u64, u64)>, Sel) {
         let mut best: Option<(CandKey, u64, u64)> = None;
         let mut sel = Sel::None;
-        for q in 0..self.deg {
+        for q in self.live_ports() {
             let nc = self.ports.nbr_coarse(q);
-            if nc != self.coarse && nc != UNKNOWN {
+            if nc != self.coarse {
                 let key = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
                 if best.is_none_or(|(b, _, _)| key < b) {
                     best = Some((key, self.coarse, nc));
@@ -442,11 +458,13 @@ impl ElkinNode {
     }
 
     /// The one phase-roll call site: pass the new coarse id down the
-    /// fragment, adopt it, roll the scratch, and latch global termination.
+    /// fragment, retire the ports this phase's announces showed internal,
+    /// adopt the new id, roll the scratch, and latch global termination.
     fn cd_apply_new_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64, done: bool) {
         for &q in &self.frag_children {
             ctx.send(q, Msg::NewCoarse { id, done });
         }
+        self.retire_internal(lane::NBR_COARSE, self.coarse);
         self.coarse = id;
         self.cd_roll_phase();
         if done {

@@ -48,6 +48,8 @@ fn k_exceeding_n_yields_one_fragment() {
 /// overflows the schedule, and still collapses the forest to the MST. That
 /// lone base fragment answers itself: its root finds no outgoing edge in
 /// Borůvka phase 0 and floods the end, so the BFS root routes no answer.
+/// It exists before Stage B's last Announce window, so by the time Stage D
+/// opens every edge is retired and no `CoarseAnnounce` is sent.
 #[test]
 fn oversized_k_override_is_clamped() {
     let g = gen::random_connected(20, 40, &mut gen::WeightRng::new(8));
@@ -58,6 +60,7 @@ fn oversized_k_override_is_clamped() {
         assert_eq!(run.edges, truth.edges, "k = {k}: wrong MST");
         assert_eq!(run.k, 64, "k = {k}: not clamped to 2 * 32");
         assert_eq!(run.stats.messages_with_tag("d:downcast"), 0, "k = {k}: an answer was routed");
+        assert_eq!(run.stats.messages_with_tag("d:announce"), 0, "k = {k}: an internal edge");
         let stage_c: Vec<_> = run.stats.by_tag.keys().filter(|t| t.starts_with("c:")).collect();
         assert!(stage_c.is_empty(), "k = {k}: Stage C messages {stage_c:?}");
         let forest = run_forest(&g, &cfg).unwrap_or_else(|e| panic!("k = {k}: {e}"));

@@ -8,7 +8,8 @@
 //! cargo run --release --example repin            # the n = 256 trio pins
 //! cargo run --release --example repin -- --large # + the n = 2304 cliquepath
 //!                                                #   and the two n = 16384
-//!                                                #   `wallclock -- --gate` runs
+//!                                                #   `wallclock -- --gate` runs,
+//!                                                #   with their per-tag counts
 //! ```
 //!
 //! The simulator is deterministic, so these numbers are bit-exact across
@@ -82,6 +83,9 @@ fn main() {
                 "{label:<24} rounds {} messages {} wire words {}",
                 stats.rounds, stats.messages, stats.wire_words
             );
+            for (tag, t) in &stats.by_tag {
+                println!("    {tag:<12} messages {:>9} wire words {:>9}", t.messages, t.wire_words);
+            }
         }
     }
 }

@@ -48,8 +48,9 @@ fn cliquepath_2304_adaptive_within_budget() {
 /// path runs at scale even on a single-core runner; the stats are
 /// bit-identical to a sequential run by the determinism gate
 /// (`crates/congest/tests/determinism.rs`, `tests/dual_executor.rs`).
-/// Release CI runs this by name (see `.github/workflows/ci.yml`); see
-/// EXPERIMENTS.md "Simulator throughput" for the measured wallclock.
+/// Release CI runs it with the rest of this suite (see
+/// `.github/workflows/ci.yml`); see EXPERIMENTS.md "Simulator throughput"
+/// for the measured wallclock.
 #[test]
 #[ignore = "large: run with --release -- --ignored"]
 fn million_vertex_random_end_to_end() {
