@@ -69,6 +69,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 mod config;

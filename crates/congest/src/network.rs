@@ -52,6 +52,15 @@
 //! [`EveryRound`](crate::EveryRound) forces that for any program and
 //! checks the promises it overrides.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 use std::sync::mpsc::{self, Receiver, Sender};
 
@@ -238,7 +247,7 @@ impl<'a, M: Message> RoundCtx<'a, M> {
             self.id,
             self.round,
         );
-        // dmst-analysis:allow(panic-hygiene) -- sender-side port of an owned node; in range by construction
+        // A sender-side port of an owned node: in range by construction.
         let meter = &mut out.meters[g - out.plo];
         if meter.round != self.round {
             *meter = EdgeMeter { round: self.round, charged: 0 };
@@ -517,7 +526,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                 self.mail[ni] = round;
                 self.touched.push(v);
             }
-            // dmst-analysis:allow(panic-hygiene) -- g >= plo by shard ownership; frame bounds produced by our own send path
+            // g >= plo by shard ownership; our own send path framed the batch.
             self.rings[g - self.plo].words.extend_from_slice(&batch[i + 1..i + 1 + len]);
             i += 1 + len;
         }
@@ -545,7 +554,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             self.inbox.clear();
             if self.mail[ni] == round {
                 for &p in self.topo.drain_order(v) {
-                    // dmst-analysis:allow(panic-hygiene) -- port base of an owned node; in range by construction
+                    // The port base of an owned node: in range by construction.
                     let ring = &mut self.rings[base + p as usize - self.plo];
                     debug_assert_eq!(ring.head, 0, "ring left mid-drain");
                     while ring.head < ring.words.len() {
@@ -637,7 +646,7 @@ fn shard_round<P: NodeProgram>(
     if primed {
         for s in 0..links.from.len() {
             let Some(rx) = &links.from[s] else { continue };
-            // dmst-analysis:allow(panic-hygiene) -- peer holds its sender until Halt; a closed channel is a bug
+            #[expect(clippy::expect_used, reason = "a peer holds its sender until Halt")]
             let mut batch = rx.recv().expect("peer shard alive until halt");
             shard.deliver(round, &mut batch);
             if let Some(ret) = &links.ret_to[s] {
@@ -781,10 +790,10 @@ impl<P: NodeProgram> Network<P> {
         let max_rounds = config.max_rounds;
 
         let mut shard_iter = shards.into_iter();
-        // dmst-analysis:allow(panic-hygiene) -- num_shards >= 1 is asserted at partitioning
+        #[expect(clippy::expect_used, reason = "num_shards >= 1 is asserted at partitioning")]
         let mut shard0 = shard_iter.next().expect("at least one shard");
         let mut links_iter = links.into_iter();
-        // dmst-analysis:allow(panic-hygiene) -- same length as shards by construction
+        #[expect(clippy::expect_used, reason = "same length as shards by construction")]
         let links0 = links_iter.next().expect("at least one shard");
 
         std::thread::scope(|scope| {
@@ -832,7 +841,7 @@ impl<P: NodeProgram> Network<P> {
                 }
 
                 for dtx in &decision_txs {
-                    // dmst-analysis:allow(panic-hygiene) -- workers only exit after Halt; a dead worker is a bug
+                    #[expect(clippy::expect_used, reason = "workers only exit after Halt")]
                     dtx.send(Decision::Round(round)).expect("worker alive");
                 }
                 let s0 = shard_round(&mut shard0, &links0, round, primed);
@@ -856,9 +865,9 @@ impl<P: NodeProgram> Network<P> {
                     };
                     round_messages += summary.round_messages;
                     done_total += summary.done;
-                    // dmst-analysis:allow(panic-hygiene) -- slot s + 1 exists: next_dues holds num_shards entries
+                    // Slot s + 1 exists: next_dues and censuses hold num_shards
+                    // entries.
                     next_dues[s + 1] = summary.next_due;
-                    // dmst-analysis:allow(panic-hygiene) -- slot s + 1 exists: censuses holds num_shards entries
                     censuses[s + 1] = summary.census;
                     if error.is_none() {
                         error = summary.error;
@@ -880,7 +889,7 @@ impl<P: NodeProgram> Network<P> {
             }
             let mut all_totals = vec![std::mem::take(&mut shard0.out.totals)];
             for trx in &totals_rxs {
-                // dmst-analysis:allow(panic-hygiene) -- every worker sends its totals before exiting
+                #[expect(clippy::expect_used, reason = "each worker sends totals before exiting")]
                 all_totals.push(trx.recv().expect("worker exits cleanly"));
             }
             outcome.map(|()| {

@@ -84,7 +84,10 @@ impl Topology {
             )));
         }
         let mut degree = vec![0u32; n];
-        // dmst-analysis:allow(hash-order) -- membership-only duplicate check, never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership-only duplicate check, never iterated"
+        )]
         let mut seen = std::collections::HashSet::with_capacity(edges.len());
         for (eid, &(u, v, _)) in edges.iter().enumerate() {
             if u >= n || v >= n {

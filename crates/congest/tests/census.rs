@@ -82,7 +82,7 @@ proptest! {
         ),
         done_at in 3u64..20,
     ) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut edges = Vec::new();
         for (a, b) in pairs {
             let (a, b) = (a % n, b % n);

@@ -8,7 +8,7 @@
 //! shard boundaries, the wake calendar, fast-forward, and the incremental
 //! done/stage censuses.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use congest_sim::{
     EveryRound, Message, Network, NodeInfo, NodeProgram, RoundCtx, RunConfig, RunStats, SimError,
@@ -61,7 +61,7 @@ struct Gossip {
     id: u64,
     fire_at: u64,
     fired: bool,
-    seen: HashSet<u64>,
+    seen: BTreeSet<u64>,
     log: Vec<(u64, usize, u64, u32)>,
 }
 
@@ -145,7 +145,7 @@ fn run_gossip(
         id: i.id as u64,
         fire_at: 3 * (i.id as u64 % 5),
         fired: false,
-        seen: HashSet::new(),
+        seen: BTreeSet::new(),
         log: Vec::new(),
     };
     // Dense nodes legitimately echo several origins in one round. Each
@@ -153,14 +153,8 @@ fn run_gossip(
     // origins together cost 48 words, so 6 unit messages per round always
     // fit. (Capacity-error determinism has its own test below.)
     let (res, nodes) = run_net(Topology::new(n, edges).unwrap(), gossip, shards, 6, every_round);
-    let states = nodes
-        .into_iter()
-        .map(|g| {
-            let mut seen: Vec<u64> = g.seen.into_iter().collect();
-            seen.sort_unstable();
-            (g.fired, seen, g.log)
-        })
-        .collect();
+    let states =
+        nodes.into_iter().map(|g| (g.fired, g.seen.into_iter().collect(), g.log)).collect();
     (res.unwrap(), states)
 }
 
@@ -315,7 +309,7 @@ proptest! {
         n in 2usize..24,
         pairs in proptest::collection::vec((0usize..24, 0usize..24, 1u64..100), 0..60),
     ) {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         let mut edges = Vec::new();
         for (a, b, w) in pairs {
             let (a, b) = (a % n, b % n);

@@ -92,7 +92,7 @@ proptest! {
         n in 2usize..20,
         pairs in proptest::collection::vec((0usize..20, 0usize..20), 1..40),
     ) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut edges = Vec::new();
         for (a, b) in pairs {
             let (a, b) = (a % n, b % n);

@@ -475,28 +475,70 @@ mod tests {
         buf.len()
     }
 
+    /// One sample of every variant, in declaration order. Each arm names
+    /// the next variant's sample and the match has no wildcard arm, so a
+    /// new variant does not compile until it has a sample here.
+    fn every_variant() -> Vec<Msg> {
+        let key = CandKey::new(u64::MAX, 3, 4);
+        let rec = Candidate { key, src_coarse: 5, dst_coarse: 6, src_slot: 7 };
+        std::iter::successors(Some(Msg::Bfs { me: 1 }), |m| {
+            Some(match m {
+                Msg::Bfs { .. } => Msg::BfsChild { me: 2 },
+                Msg::BfsChild { .. } => Msg::SizeUp { size: 3, height: 4 },
+                Msg::SizeUp { .. } => Msg::Params { n: 5, h: 6, k: 7, t0: 8, slot: 9 },
+                Msg::Params { .. } => Msg::FragAnnounce { frag: 1 },
+                Msg::FragAnnounce { .. } => Msg::Probe { ttl: 2 },
+                Msg::Probe { .. } => Msg::MwoeUp { cand: Some(key), overflow: true },
+                Msg::MwoeUp { .. } => Msg::Participate,
+                Msg::Participate => Msg::MwoePath,
+                Msg::MwoePath => Msg::ConnectReq { child_frag: 3 },
+                Msg::ConnectReq { .. } => Msg::ColorDown { color: 4 },
+                Msg::ColorDown { .. } => Msg::ColorCross { color: 5 },
+                Msg::ColorCross { .. } => Msg::ColorUp { color: 6 },
+                Msg::ColorUp { .. } => Msg::UnmatchedUp { child: Some(7) },
+                Msg::UnmatchedUp { .. } => Msg::AcceptPath,
+                Msg::AcceptPath => Msg::AcceptCross { parent_frag: 8 },
+                Msg::AcceptCross { .. } => Msg::MatchedUp { partner: 9 },
+                Msg::MatchedUp { .. } => Msg::StatusPath,
+                Msg::StatusPath => Msg::StatusCross,
+                Msg::StatusCross => Msg::MergePath,
+                Msg::MergePath => Msg::MergeCross,
+                Msg::MergeCross => Msg::NewFrag { id: 1 },
+                Msg::NewFrag { .. } => Msg::CoarseAnnounce { coarse: 2 },
+                Msg::CoarseAnnounce { .. } => Msg::FragMwoeUp { cand: Some((key, 3, 4)) },
+                Msg::FragMwoeUp { .. } => Msg::Candidate { rec },
+                Msg::Candidate { .. } => Msg::UpDone,
+                Msg::UpDone => {
+                    Msg::Assign { dest_slot: 5, new_coarse: 6, chosen: true, done: false }
+                }
+                Msg::Assign { .. } => Msg::NewCoarse { id: 7, done: true },
+                Msg::NewCoarse { .. } => Msg::MarkPath,
+                Msg::MarkPath => Msg::MarkCross,
+                Msg::MarkCross => return None,
+            })
+        })
+        .collect()
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for m in every_variant() {
+            let mut buf = Vec::new();
+            m.encode(&mut WireWriter::new(&mut buf));
+            let mut r = WireReader::new(&buf);
+            assert_eq!(Msg::decode(&mut r), m);
+            assert_eq!(r.consumed(), buf.len(), "{m:?} decoded a different span");
+        }
+    }
+
     #[test]
     fn all_messages_fit_one_unit() {
-        let rec =
-            Candidate { key: CandKey::new(1, 2, 3), src_coarse: 4, dst_coarse: 5, src_slot: 6 };
-        let samples = [
-            Msg::Bfs { me: 1 },
-            Msg::SizeUp { size: 1, height: 2 },
-            Msg::Params { n: 1, h: 2, k: 3, t0: 4, slot: 5 },
-            Msg::FragAnnounce { frag: 1 },
-            Msg::MwoeUp { cand: Some(CandKey::new(1, 2, 3)), overflow: false },
-            Msg::FragMwoeUp { cand: Some((CandKey::new(1, 2, 3), 4, 5)) },
-            Msg::Candidate { rec },
-            Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false },
-            Msg::NewCoarse { id: 2, done: false },
-        ];
-        for m in samples {
+        for m in every_variant() {
             let len = encoded_len(&m);
             assert!(
                 (1..=congest_sim::UNIT_WORDS as usize).contains(&len),
                 "{m:?} out of unit budget"
             );
-            assert!(!m.tag().is_empty());
         }
     }
 
@@ -533,42 +575,18 @@ mod tests {
 
     #[test]
     fn tag_guards_mirror_tags() {
-        // One representative per wire tag; a new tag that lands without a
-        // row here *and* in `node::TAG_GUARDS` fails both this test and the
-        // `dmst-analysis` tag-guard rule.
-        let reps = [
-            Msg::Bfs { me: 1 },
-            Msg::FragAnnounce { frag: 1 },
-            Msg::MwoeUp { cand: None, overflow: false },
-            Msg::Participate,
-            Msg::ColorUp { color: 7 },
-            Msg::StatusCross,
-            Msg::MergePath,
-            Msg::CoarseAnnounce { coarse: 1 },
-            Msg::FragMwoeUp { cand: None },
-            Msg::UpDone,
-            Msg::Assign { dest_slot: 1, new_coarse: 2, chosen: true, done: false },
-            Msg::MarkPath,
-        ];
+        // The rows are exactly the tags the variants send, sorted: a new
+        // tag without a row fails, and so does a row no variant sends.
         let guards = crate::node::TAG_GUARDS;
-        assert_eq!(guards.len(), reps.len(), "one TAG_GUARDS row per wire tag");
-        for m in &reps {
-            let tag = m.tag();
-            let row = guards
-                .iter()
-                .find(|(t, _, _)| *t == tag)
-                .unwrap_or_else(|| panic!("tag {tag:?} missing from TAG_GUARDS"));
+        let sent: std::collections::BTreeSet<&str> = every_variant().iter().map(Msg::tag).collect();
+        let rows: Vec<&str> = guards.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(rows, Vec::from_iter(sent), "TAG_GUARDS rows must be the sorted wire tags");
+        for &(tag, letter) in guards {
             assert_eq!(
                 tag.chars().next(),
-                Some(row.1),
+                Some(letter),
                 "census letter of {tag:?} must match its stage prefix"
             );
         }
-        // Rows are unique and sorted, so diffs stay reviewable.
-        let tags: Vec<&str> = guards.iter().map(|(t, _, _)| *t).collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(tags, sorted, "TAG_GUARDS rows must be sorted and unique");
     }
 }

@@ -515,30 +515,27 @@ impl ElkinNode {
     }
 }
 
-/// The wake-guard table: one row per wire tag, mirroring
-/// `(tag, census stage letter, the next_wake helper that schedules the
-/// stage's spontaneous rounds)`.
+/// The census table: one row per wire tag, `(tag, census stage letter)`.
 ///
-/// This is the contract that `dmst-analysis`'s `tag-guard` rule enforces
-/// both ways: every tag `Msg::tag()` can return must appear here (so a new
-/// message class cannot land without auditing its census letter and wake
-/// guard — drift the proptests previously caught only by shrinkage), and
-/// every row must name a live tag, a letter `stage_tag` actually returns,
-/// and an existing guard function. `msg::tests::tag_guards_mirror_tags`
-/// cross-checks the table against the enum at test time.
-pub(crate) const TAG_GUARDS: &[(&str, char, &str)] = &[
-    ("a:bfs", 'a', "next_wake"),
-    ("b:announce", 'b', "b_next_wake"),
-    ("b:color", 'b', "b_next_wake"),
-    ("b:connect", 'b', "b_next_wake"),
-    ("b:match", 'b', "b_next_wake"),
-    ("b:merge", 'b', "b_next_wake"),
-    ("b:mwoe", 'b', "b_next_wake"),
-    ("d:announce", 'd', "cd_next_wake"),
-    ("d:downcast", 'd', "cd_next_wake"),
-    ("d:fragmwoe", 'd', "cd_next_wake"),
-    ("d:newcoarse", 'd', "cd_next_wake"),
-    ("d:upcast", 'd', "cd_next_wake"),
+/// `msg::tests::tag_guards_mirror_tags` checks it both ways against one
+/// sample of every [`Msg`] variant: a new tag without a row fails, and so
+/// does a row that no variant sends. Each letter is its tag's stage
+/// prefix, and `stage_tag` debug-asserts that its letter governs a row.
+/// The wake hints themselves are checked on the real protocol by
+/// `congest_sim::EveryRound` (`tests/dual_executor.rs`).
+pub(crate) const TAG_GUARDS: &[(&str, char)] = &[
+    ("a:bfs", 'a'),
+    ("b:announce", 'b'),
+    ("b:color", 'b'),
+    ("b:connect", 'b'),
+    ("b:match", 'b'),
+    ("b:merge", 'b'),
+    ("b:mwoe", 'b'),
+    ("d:announce", 'd'),
+    ("d:downcast", 'd'),
+    ("d:fragmwoe", 'd'),
+    ("d:newcoarse", 'd'),
+    ("d:upcast", 'd'),
 ];
 
 impl NodeProgram for ElkinNode {
@@ -602,7 +599,7 @@ impl NodeProgram for ElkinNode {
             Stage::CD => "d",
         };
         debug_assert!(
-            TAG_GUARDS.iter().any(|&(_, l, _)| letter.starts_with(l)),
+            TAG_GUARDS.iter().any(|&(_, l)| letter.starts_with(l)),
             "census letter {letter:?} governs no TAG_GUARDS row"
         );
         letter

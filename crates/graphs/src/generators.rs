@@ -226,7 +226,10 @@ pub fn circulant(n: usize, offsets: &[usize], rng: &mut WeightRng) -> WeightedGr
 pub fn random_connected(n: usize, extra: usize, rng: &mut WeightRng) -> WeightedGraph {
     assert!(n > 0, "graph needs at least one vertex");
     let mut edges: Vec<(NodeId, NodeId, u64)> = (1..n).map(|v| (rng.index(v), v, 0)).collect();
-    // dmst-analysis:allow(hash-order) -- membership-only rejection sampling set, never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only rejection sampling set, never iterated"
+    )]
     let mut seen: std::collections::HashSet<(NodeId, NodeId)> =
         edges.iter().map(|&(u, v, _)| (u.min(v), u.max(v))).collect();
     let max_extra = n.saturating_mul(n.saturating_sub(1)) / 2 - edges.len();

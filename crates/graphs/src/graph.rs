@@ -107,7 +107,10 @@ impl WeightedGraph {
     /// endpoints `>= n` — see [`GraphError`].
     pub fn new(n: usize, edges: Vec<(NodeId, NodeId, u64)>) -> Result<Self, GraphError> {
         let mut adj: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
-        // dmst-analysis:allow(hash-order) -- membership-only duplicate check, never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership-only duplicate check, never iterated"
+        )]
         let mut seen = std::collections::HashSet::with_capacity(edges.len());
         for (eid, &(u, v, _)) in edges.iter().enumerate() {
             if u >= n {
