@@ -12,11 +12,11 @@
 //! optimum sits well below `sqrt(n)` — the fused Stage D cut its
 //! per-phase constant ~3x, flattening the `n/k` branch again — so the
 //! automatic choice is not the paper's `sqrt(n/b)` but the fitted round
-//! model `choose_k_cost`, which must land within 1.5x of the adaptive
-//! sweep's optimum (asserted; the automatic choice *is* adaptive).
+//! model `choose_k_cost`, which must land within 1.5x of the sweep's
+//! optimum (asserted).
 
 use dmst_bench::{banner, f3, header, row, Workload};
-use dmst_core::{run_mst, ElkinConfig, ScheduleMode};
+use dmst_core::{run_mst, ElkinConfig};
 use dmst_graphs::generators as gen;
 
 fn main() {
@@ -31,43 +31,25 @@ fn main() {
     let d = u64::from(w.diameter);
     println!("workload: {}, n = {n}, D = {d}\n", w.name);
 
-    header(&["k", "rounds", "adaptive", "(D+k+n/k)lg n", "ratio", "messages"]);
+    header(&["k", "rounds", "(D+k+n/k)lg n", "ratio", "messages"]);
     let mut curve = Vec::new();
-    let mut ada_curve = Vec::new();
     for k in [1u64, 2, 4, 8, 16, 32, 64, 128, 256, 512] {
-        // Pin the baseline to the Fixed schedule explicitly — with_k alone
-        // now inherits the Adaptive default, which would make the
-        // comparison below vacuous.
-        let run =
-            run_mst(&w.graph, &ElkinConfig::with_k(k).with_schedule_mode(ScheduleMode::Fixed))
-                .expect("run");
-        let ada =
-            run_mst(&w.graph, &ElkinConfig::with_k(k).with_schedule_mode(ScheduleMode::Adaptive))
-                .expect("adaptive run");
-        assert_eq!(run.edges, ada.edges, "schedule mode changed the MST at k={k}");
-        assert!(
-            ada.stats.rounds <= run.stats.rounds,
-            "adaptive regressed at k={k}: {} > {}",
-            ada.stats.rounds,
-            run.stats.rounds
-        );
+        let run = run_mst(&w.graph, &ElkinConfig::with_k(k)).expect("run");
         let model = (d + k + n / k) as f64 * (n as f64).log2();
         curve.push((k, run.stats.rounds));
-        ada_curve.push((k, ada.stats.rounds));
         row(&[
             k.to_string(),
             run.stats.rounds.to_string(),
-            ada.stats.rounds.to_string(),
             f3(model),
             f3(run.stats.rounds as f64 / model),
             run.stats.messages.to_string(),
         ]);
     }
     let auto = run_mst(&w.graph, &ElkinConfig::default()).expect("auto run");
-    let (best_k, best_rounds) = ada_curve.iter().copied().min_by_key(|&(_, r)| r).expect("curve");
+    let (best_k, best_rounds) = curve.iter().copied().min_by_key(|&(_, r)| r).expect("curve");
     let (_, worst_rounds) = curve.last().copied().expect("curve");
     println!(
-        "\nautomatic choice: k = {} -> {} rounds; adaptive sweep minimum: k = {best_k} -> {best_rounds} rounds",
+        "\nautomatic choice: k = {} -> {} rounds; sweep minimum: k = {best_k} -> {best_rounds} rounds",
         auto.k, auto.stats.rounds
     );
 

@@ -3,9 +3,11 @@
 //! `k` tracks `Θ(D)`.
 //!
 //! Family: path-of-cliques with `n = count * size` fixed at ~1024 while the
-//! clique count (hence the diameter) sweeps 16x.
+//! clique count (hence the diameter) sweeps 16x. Every run sets the paper's
+//! Eq. (1) `k = max(sqrt(n), H)` through `k_override` ([`paper_k`]); the
+//! automatic choice, a fitted round model, never goes past `sqrt(n/b)`.
 
-use dmst_bench::{banner, f3, header, row, Workload};
+use dmst_bench::{banner, f3, header, paper_k, row, Workload};
 use dmst_core::{run_mst, ElkinConfig};
 use dmst_graphs::generators as gen;
 
@@ -20,10 +22,7 @@ fn main() {
         let r = &mut gen::WeightRng::new((count * size) as u64);
         let w = Workload::new("cliquepath", gen::path_of_cliques(count, size, r));
         let n = w.graph.num_nodes();
-        // The paper's k = Θ(D) large-diameter choice is what this
-        // experiment demonstrates; it lives in the Fixed schedule
-        // (Adaptive, the default, never picks k above sqrt(n/b)).
-        let run = run_mst(&w.graph, &ElkinConfig::fixed()).expect("run");
+        let run = run_mst(&w.graph, &ElkinConfig::with_k(paper_k(&w.graph, 1))).expect("run");
         let lg = (n as f64).log2();
         let norm = run.stats.rounds as f64 / (f64::from(w.diameter).max(1.0) * lg);
         row(&[

@@ -1,12 +1,14 @@
-//! Experiment F6 — the §3 regime split: automatic `k` selection follows
+//! Experiment F6 — the §3 regime split: the paper's Eq. (1) `k` follows
 //! `max(sqrt(n), Θ(D))` as the diameter interpolates from `O(log n)` to
-//! `Θ(n)` at fixed `n`.
+//! `Θ(n)` at fixed `n`. Every run sets that `k` through `k_override`
+//! ([`paper_k`]); the automatic choice, a fitted round model, never goes
+//! past `sqrt(n/b)`.
 //!
 //! Family: path-of-cliques at fixed n = 1024 with clique sizes from 512
 //! (D = 3) down to 2 (D = 767), plus a random graph and a path as the two
 //! extremes.
 
-use dmst_bench::{banner, header, row, Workload};
+use dmst_bench::{banner, header, paper_k, row, Workload};
 use dmst_core::{run_mst, ElkinConfig};
 use dmst_graphs::generators as gen;
 
@@ -34,9 +36,7 @@ fn main() {
     }
 
     for w in cases {
-        // The regime split under test is the paper's choose_k, i.e. the
-        // Fixed schedule (Adaptive never picks k above sqrt(n/b)).
-        let run = run_mst(&w.graph, &ElkinConfig::fixed()).expect("run");
+        let run = run_mst(&w.graph, &ElkinConfig::with_k(paper_k(&w.graph, 1))).expect("run");
         let regime = if run.k > sqrt_n { "large-D" } else { "small-D" };
         // k never falls below sqrt(n) and never exceeds ~D (BFS height <= D).
         assert!(run.k >= sqrt_n, "k dropped below sqrt(n) on {}", w.name);

@@ -8,7 +8,7 @@
 //! behind Theorems 3.1/3.2.
 
 use dmst_bench::{banner, header, row, Workload};
-use dmst_core::{run_mst, ElkinConfig, ScheduleMode};
+use dmst_core::{run_mst, ElkinConfig};
 use dmst_graphs::generators as gen;
 
 fn main() {
@@ -42,30 +42,25 @@ fn main() {
         ),
     ];
 
-    header(&["workload", "mode", "D", "k", "A", "B", "D(stage)", "total"]);
+    header(&["workload", "D", "k", "A", "B", "D(stage)", "total"]);
     for (w, cfg) in cases {
-        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-            let run = run_mst(&w.graph, &cfg.with_schedule_mode(mode)).expect("run");
-            let [a, b, d] = ["a", "b", "d"].map(|s| run.stats.rounds_in_stage(s));
-            assert_eq!(a + b + d, run.stats.rounds, "profile must partition the run");
-            row(&[
-                w.name.clone(),
-                format!("{mode:?}").to_lowercase(),
-                w.diameter.to_string(),
-                run.k.to_string(),
-                a.to_string(),
-                b.to_string(),
-                d.to_string(),
-                run.stats.rounds.to_string(),
-            ]);
-        }
+        let run = run_mst(&w.graph, &cfg).expect("run");
+        let [a, b, d] = ["a", "b", "d"].map(|s| run.stats.rounds_in_stage(s));
+        assert_eq!(a + b + d, run.stats.rounds, "profile must partition the run");
+        row(&[
+            w.name.clone(),
+            w.diameter.to_string(),
+            run.k.to_string(),
+            a.to_string(),
+            b.to_string(),
+            d.to_string(),
+            run.stats.rounds.to_string(),
+        ]);
     }
     println!(
         "\nshape check: Stage B grows ~linearly with k (compare k=4 vs k=256);\n\
          Stage D shrinks as k grows (fewer fragments to pipeline); bandwidth\n\
-         compresses Stage D but not Stage A; on the high-D cliquepath the\n\
-         whole profile is dominated by D-proportional terms under Fixed,\n\
-         while Adaptive collapses its Stage B column (smaller k + tight\n\
-         windows) and moves the cost into log(n/k) Stage D phases."
+         compresses Stage D but not Stage A; on the high-D cliquepaths Stage A\n\
+         and the log(n/k) Stage D phases, each ~D, carry most of the rounds."
     );
 }

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use dmst_core::choose_k;
 use dmst_core::util::{ceil_log2, log_star};
 use dmst_graphs::{analysis, generators as gen, WeightedGraph};
 
@@ -48,6 +49,17 @@ pub fn standard_trio(n: usize, seed: u64) -> Vec<Workload> {
         Workload::new(format!("cliquepath {cliques}x8"), gen::path_of_cliques(cliques, 8, r)),
         Workload::new(format!("snake {side}x{side}"), gen::snake_torus(side, side, r)),
     ]
+}
+
+/// The paper's Eq. (1) `k = max(sqrt(n/b), H)` for `g` at bandwidth `b`,
+/// with `H` the eccentricity of vertex 0: the BFS height Stage A measures
+/// from the default root. Runs set it through `ElkinConfig::k_override`.
+///
+/// # Panics
+///
+/// Panics if `g` has no vertices.
+pub fn paper_k(g: &WeightedGraph, b: u32) -> u64 {
+    choose_k(g.num_nodes() as u64, u64::from(analysis::eccentricity(g, 0)), b)
 }
 
 /// The analytic round bound of Theorem 3.1/3.2:
@@ -108,6 +120,14 @@ mod tests {
         let (t1, m1) = forest_bounds(1024, 4096, 8);
         let (t2, m2) = forest_bounds(1024, 4096, 32);
         assert!(t2 > t1 && m2 > m1);
+    }
+
+    #[test]
+    fn paper_k_reads_stage_a_height() {
+        for w in standard_trio(64, 3) {
+            let run = dmst_core::run_forest(&w.graph, &dmst_core::ElkinConfig::with_k(2)).unwrap();
+            assert_eq!(paper_k(&w.graph, 2), choose_k(64, run.bfs_height, 2), "{}", w.name);
+        }
     }
 
     #[test]

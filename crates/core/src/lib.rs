@@ -59,6 +59,5 @@ pub use msg::Msg;
 pub use node::ElkinNode;
 pub use runner::{marked_mst_edges, run_forest, run_mst, ForestRun, MstRun, RunError};
 pub use schedule::{
-    choose_k, choose_k_cost, ExchangeKind, MergeControl, Params, Schedule, ScheduleMode, Slot,
-    Window,
+    choose_k, choose_k_cost, ExchangeKind, MergeControl, Params, Schedule, Slot, Window,
 };

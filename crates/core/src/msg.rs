@@ -110,8 +110,8 @@ pub enum Msg {
     },
 
     // ---- Stage B: Controlled-GHS (paper §4). Every phase ends on its
-    // round schedule in both schedule modes, so no message marks a phase
-    // end: the window a message belongs to is implicit in the round. ----
+    // round schedule, so no message marks a phase end: the window a
+    // message belongs to is implicit in the round. ----
     /// The sender's new fragment id, sent at a phase's Announce window
     /// over its live ports, and only if the id changed since its last
     /// announce (Stage A's wave delivered the first: a vertex id).

@@ -19,7 +19,7 @@ use congest_sim::RoundCtx;
 
 use crate::intervals;
 use crate::msg::Msg;
-use crate::schedule::{choose_k, choose_k_cost, Params, Schedule, ScheduleMode};
+use crate::schedule::{choose_k_cost, Params, Schedule};
 
 use super::{ElkinNode, Stage};
 
@@ -122,17 +122,14 @@ impl ElkinNode {
             // BFS root: size is n, height is H.
             let n = size;
             let h = height;
-            let k = self.cfg.k_override.unwrap_or_else(|| match self.cfg.schedule_mode {
-                ScheduleMode::Fixed => choose_k(n, h, self.cfg.bandwidth),
-                ScheduleMode::Adaptive => {
-                    choose_k_cost(n, h, self.cfg.bandwidth, self.cfg.merge_control)
-                }
-            });
-            // Past 2 * n.next_power_of_two() an override only adds phases
-            // that find one fragment left (at most ceil(log2 n) + 1 are
-            // needed), so clamp it before it exhausts the round cap or
-            // overflows the schedule.
-            let k = k.min(2 * n.next_power_of_two());
+            let (b, merge) = (self.cfg.bandwidth, self.cfg.merge_control);
+            let k = self.cfg.k_override.unwrap_or_else(|| choose_k_cost(n, h, b, merge));
+            // An override of 0 runs as 1 (no Controlled-GHS phase). Past
+            // 2 * n.next_power_of_two() an override only adds phases that
+            // find one fragment left (at most ceil(log2 n) + 1 are needed),
+            // so clamp it before it exhausts the round cap or overflows the
+            // schedule.
+            let k = k.clamp(1, 2 * n.next_power_of_two());
             let t0 = ctx.round() + h + 2;
             self.a_adopt_params(Params { n, h, k, t0 });
             self.a_pass_params(ctx, 0);
@@ -159,11 +156,11 @@ impl ElkinNode {
     ///
     /// If the cell holds a timeline built from other parameters.
     pub(crate) fn a_adopt_params(&mut self, params: Params) {
-        let (merge, mode) = (self.cfg.merge_control, self.cfg.schedule_mode);
+        let merge = self.cfg.merge_control;
         let cell = self.sched.get_or_insert_with(Arc::default);
-        let sched = cell.get_or_init(|| Schedule::new(&params, merge, mode));
+        let sched = cell.get_or_init(|| Schedule::new(&params, merge));
         assert!(
-            sched.built_from(&params, merge, mode),
+            sched.built_from(&params, merge),
             "vertex {} adopted {params:?}, but the run's shared schedule was built from \
              other parameters",
             self.id

@@ -7,7 +7,7 @@
 //! `O(H)` tree traversals per phase (`AnnDone` up, `MwoeGo` down,
 //! `PhaseDone` up, `StartPhase` down) purely on control flow; the paper's
 //! `O((D + k + n/(kb)) log n)` budget for this stage never required them,
-//! and Pandurangan–Robinson–Scquizzato (arXiv:1703.02411) run the same
+//! and Pandurangan–Robinson–Scquizzato (PRS17 in `PAPER.md`) run the same
 //! Borůvka-over-a-BFS-backbone with phases driven by local completion.
 //!
 //! Phase 0 opens at every vertex in the round Stage B ends: each base

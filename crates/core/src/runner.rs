@@ -24,6 +24,9 @@ pub enum RunError {
         /// Number of vertices.
         n: usize,
     },
+    /// The configured bandwidth is 0, so no message fits on any edge
+    /// ([`ElkinConfig::bandwidth`] must be positive).
+    ZeroBandwidth,
     /// The simulator rejected the execution (bandwidth violation or round
     /// cap — either indicates a protocol bug, not an input problem).
     Sim(SimError),
@@ -39,6 +42,7 @@ impl fmt::Display for RunError {
             RunError::InvalidRoot { root, n } => {
                 write!(f, "root {root} out of range for {n} vertices")
             }
+            RunError::ZeroBandwidth => write!(f, "bandwidth must be positive"),
             RunError::Sim(e) => write!(f, "simulation failed: {e}"),
             RunError::BadOutput(msg) => write!(f, "inconsistent output: {msg}"),
         }
@@ -104,6 +108,9 @@ fn network_for(
 ) -> Result<Network<ElkinNode>, RunError> {
     if cfg.root >= g.num_nodes().max(1) {
         return Err(RunError::InvalidRoot { root: cfg.root, n: g.num_nodes() });
+    }
+    if cfg.bandwidth == 0 {
+        return Err(RunError::ZeroBandwidth);
     }
     if !g.is_connected() {
         return Err(RunError::Disconnected);
@@ -245,13 +252,21 @@ mod tests {
     #[test]
     fn every_vertex_shares_one_timeline() {
         let g = random_connected(64, 128, &mut WeightRng::new(3));
-        for cfg in [ElkinConfig::default(), ElkinConfig { shards: 2, ..ElkinConfig::fixed() }] {
+        for cfg in [ElkinConfig::default(), ElkinConfig { shards: 2, ..ElkinConfig::with_k(16) }] {
             let mut net = network_for(&g, &cfg, false).unwrap();
             net.run(&sim_config(&g, &cfg)).unwrap();
             let cells: Vec<_> = net.nodes().iter().map(|v| v.sched.as_ref().unwrap()).collect();
             assert!(cells[0].get().is_some_and(|s| s.num_phases() > 0), "{cfg:?}");
             assert!(cells.iter().all(|c| Arc::ptr_eq(c, cells[0])), "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn zero_bandwidth_is_an_input_error() {
+        let g = random_connected(8, 12, &mut WeightRng::new(2));
+        let cfg = ElkinConfig { bandwidth: 0, ..ElkinConfig::default() };
+        assert_eq!(run_mst(&g, &cfg).unwrap_err(), RunError::ZeroBandwidth);
+        assert_eq!(run_forest(&g, &cfg).unwrap_err(), RunError::ZeroBandwidth);
     }
 
     #[test]

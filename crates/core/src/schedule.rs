@@ -10,31 +10,28 @@
 //!
 //! Per phase `i` (participation radius `p = 2^i`), a participating fragment
 //! has height `<= p` (that is exactly what the probe's depth budget tests),
-//! so each sub-step's latency is a small multiple of `p`. The two columns
-//! below are the **Fixed** (seed, deliberately padded) and **Adaptive**
-//! (provably minimal) window lengths; the derivation of each adaptive
-//! length is the longest message chain of the sub-step, where a message
-//! sent in round `r` is processed in round `r + 1`:
+//! so each sub-step's latency is a small multiple of `p`. Each window lasts
+//! exactly the longest message chain of its sub-step, where a message sent
+//! in round `r` is processed in round `r + 1`:
 //!
-//! | window | fixed | adaptive | longest chain (adaptive) |
-//! |---|---|---|---|
-//! | Announce | `1` | `1` | one local send; delivered at the next window's offset 0 |
-//! | Probe | `2p+2` | `2p+1` | descend `p` (depth-`j` vertex hears at offset `j`), ascend `p`: root hears the last `MwoeUp` at offset `2p` |
-//! | Connect | `p+3` | `p+2` | `MwoePath` descends `<= p`, `ConnectReq` crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
-//! | Exchange × X | `2p+3` | `2p+2` | `ColorDown` descends `<= p`, `ColorCross` (+1), `ColorUp` ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
-//! | Collect (×3) | `p+2` | `p+1` | pure convergecast, ascend `<= p` |
-//! | Accept (×3) | `2p+4` | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p`; alongside, `StatusPath` descends `<= p` and `StatusCross` (+1) lands by offset `p+1` |
-//! | MergeGo | `p+2` / `2p+4` unc. | `p+2` / `2p+2` unc. | `MergePath` descends `<= p`, `MergeCross` (+1); uncontrolled adds the mutual `MatchedUp` ascent `<= p` |
-//! | MergeFlood | `6p+6` / `n+2p+6` unc. | `5p+5` / `n+2p+6` unc. | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
+//! | window | length | longest chain |
+//! |---|---|---|
+//! | Announce | `1` | one local send; delivered at the next window's offset 0 |
+//! | Probe | `2p+1` | descend `p` (depth-`j` vertex hears at offset `j`), ascend `p`: root hears the last `MwoeUp` at offset `2p` |
+//! | Connect | `p+2` | `MwoePath` descends `<= p`, `ConnectReq` crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
+//! | Exchange × X | `2p+2` | `ColorDown` descends `<= p`, `ColorCross` (+1), `ColorUp` ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
+//! | Collect (×3) | `p+1` | pure convergecast, ascend `<= p` |
+//! | Accept (×3) | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p`; alongside, `StatusPath` descends `<= p` and `StatusCross` (+1) lands by offset `p+1` |
+//! | MergeGo | `p+2` / `2p+2` unc. | `MergePath` descends `<= p`, `MergeCross` (+1); uncontrolled adds the mutual `MatchedUp` ascent `<= p` |
+//! | MergeFlood | `5p+5` / `n+2p+6` unc. | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
 //!
-//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations as before. Summed, a
-//! matched phase lasts `(2X+18)p + (2X+20)` rounds (adaptive) or
-//! `(2X+19)p + (3X+32)` (fixed), an uncontrolled one `n + 7p + 12` or
-//! `n + 7p + 16`.
+//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations. Summed, a matched
+//! phase lasts `(2X+18)p + (2X+20)` rounds, an uncontrolled one
+//! `n + 7p + 12`.
 //!
-//! Both modes end every phase on its schedule: the merge flood sleeps out
-//! its worst-case window, so the whole Stage B timeline is a pure function
-//! of the broadcast parameters and [`Schedule::locate`] maps any absolute
+//! Every phase ends on its schedule: the merge flood sleeps out its
+//! worst-case window, so the whole Stage B timeline is a pure function of
+//! the broadcast parameters and [`Schedule::locate`] maps any absolute
 //! round to its slot at every vertex alike.
 //!
 //! # One table, one copy per run
@@ -69,22 +66,6 @@ pub enum MergeControl {
     Uncontrolled,
 }
 
-/// How Stage B rounds are scheduled (see the module docs). The mode sets
-/// the window lengths and the rule that picks `k`; in both, every phase
-/// ends on its schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ScheduleMode {
-    /// The seed behaviour: padded windows, `k = max(sqrt(n/b), H)`.
-    Fixed,
-    /// Tight windows (each the longest message chain of its sub-step) and
-    /// `k` from the fitted round model [`choose_k_cost`]: the candidate up
-    /// to the paper's `sqrt(n/b)` with the fewest predicted rounds, never
-    /// below `H/8`. The default; `Fixed` stays a supported knob and remains
-    /// in the conformance matrix.
-    #[default]
-    Adaptive,
-}
-
 /// The globally agreed parameters broadcast by the BFS root at the end of
 /// Stage A.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +83,9 @@ pub struct Params {
 /// The paper's parameter choice (§3): `k = sqrt(n/b)` in the small-diameter
 /// regime and `k = Θ(D)` in the large-diameter regime, implemented as
 /// `max(sqrt(n/b), H)` with the BFS height `H` standing in for `D`
-/// (`H <= D <= 2H`). Always at least 1.
+/// (`H <= D <= 2H`). Always at least 1. The BFS root picks `k` with
+/// [`choose_k_cost`] instead; a run reaches this choice only through
+/// [`ElkinConfig::k_override`](crate::ElkinConfig::k_override).
 pub fn choose_k(n: u64, h: u64, bandwidth: u32) -> u64 {
     let nb = n.div_euclid(u64::from(bandwidth.max(1))).max(1);
     isqrt(nb).max(h).max(1)
@@ -119,11 +102,11 @@ const CD_GAMMA: u128 = 152;
 const CD_BETA: u128 = 9;
 const CD_SCALE: u128 = 32;
 
-/// The cost-model choice of `k` ([`ScheduleMode::Adaptive`]), evaluated by
-/// the BFS root once Stage A has measured `n` and `H`.
+/// The automatic choice of `k`, evaluated by the BFS root once Stage A has
+/// measured `n` and `H`.
 ///
 /// Every candidate `k` gets a predicted round count: Stage B is the sum of
-/// the adaptive schedule's [`Schedule::phase_len`] over its `ceil(log2 k)`
+/// the schedule's [`Schedule::phase_len`] over its `ceil(log2 k)`
 /// phases (exact, since every phase ends on its schedule), and Stage D
 /// is `ceil(log2(n/k)) * (α·H + γ) + β·n/(k·b)` (constants above). The
 /// candidates are the powers of two from 2 plus the cap `isqrt(n/b)` — the
@@ -142,7 +125,7 @@ pub fn choose_k_cost(n: u64, h: u64, bandwidth: u32, merge: MergeControl) -> u64
     // compares the predictions of `x` and `y` exactly.
     let scaled = |k: u64| {
         let params = Params { n, h, k, t0: 0 };
-        let stage_b = Schedule::new(&params, merge, ScheduleMode::Adaptive).end();
+        let stage_b = Schedule::new(&params, merge).end();
         let phases = ceil_log2(n.div_ceil(k).max(1));
         let per_kb = CD_SCALE * u128::from(stage_b)
             + u128::from(phases) * (CD_ALPHA * u128::from(h) + CD_GAMMA);
@@ -216,15 +199,14 @@ struct Span {
 }
 
 /// The fully determined Stage B schedule, identical at every vertex: a
-/// pure function of the broadcast parameters, the merge control and the
-/// mode. [`Schedule::new`] flattens every phase's windows into one table in
+/// pure function of the broadcast parameters and the merge control.
+/// [`Schedule::new`] flattens every phase's windows into one table in
 /// round order, so [`Schedule::locate`] and [`Schedule::next_boundary`] are
 /// one binary search each.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     params: Params,
     merge: MergeControl,
-    mode: ScheduleMode,
     num_phases: u32,
     exchanges: u32,
     /// Every window of every phase in round order; each phase holds the
@@ -234,12 +216,11 @@ pub struct Schedule {
 
 impl Schedule {
     /// Builds the schedule from the broadcast parameters.
-    pub fn new(params: &Params, merge: MergeControl, mode: ScheduleMode) -> Self {
+    pub fn new(params: &Params, merge: MergeControl) -> Self {
         let num_phases = if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 };
         let mut s = Self {
             params: *params,
             merge,
-            mode,
             num_phases,
             exchanges: steps_to_six(params.n) + 6,
             table: Vec::new(),
@@ -256,13 +237,8 @@ impl Schedule {
 
     /// Whether this is the schedule [`Schedule::new`] builds from exactly
     /// these arguments.
-    pub(crate) fn built_from(
-        &self,
-        params: &Params,
-        merge: MergeControl,
-        mode: ScheduleMode,
-    ) -> bool {
-        (self.params, self.merge, self.mode) == (*params, merge, mode)
+    pub(crate) fn built_from(&self, params: &Params, merge: MergeControl) -> bool {
+        (self.params, self.merge) == (*params, merge)
     }
 
     /// Number of Controlled-GHS phases (`ceil(log2 k)`).
@@ -291,32 +267,29 @@ impl Schedule {
     }
 
     /// The window layout of one phase: `(window, length)` in order, the
-    /// module table's column for this schedule's mode. Only
+    /// module table's lengths. Only
     /// [`Schedule::new`] (and a test) reads it; everything else reads the
     /// table.
     fn layout(&self, phase: u32) -> Vec<(Window, u64)> {
         let p = self.radius(phase);
-        // Per-window padding beyond the provable minimum: 0 in adaptive
-        // mode, the seed's slack in fixed mode (see the module table).
-        let pad = u64::from(self.mode == ScheduleMode::Fixed);
         let mut v = Vec::with_capacity(5 + self.exchanges as usize + 6);
         v.push((Window::Announce, 1));
-        v.push((Window::Probe, 2 * p + 1 + pad));
-        v.push((Window::Connect, p + 2 + pad));
+        v.push((Window::Probe, 2 * p + 1));
+        v.push((Window::Connect, p + 2));
         match self.merge {
             MergeControl::Matched => {
                 for x in 0..self.exchanges {
-                    v.push((Window::Exchange(x), 2 * p + 2 + pad));
+                    v.push((Window::Exchange(x), 2 * p + 2));
                 }
                 for c in 0..3u8 {
-                    v.push((Window::MatchCollect(c), p + 1 + pad));
-                    v.push((Window::MatchAccept(c), 2 * p + 2 + 2 * pad));
+                    v.push((Window::MatchCollect(c), p + 1));
+                    v.push((Window::MatchAccept(c), 2 * p + 2));
                 }
                 v.push((Window::MergeGo, p + 2));
-                v.push((Window::MergeFlood, 5 * p + 5 + pad * (p + 1)));
+                v.push((Window::MergeFlood, 5 * p + 5));
             }
             MergeControl::Uncontrolled => {
-                v.push((Window::MergeGo, 2 * p + 2 + 2 * pad));
+                v.push((Window::MergeGo, 2 * p + 2));
                 v.push((Window::MergeFlood, self.params.n + 2 * p + 6));
             }
         }
@@ -400,8 +373,8 @@ mod tests {
         Params { n, h: 3, k, t0: 100 }
     }
 
-    fn fixed(n: u64, k: u64) -> Schedule {
-        Schedule::new(&params(n, k), MergeControl::Matched, ScheduleMode::Fixed)
+    fn matched(n: u64, k: u64) -> Schedule {
+        Schedule::new(&params(n, k), MergeControl::Matched)
     }
 
     /// First round of phase `i`, read off the table.
@@ -438,58 +411,40 @@ mod tests {
 
     #[test]
     fn phases_count() {
-        assert_eq!(fixed(100, 1).num_phases(), 0);
-        assert_eq!(fixed(100, 2).num_phases(), 1);
-        assert_eq!(fixed(100, 8).num_phases(), 3);
-        assert_eq!(fixed(100, 9).num_phases(), 4);
+        assert_eq!(matched(100, 1).num_phases(), 0);
+        assert_eq!(matched(100, 2).num_phases(), 1);
+        assert_eq!(matched(100, 8).num_phases(), 3);
+        assert_eq!(matched(100, 9).num_phases(), 4);
     }
 
     #[test]
     fn locate_covers_every_round_exactly_once() {
-        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-            let s = Schedule::new(&params(64, 8), MergeControl::Matched, mode);
-            assert!(s.locate(99).is_none());
-            assert!(s.locate(s.end()).is_none());
-            let mut prev: Option<Slot> = None;
-            for r in s.start()..s.end() {
-                let slot = s.locate(r).expect("round inside stage B must be scheduled");
-                if let Some(p) = prev {
-                    // Progress is monotone: same window with +1 offset, or a new window.
-                    if p.window == slot.window && p.phase == slot.phase {
-                        assert_eq!(slot.offset, p.offset + 1);
-                    } else {
-                        assert_eq!(slot.offset, 0);
-                        assert!(p.last, "{mode:?}: window changed before its final round");
-                    }
+        let s = matched(64, 8);
+        assert!(s.locate(99).is_none());
+        assert!(s.locate(s.end()).is_none());
+        let mut prev: Option<Slot> = None;
+        for r in s.start()..s.end() {
+            let slot = s.locate(r).expect("round inside stage B must be scheduled");
+            if let Some(p) = prev {
+                // Progress is monotone: same window with +1 offset, or a new window.
+                if p.window == slot.window && p.phase == slot.phase {
+                    assert_eq!(slot.offset, p.offset + 1);
                 } else {
-                    assert_eq!(
-                        slot,
-                        Slot { phase: 0, window: Window::Announce, offset: 0, last: true }
-                    );
+                    assert_eq!(slot.offset, 0);
+                    assert!(p.last, "window changed before its final round");
                 }
-                prev = Some(slot);
+            } else {
+                assert_eq!(
+                    slot,
+                    Slot { phase: 0, window: Window::Announce, offset: 0, last: true }
+                );
             }
-            let last = prev.unwrap();
-            assert_eq!(last.phase, s.num_phases() - 1);
-            assert_eq!(last.window, Window::MergeFlood);
-            assert!(last.last);
+            prev = Some(slot);
         }
-    }
-
-    #[test]
-    fn adaptive_windows_are_tighter_phase_by_phase() {
-        let p = params(1 << 16, 64);
-        let f = Schedule::new(&p, MergeControl::Matched, ScheduleMode::Fixed);
-        let a = Schedule::new(&p, MergeControl::Matched, ScheduleMode::Adaptive);
-        assert_eq!(f.num_phases(), a.num_phases());
-        for i in 0..f.num_phases() {
-            assert!(
-                a.phase_len(i) < f.phase_len(i),
-                "adaptive phase {i} ({}) not tighter than fixed ({})",
-                a.phase_len(i),
-                f.phase_len(i)
-            );
-        }
+        let last = prev.unwrap();
+        assert_eq!(last.phase, s.num_phases() - 1);
+        assert_eq!(last.window, Window::MergeFlood);
+        assert!(last.last);
     }
 
     #[test]
@@ -498,7 +453,7 @@ mod tests {
         // `phase_start(i) + rel`. Every offset below `phase_len` lies in
         // phase `i`; the merge flood is no longer open-ended, so offset
         // `phase_len` opens the next phase, or leaves Stage B after the last.
-        let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
+        let s = matched(64, 8);
         for phase in 0..s.num_phases() {
             let start = phase_start(&s, phase);
             let len = s.phase_len(phase);
@@ -533,13 +488,8 @@ mod tests {
 
     #[test]
     fn next_boundary_matches_naive_scan() {
-        for (merge, mode) in [
-            (MergeControl::Matched, ScheduleMode::Fixed),
-            (MergeControl::Matched, ScheduleMode::Adaptive),
-            (MergeControl::Uncontrolled, ScheduleMode::Fixed),
-            (MergeControl::Uncontrolled, ScheduleMode::Adaptive),
-        ] {
-            let s = Schedule::new(&params(64, 8), merge, mode);
+        for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
+            let s = Schedule::new(&params(64, 8), merge);
             // A round is a wake boundary iff it opens or closes a window;
             // the stage-end transition round (end()) is one as well.
             let is_boundary = |r: u64| {
@@ -547,15 +497,9 @@ mod tests {
             };
             for r in s.start().saturating_sub(2)..s.end() {
                 let nb = s.next_boundary(r);
-                assert!(
-                    nb > r && is_boundary(nb),
-                    "{merge:?}/{mode:?}: bad boundary {nb} after {r}"
-                );
+                assert!(nb > r && is_boundary(nb), "{merge:?}: bad boundary {nb} after {r}");
                 for mid in (r + 1)..nb {
-                    assert!(
-                        !is_boundary(mid),
-                        "{merge:?}/{mode:?}: missed boundary {mid} after {r}"
-                    );
+                    assert!(!is_boundary(mid), "{merge:?}: missed boundary {mid} after {r}");
                 }
             }
         }
@@ -566,7 +510,7 @@ mod tests {
         // `next_boundary` seen from inside one phase: the next boundary
         // after any offset is a window edge of that phase, or the phase's
         // end (the next phase's Announce, or Stage D after the last).
-        let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
+        let s = matched(64, 8);
         for phase in 0..s.num_phases() {
             let start = phase_start(&s, phase);
             let len = s.phase_len(phase);
@@ -592,34 +536,30 @@ mod tests {
     fn table_matches_a_walk_of_the_layouts() {
         // Every round of [t0 - 2, end + 2): the table's answers equal a
         // linear walk of the per-phase layouts laid end to end from t0.
-        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-            for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
-                for (k, n) in
-                    [1, 2, 3, 8, 64].into_iter().flat_map(|k| [2, 64, 16384].map(|n| (k, n)))
-                {
-                    let s = Schedule::new(&params(n, k), merge, mode);
-                    let case = format!("{mode:?}/{merge:?}/k={k}/n={n}");
-                    let at = |r: u64| (s.locate(r), s.next_boundary(r));
-                    for r in s.start() - 2..s.start() {
-                        assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
-                    }
-                    let mut start = s.start();
-                    for phase in 0..s.num_phases() {
-                        for (window, len) in s.layout(phase) {
-                            let last = start + len - 1;
-                            for r in start..=last {
-                                let slot =
-                                    Slot { phase, window, offset: r - start, last: r == last };
-                                let next = if r < last { last } else { last + 1 };
-                                assert_eq!(at(r), (Some(slot), next), "{case}: round {r}");
-                            }
-                            start += len;
+        for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
+            for (k, n) in [1, 2, 3, 8, 64].into_iter().flat_map(|k| [2, 64, 16384].map(|n| (k, n)))
+            {
+                let s = Schedule::new(&params(n, k), merge);
+                let case = format!("{merge:?}/k={k}/n={n}");
+                let at = |r: u64| (s.locate(r), s.next_boundary(r));
+                for r in s.start() - 2..s.start() {
+                    assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
+                }
+                let mut start = s.start();
+                for phase in 0..s.num_phases() {
+                    for (window, len) in s.layout(phase) {
+                        let last = start + len - 1;
+                        for r in start..=last {
+                            let slot = Slot { phase, window, offset: r - start, last: r == last };
+                            let next = if r < last { last } else { last + 1 };
+                            assert_eq!(at(r), (Some(slot), next), "{case}: round {r}");
                         }
+                        start += len;
                     }
-                    assert_eq!(s.end(), start, "{case}");
-                    for r in start..start + 2 {
-                        assert_eq!(at(r), (None, r + 1), "{case}: round {r}");
-                    }
+                }
+                assert_eq!(s.end(), start, "{case}");
+                for r in start..start + 2 {
+                    assert_eq!(at(r), (None, r + 1), "{case}: round {r}");
                 }
             }
         }
@@ -627,7 +567,7 @@ mod tests {
 
     #[test]
     fn exchange_kinds_partition() {
-        let s = fixed(1 << 20, 4);
+        let s = matched(1 << 20, 4);
         let ladder = s.exchanges() - 6;
         assert!(matches!(s.exchange_kind(0), ExchangeKind::Ladder));
         assert_eq!(s.exchange_kind(ladder), ExchangeKind::ShiftDown(3));
@@ -638,7 +578,7 @@ mod tests {
 
     #[test]
     fn uncontrolled_layout_has_no_matching() {
-        let s = Schedule::new(&params(64, 8), MergeControl::Uncontrolled, ScheduleMode::Fixed);
+        let s = Schedule::new(&params(64, 8), MergeControl::Uncontrolled);
         for r in s.start()..s.end() {
             let slot = s.locate(r).unwrap();
             assert!(
@@ -657,27 +597,19 @@ mod tests {
     #[test]
     fn phase_lengths_follow_the_closed_forms() {
         // Every phase of k = 64 (p = 2^i, X CV exchanges): the sums of the
-        // module table's columns.
+        // module table's lengths.
         for n in [2, 64, 16384] {
-            for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-                for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
-                    let s = Schedule::new(&params(n, 64), merge, mode);
-                    let x = u64::from(s.exchanges());
-                    assert_eq!(s.num_phases(), 6);
-                    for i in 0..s.num_phases() {
-                        let p = s.radius(i);
-                        let want = match (merge, mode) {
-                            (MergeControl::Matched, ScheduleMode::Adaptive) => {
-                                (2 * x + 18) * p + 2 * x + 20
-                            }
-                            (MergeControl::Matched, ScheduleMode::Fixed) => {
-                                (2 * x + 19) * p + 3 * x + 32
-                            }
-                            (MergeControl::Uncontrolled, ScheduleMode::Adaptive) => n + 7 * p + 12,
-                            (MergeControl::Uncontrolled, ScheduleMode::Fixed) => n + 7 * p + 16,
-                        };
-                        assert_eq!(s.phase_len(i), want, "{merge:?}/{mode:?}/n={n}: phase {i}");
-                    }
+            for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
+                let s = Schedule::new(&params(n, 64), merge);
+                let x = u64::from(s.exchanges());
+                assert_eq!(s.num_phases(), 6);
+                for i in 0..s.num_phases() {
+                    let p = s.radius(i);
+                    let want = match merge {
+                        MergeControl::Matched => (2 * x + 18) * p + 2 * x + 20,
+                        MergeControl::Uncontrolled => n + 7 * p + 12,
+                    };
+                    assert_eq!(s.phase_len(i), want, "{merge:?}/n={n}: phase {i}");
                 }
             }
         }
@@ -685,17 +617,15 @@ mod tests {
 
     #[test]
     fn phase_budgets_grow_geometrically() {
-        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-            let s = Schedule::new(&params(1 << 16, 64), MergeControl::Matched, mode);
-            for i in 1..s.num_phases() {
-                let a = s.phase_len(i - 1);
-                let b = s.phase_len(i);
-                assert!(b > a && b < 3 * a, "phase budgets should roughly double ({mode:?})");
-            }
-            // Total Stage B length is O(k log* n): generous constant check.
-            let total = s.end() - s.start();
-            let bound = 200 * 64 + 500;
-            assert!(total < bound, "stage B budget {total} exceeds {bound} ({mode:?})");
+        let s = matched(1 << 16, 64);
+        for i in 1..s.num_phases() {
+            let a = s.phase_len(i - 1);
+            let b = s.phase_len(i);
+            assert!(b > a && b < 3 * a, "phase budgets should roughly double");
         }
+        // Total Stage B length is O(k log* n): generous constant check.
+        let total = s.end() - s.start();
+        let bound = 200 * 64 + 500;
+        assert!(total < bound, "stage B budget {total} exceeds {bound}");
     }
 }

@@ -68,6 +68,19 @@ fn oversized_k_override_is_clamped() {
     }
 }
 
+/// `k = 0` is clamped up at the BFS root like an oversized `k` is clamped
+/// down: the run reports `k = 1` and builds the singleton forest of
+/// `k = 1`.
+#[test]
+fn zero_k_override_is_clamped_to_one() {
+    let g = gen::random_connected(20, 40, &mut gen::WeightRng::new(8));
+    let zero = ElkinConfig { k_override: Some(0), ..ElkinConfig::default() };
+    let run = run_forest(&g, &zero).expect("k = 0 run");
+    let one = run_forest(&g, &ElkinConfig::with_k(1)).expect("k = 1 run");
+    assert_eq!(run.k, 1, "k = 0 not clamped to 1");
+    assert_eq!(run.fragment_of, one.fragment_of);
+}
+
 #[test]
 fn k_one_keeps_singletons() {
     let g = gen::random_connected(30, 60, &mut gen::WeightRng::new(9));

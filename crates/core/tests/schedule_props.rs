@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use dmst_core::util::isqrt;
-use dmst_core::{choose_k, choose_k_cost, MergeControl, Params, Schedule, ScheduleMode, Window};
+use dmst_core::{choose_k, choose_k_cost, MergeControl, Params, Schedule, Window};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -19,9 +19,8 @@ proptest! {
         t0 in 0u64..10_000,
         uncontrolled in any::<bool>(),
     ) {
-        let mode = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let params = Params { n, h: 5, k, t0 };
-        let s = Schedule::new(&params, mode, ScheduleMode::Fixed);
+        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
+        let s = Schedule::new(&Params { n, h: 5, k, t0 }, merge);
         prop_assert!(s.locate(t0.wrapping_sub(1)).is_none() || t0 == 0);
         prop_assert!(s.locate(s.end()).is_none());
         if k <= 1 {
@@ -54,10 +53,9 @@ proptest! {
         prop_assert_eq!(total, s.end() - s.start());
     }
 
-    /// In both modes and under both merge controls, the first window of
-    /// every phase is Announce with length 1, the last is MergeFlood, and
-    /// the phases tile `[t0, end)`; adaptive phases are never longer than
-    /// fixed ones.
+    /// Under both merge controls, the first window of every phase is
+    /// Announce with length 1, the last is MergeFlood, and the phases tile
+    /// `[t0, end)`.
     #[test]
     fn phase_boundaries(
         n in 2u64..10_000,
@@ -67,26 +65,21 @@ proptest! {
         uncontrolled in any::<bool>(),
     ) {
         let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let params = Params { n, h, k, t0 };
-        let fixed = Schedule::new(&params, merge, ScheduleMode::Fixed);
-        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-            let s = Schedule::new(&params, merge, mode);
-            let mut start = t0;
-            for i in 0..s.num_phases() {
-                let first = s.locate(start).unwrap();
-                prop_assert_eq!((first.phase, first.window), (i, Window::Announce));
-                prop_assert!(first.last, "announce is a single round");
-                let last = s.locate(start + s.phase_len(i) - 1).unwrap();
-                prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
-                prop_assert!(last.last);
-                prop_assert!(s.phase_len(i) <= fixed.phase_len(i));
-                start += s.phase_len(i);
-            }
-            prop_assert_eq!(start, s.end());
+        let s = Schedule::new(&Params { n, h, k, t0 }, merge);
+        let mut start = t0;
+        for i in 0..s.num_phases() {
+            let first = s.locate(start).unwrap();
+            prop_assert_eq!((first.phase, first.window), (i, Window::Announce));
+            prop_assert!(first.last, "announce is a single round");
+            let last = s.locate(start + s.phase_len(i) - 1).unwrap();
+            prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
+            prop_assert!(last.last);
+            start += s.phase_len(i);
         }
+        prop_assert_eq!(start, s.end());
     }
 
-    /// The phase-relative view of an adaptive schedule agrees with its
+    /// The phase-relative view of the schedule agrees with its
     /// layout: offset 0 of every phase is its single Announce round,
     /// offset `phase_len - 1` closes its merge flood, and offset
     /// `phase_len` is the next phase's Announce, or past Stage B after the
@@ -99,7 +92,7 @@ proptest! {
         uncontrolled in any::<bool>(),
     ) {
         let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let s = Schedule::new(&Params { n, h, k, t0: 0 }, merge, ScheduleMode::Adaptive);
+        let s = Schedule::new(&Params { n, h, k, t0: 0 }, merge);
         let mut start = s.start();
         for i in 0..s.num_phases() {
             let len = s.phase_len(i);

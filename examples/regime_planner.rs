@@ -2,10 +2,10 @@
 //! `k = sqrt(n)`) versus `D > sqrt(n)` (`k = Θ(D)`).
 //!
 //! Scenario: the same number of routers can be wired as a flat mesh, a
-//! ring, or a chain of dense racks. This example shows how the algorithm's
-//! automatic `k` selection reacts to the topology's hop-diameter and what
-//! that does to round/message costs — the design decision that lets the
-//! paper avoid the neighborhood-cover machinery of [PRS16].
+//! ring, or a chain of dense racks. This example shows how the paper's
+//! Eq. (1) `k` reacts to the topology's hop-diameter and what that does to
+//! round/message costs — the design decision that lets the paper avoid the
+//! neighborhood-cover machinery of [PRS17].
 //!
 //! ```text
 //! cargo run --release --example regime_planner
@@ -13,6 +13,7 @@
 
 use dmst::core::{run_mst, ElkinConfig};
 use dmst::graphs::{analysis, generators, WeightedGraph};
+use dmst_bench::paper_k;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = generators::WeightRng::new(99);
@@ -34,10 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, g) in cases {
         let n = g.num_nodes();
         let d = analysis::diameter_exact(&g);
-        // The paper's regime-following k lives in the Fixed schedule; the
-        // (default) adaptive schedule picks k by a fitted round model and
-        // never goes past sqrt(n/b).
-        let run = run_mst(&g, &ElkinConfig::fixed())?;
+        // Eq. (1) goes through k_override: the automatic k is a fitted round
+        // model that never goes past sqrt(n/b).
+        let run = run_mst(&g, &ElkinConfig::with_k(paper_k(&g, 1)))?;
         let sqrt_n = (n as f64).sqrt().round() as u64;
         let regime = if run.k > sqrt_n { "large-D" } else { "small-D" };
         println!(

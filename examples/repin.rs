@@ -18,7 +18,7 @@
 use dmst::core::{run_mst, ElkinConfig};
 use dmst::graphs::generators as gen;
 use dmst::testkit::Algorithm;
-use dmst_bench::standard_trio;
+use dmst_bench::{paper_k, standard_trio};
 
 fn print_stats(algo: &Algorithm, g: &dmst::graphs::WeightedGraph, label: &str) {
     let (_, _, stats) = algo.run_stats(g).unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -36,12 +36,12 @@ fn main() {
 
     println!("# tests/round_pins.rs golden counts (pin order)\n");
     let trio: Vec<_> = standard_trio(256, 0x51).into_iter().map(|w| (w.name, w.graph)).collect();
-    for algo in [
-        Algorithm::Elkin(ElkinConfig::fixed()),
-        Algorithm::Elkin(ElkinConfig::default()),
-        Algorithm::Ghs,
-        Algorithm::Pipeline,
-    ] {
+    println!("# Eq. (1) k via k_override");
+    for (label, g) in &trio {
+        print_stats(&Algorithm::Elkin(ElkinConfig::with_k(paper_k(g, 1))), g, label);
+    }
+    println!();
+    for algo in [Algorithm::Elkin(ElkinConfig::default()), Algorithm::Ghs, Algorithm::Pipeline] {
         for (label, g) in &trio {
             print_stats(&algo, g, label);
         }
@@ -58,10 +58,10 @@ fn main() {
             .find(|w| w.name.starts_with("cliquepath"))
             .expect("trio contains a cliquepath")
             .graph;
-        let run = run_mst(&g2304, &ElkinConfig::default()).expect("adaptive 2304");
+        let run = run_mst(&g2304, &ElkinConfig::default()).expect("cliquepath 2304");
         let [a, b, d] = ["a", "b", "d"].map(|s| run.stats.rounds_in_stage(s));
         println!(
-            "cliquepath 288x8 adaptive: rounds {} messages {} wire words {} \
+            "cliquepath 288x8: rounds {} messages {} wire words {} \
              profile a/b/d = {}/{}/{}",
             run.stats.rounds, run.stats.messages, run.stats.wire_words, a, b, d
         );

@@ -23,12 +23,12 @@
 //! use dmst::graphs::generators as gen;
 //!
 //! let g = gen::grid_2d(4, 4, &mut gen::WeightRng::new(11));
-//! testkit::assert_all_match(&g, "doc-grid"); // Elkin (both modes) + GHS + Pipeline vs Kruskal
+//! testkit::assert_all_match(&g, "doc-grid"); // Elkin + GHS + Pipeline vs Kruskal
 //! ```
 
 use crate::baselines::{run_ghs, run_pipeline};
 use crate::congest::RunStats;
-use crate::core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl, ScheduleMode};
+use crate::core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl};
 use crate::graphs::{generators as gen, mst, EdgeId, UnionFind, WeightedGraph};
 
 /// One distributed MST algorithm under conformance test.
@@ -43,24 +43,15 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// The algorithms under conformance test: Elkin in both schedule
-    /// modes (Fixed stays covered although Adaptive is the default), plus
-    /// the two baselines, each otherwise in its default configuration.
+    /// The algorithms under conformance test, each in its default
+    /// configuration: Elkin and the two baselines.
     pub fn all() -> Vec<Algorithm> {
-        vec![
-            Algorithm::Elkin(ElkinConfig::fixed()),
-            Algorithm::Elkin(ElkinConfig::default()),
-            Algorithm::Ghs,
-            Algorithm::Pipeline,
-        ]
+        vec![Algorithm::Elkin(ElkinConfig::default()), Algorithm::Ghs, Algorithm::Pipeline]
     }
 
     /// Display name for diagnostics.
     pub fn name(&self) -> &'static str {
         match self {
-            Algorithm::Elkin(cfg) if cfg.schedule_mode == ScheduleMode::Adaptive => {
-                "elkin-adaptive"
-            }
             Algorithm::Elkin(_) => "elkin",
             Algorithm::Ghs => "ghs",
             Algorithm::Pipeline => "pipeline",
@@ -177,9 +168,8 @@ pub fn assert_matches_oracle(algo: &Algorithm, g: &WeightedGraph, label: &str) {
     );
 }
 
-/// Asserts every algorithm in [`Algorithm::all`] (Elkin in both schedule
-/// modes, GHS, Pipeline; default configurations) matches the Kruskal
-/// oracle on `g`.
+/// Asserts every algorithm in [`Algorithm::all`] (Elkin, GHS, Pipeline;
+/// default configurations) matches the Kruskal oracle on `g`.
 ///
 /// # Panics
 ///
@@ -216,7 +206,7 @@ pub fn family_matrix(rng: &mut gen::WeightRng) -> Vec<(&'static str, WeightedGra
 }
 
 /// The `ElkinConfig` knob matrix for a graph on `n` vertices: bandwidth ×
-/// `k` override × merge control × schedule mode × root placement. Roots
+/// `k` override × merge control × root placement. Roots
 /// outside `0..n` are clamped away, and duplicate configurations are
 /// removed.
 pub fn config_matrix(n: usize) -> Vec<ElkinConfig> {
@@ -224,19 +214,16 @@ pub fn config_matrix(n: usize) -> Vec<ElkinConfig> {
     for b in [1u32, 2, 3, 8] {
         for k in [None, Some(1), Some(5), Some(16), Some(200)] {
             for mode in [MergeControl::Matched, MergeControl::Uncontrolled] {
-                for sched in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-                    for root in [0, n / 3, n.saturating_sub(1)] {
-                        let cfg = ElkinConfig {
-                            bandwidth: b,
-                            k_override: k,
-                            root,
-                            merge_control: mode,
-                            schedule_mode: sched,
-                            ..ElkinConfig::default()
-                        };
-                        if !out.contains(&cfg) {
-                            out.push(cfg);
-                        }
+                for root in [0, n / 3, n.saturating_sub(1)] {
+                    let cfg = ElkinConfig {
+                        bandwidth: b,
+                        k_override: k,
+                        root,
+                        merge_control: mode,
+                        ..ElkinConfig::default()
+                    };
+                    if !out.contains(&cfg) {
+                        out.push(cfg);
                     }
                 }
             }
@@ -356,9 +343,8 @@ mod tests {
     #[test]
     fn algorithm_names_and_all() {
         let all = Algorithm::all();
-        assert_eq!(all.len(), 4);
         let names: Vec<&str> = all.iter().map(Algorithm::name).collect();
-        assert_eq!(names, ["elkin", "elkin-adaptive", "ghs", "pipeline"]);
+        assert_eq!(names, ["elkin", "ghs", "pipeline"]);
     }
 
     #[test]

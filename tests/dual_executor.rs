@@ -44,8 +44,11 @@ fn t1_trio_matches_every_round_stepping() {
     let uncontrolled =
         ElkinConfig { merge_control: MergeControl::Uncontrolled, ..ElkinConfig::default() };
     let mut inputs = Vec::new();
-    for cfg in [ElkinConfig::default(), ElkinConfig::fixed(), uncontrolled] {
-        let label = format!("{:?}, {:?}", cfg.schedule_mode, cfg.merge_control);
+    // k = 16 runs four Stage B phases where the automatic k runs one to
+    // three, so the wake hints of the later phases' wider windows are
+    // checked too.
+    for cfg in [ElkinConfig::default(), ElkinConfig::with_k(16), uncontrolled] {
+        let label = format!("k = {:?}, {:?}", cfg.k_override, cfg.merge_control);
         for w in standard_trio(256, 0x51) {
             inputs.push((format!("{} ({label})", w.name), w.graph, cfg));
         }

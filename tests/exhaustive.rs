@@ -18,12 +18,10 @@ fn every_connected_graph_on_4_vertices() {
 
 #[test]
 fn every_connected_graph_on_5_vertices() {
-    // Every algorithm on every weighting is ~8700 distributed runs; keep
-    // the 5-vertex sweep to Elkin (the paper's algorithm, both schedule
-    // modes) plus a GHS cross-check on the all-equal (pure tie-breaking)
-    // pattern to stay fast.
+    // Every algorithm on every weighting is ~6500 distributed runs; keep
+    // the 5-vertex sweep to Elkin (the paper's algorithm) plus a GHS
+    // cross-check on the all-equal (pure tie-breaking) pattern to stay fast.
     let (graphs, runs) = testkit::for_each_connected_graph(5, |g, label, pattern| {
-        testkit::assert_matches_oracle(&Algorithm::Elkin(Default::default()), g, label);
         testkit::assert_matches_oracle(&Algorithm::Elkin(ElkinConfig::default()), g, label);
         if pattern == WeightPattern::Equal {
             testkit::assert_matches_oracle(&Algorithm::Ghs, g, label);

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use dmst::core::{analyze_forest, run_forest, run_mst, ElkinConfig, ScheduleMode};
+use dmst::core::{analyze_forest, run_forest, run_mst, ElkinConfig};
 use dmst::graphs::{generators as gen, mst, UnionFind, WeightedGraph};
 
 /// Strategy: a connected random graph with `n` in [2, 40], arbitrary extra
@@ -31,25 +31,6 @@ proptest! {
         let cfg = ElkinConfig { bandwidth: b, ..ElkinConfig::default() };
         let run = run_mst(&g, &cfg).expect("run succeeds on connected input");
         prop_assert_eq!(run.edges, truth.edges);
-    }
-
-    /// Schedule adaptivity can never change the output: on arbitrary
-    /// connected graphs, `Fixed` and `Adaptive` produce the identical MST
-    /// edge set, and `Adaptive` never uses more rounds than `Fixed`.
-    #[test]
-    fn adaptive_schedule_same_mst_fewer_rounds(g in connected_graph(), b in 1u32..4) {
-        let fixed_cfg = ElkinConfig { bandwidth: b, ..ElkinConfig::fixed() };
-        let ada_cfg = fixed_cfg.with_schedule_mode(ScheduleMode::Adaptive);
-        let fixed = run_mst(&g, &fixed_cfg).expect("fixed run");
-        let ada = run_mst(&g, &ada_cfg).expect("adaptive run");
-        prop_assert_eq!(&fixed.edges, &mst::kruskal(&g).edges);
-        prop_assert_eq!(&fixed.edges, &ada.edges);
-        prop_assert!(
-            ada.stats.rounds <= fixed.stats.rounds,
-            "adaptive used {} rounds, fixed {}",
-            ada.stats.rounds,
-            fixed.stats.rounds
-        );
     }
 
     /// Regression for the fused-phase argmin race (PR 3): `MarkPath`
@@ -81,9 +62,6 @@ proptest! {
         let cfg = ElkinConfig { k_override: Some(k), ..ElkinConfig::default() };
         let run = run_mst(&g, &cfg).expect("fused-phase marks must stay symmetric");
         prop_assert_eq!(&run.edges, &truth.edges);
-        let fixed = run_mst(&g, &cfg.with_schedule_mode(ScheduleMode::Fixed))
-            .expect("fixed-schedule marks must stay symmetric");
-        prop_assert_eq!(&fixed.edges, &truth.edges);
     }
 
     /// The three sequential oracles agree with each other.

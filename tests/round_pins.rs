@@ -7,20 +7,17 @@
 //! standard 10% slack of [`dmst::testkit::RoundBudget`]. A measured count
 //! above `pin * 1.10` is a regression; far below `pin / 2.2` the pin is
 //! stale and must be consciously re-measured (see EXPERIMENTS.md for the
-//! snapshot these numbers come from).
-//!
-//! The n = 256 trio runs in the default suite; the n = 2304 cliquepath
-//! ratio check (the adaptive-scheduling acceptance bar) is `#[ignore]`d
-//! for debug runs and executed in release by CI alongside
-//! `cargo bench --bench exp_t1_comparison -- --smoke`.
+//! snapshot these numbers come from). The n = 2304 cliquepath budgets live
+//! in `tests/large_scale.rs` and in the T1 smoke
+//! (`cargo bench --bench exp_t1_comparison -- --smoke`).
 
 use std::iter::successors;
 
 use dmst::core::util::isqrt;
-use dmst::core::{run_mst, ElkinConfig, MergeControl, Params, Schedule, ScheduleMode};
+use dmst::core::{run_mst, ElkinConfig, MergeControl, Params, Schedule};
 use dmst::graphs::{generators as gen, WeightedGraph};
 use dmst::testkit::{assert_round_budget, Algorithm, RoundBudget};
-use dmst_bench::standard_trio;
+use dmst_bench::{paper_k, standard_trio};
 
 /// The T1 workload trio at n = 256 — the very graphs the
 /// `exp_t1_comparison` tables measure (shared generator, same seed).
@@ -30,16 +27,19 @@ fn trio_256() -> Vec<(String, WeightedGraph)> {
     trio.into_iter().map(|w| (w.name, w.graph)).collect()
 }
 
+/// The paper's Eq. (1) `k = max(sqrt(n), H)` (16, 16, 63 and 16 here):
+/// larger than the automatic `k` (2, 2, 8 and 2), so Stage B runs three
+/// more phases.
 #[test]
-fn elkin_fixed_t1_trio_pins() {
+fn elkin_paper_k_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(966, 17679),
-        RoundBudget::new(874, 23456),
-        RoundBudget::new(3042, 24375),
-        RoundBudget::new(895, 18231),
+        RoundBudget::new(867, 17679),
+        RoundBudget::new(775, 23456),
+        RoundBudget::new(2853, 24375),
+        RoundBudget::new(796, 18231),
     ];
-    let algo = Algorithm::Elkin(ElkinConfig::fixed());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
+        let algo = Algorithm::Elkin(ElkinConfig::with_k(paper_k(g, 1)));
         assert_round_budget(&algo, g, label, pin);
     }
 }
@@ -90,9 +90,9 @@ fn auto_k_is_near_optimal_on_t1_trio() {
 }
 
 /// Stage B lasts exactly its schedule: on every n = 256 trio row, at
-/// `k` in {2, 4, 8, 16} and in both schedule modes, the rounds charged to
-/// Stage B equal the length of the schedule the root broadcast. Every
-/// phase ends on its window, so `choose_k_cost`'s Stage B term is exact.
+/// `k` in {2, 4, 8, 16}, the rounds charged to Stage B equal the length of
+/// the schedule the root broadcast. Every phase ends on its window, so
+/// `choose_k_cost`'s Stage B term is exact.
 ///
 /// At `k = 2` Stage B is the single phase 0, whose fragment ids are the
 /// vertex ids Stage A's wave already delivered, so it sends no
@@ -101,28 +101,25 @@ fn auto_k_is_near_optimal_on_t1_trio() {
 fn stage_b_lasts_exactly_its_schedule() {
     for (label, g) in trio_256() {
         let n = g.num_nodes() as u64;
-        for mode in [ScheduleMode::Fixed, ScheduleMode::Adaptive] {
-            for k in [2u64, 4, 8, 16] {
-                let run = run_mst(&g, &ElkinConfig::with_k(k).with_schedule_mode(mode))
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                let params = Params { n, h: run.bfs_height, k: run.k, t0: 0 };
-                let scheduled = Schedule::new(&params, MergeControl::Matched, mode).end();
-                assert_eq!(
-                    run.stats.rounds_in_stage("b"),
-                    scheduled,
-                    "{label}, {mode:?}, k = {k}: Stage B ran past its schedule"
-                );
-                if k == 2 {
-                    let announces = run.stats.messages_with_tag("b:announce");
-                    assert_eq!(announces, 0, "{label}, {mode:?}: phase 0 announced");
-                }
-                // Stage D opens in the round Stage B ends: no "c" round
-                // and no "c:" message stand between them.
-                assert_eq!(run.stats.rounds_in_stage("c"), 0, "{label}, {mode:?}, k = {k}");
-                let c_tags: Vec<_> =
-                    run.stats.by_tag.keys().filter(|t| t.starts_with("c:")).collect();
-                assert!(c_tags.is_empty(), "{label}, {mode:?}, k = {k}: {c_tags:?}");
+        for k in [2u64, 4, 8, 16] {
+            let run =
+                run_mst(&g, &ElkinConfig::with_k(k)).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let params = Params { n, h: run.bfs_height, k: run.k, t0: 0 };
+            let scheduled = Schedule::new(&params, MergeControl::Matched).end();
+            assert_eq!(
+                run.stats.rounds_in_stage("b"),
+                scheduled,
+                "{label}, k = {k}: Stage B ran past its schedule"
+            );
+            if k == 2 {
+                let announces = run.stats.messages_with_tag("b:announce");
+                assert_eq!(announces, 0, "{label}: phase 0 announced");
             }
+            // Stage D opens in the round Stage B ends: no "c" round and no
+            // "c:" message stand between them.
+            assert_eq!(run.stats.rounds_in_stage("c"), 0, "{label}, k = {k}");
+            let c_tags: Vec<_> = run.stats.by_tag.keys().filter(|t| t.starts_with("c:")).collect();
+            assert!(c_tags.is_empty(), "{label}, k = {k}: {c_tags:?}");
         }
     }
 }
@@ -135,8 +132,8 @@ fn baseline_t1_trio_pins() {
         RoundBudget::new(1319, 14921),
         RoundBudget::new(1064, 5884),
     ];
-    // The Pipeline baseline's phase 1 reuses `run_forest`, so it also
-    // rides the (now default) adaptive Stage B schedule.
+    // The Pipeline baseline's phase 1 reuses `run_forest` at k = isqrt(n),
+    // so it rides the same Stage B schedule.
     let pipe_pins = [
         RoundBudget::new(795, 19422),
         RoundBudget::new(731, 23770),
@@ -149,9 +146,8 @@ fn baseline_t1_trio_pins() {
     }
 }
 
-/// The tentpole guard at a mid size: on the high-diameter cliquepath the
-/// adaptive schedule must keep holding its ~3.2x win over Fixed (pinned
-/// absolutely so the test costs one adaptive run, not a slow fixed one).
+/// A mid-size pin on the high-diameter cliquepath (n = 1024), between the
+/// n = 256 trio and the n = 2304 budgets.
 #[test]
 fn elkin_adaptive_cliquepath_1024_pin() {
     let r = &mut gen::WeightRng::new(0x51);
@@ -161,30 +157,5 @@ fn elkin_adaptive_cliquepath_1024_pin() {
         &g,
         "cliquepath 128x8",
         &RoundBudget::new(3910, 108_037),
-    );
-}
-
-/// The acceptance bar of the adaptive-scheduling change, verbatim: T1
-/// cliquepath n = 2304 total rounds under `ScheduleMode::Adaptive` is at
-/// most 1/3 of the Fixed baseline. Release-only (CI runs it with
-/// `--include-ignored`); the Fixed run alone is ~51k rounds.
-#[test]
-#[ignore = "release-scale: run with --release -- --include-ignored"]
-fn adaptive_cliquepath_2304_is_three_times_faster() {
-    let g = standard_trio(2304, 0x51)
-        .into_iter()
-        .find(|w| w.name.starts_with("cliquepath"))
-        .expect("trio contains a cliquepath")
-        .graph;
-    let fixed = Algorithm::Elkin(ElkinConfig::fixed());
-    let adaptive = Algorithm::Elkin(ElkinConfig::default());
-    let (fe, _, fs) = fixed.run_stats(&g).expect("fixed run");
-    let (ae, _, als) = adaptive.run_stats(&g).expect("adaptive run");
-    assert_eq!(fe, ae, "schedule mode changed the MST");
-    assert!(
-        3 * als.rounds <= fs.rounds,
-        "adaptive ({}) must be <= 1/3 of fixed ({}) on the n=2304 cliquepath",
-        als.rounds,
-        fs.rounds
     );
 }
