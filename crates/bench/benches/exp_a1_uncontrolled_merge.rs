@@ -6,21 +6,48 @@
 //! chain: on a path with monotone weights the very first phase glues
 //! everything into one `Θ(n)`-diameter fragment.
 //!
-//! We measure the *resulting fragment diameter* in both modes. (Round
-//! counts in uncontrolled mode are schedule upper bounds — without the
-//! matching there is no per-phase diameter guarantee to budget against —
-//! so the honest measured quantity is the diameter, which is what the
-//! per-phase time actually depends on.)
+//! Fragment diameter is a property of the merge rule, not of the
+//! protocol, so the uncontrolled side is a sequential replay: plain
+//! Borůvka stopped after the same `ceil(log2 k)` phases that
+//! Controlled-GHS runs ([`mst::boruvka_phases`]). Both forests go through
+//! the same [`analyze_forest`] checks.
 
+use congest_sim::RunStats;
 use dmst_bench::{banner, header, row};
-use dmst_core::{analyze_forest, run_forest, ElkinConfig, MergeControl};
-use dmst_graphs::{generators as gen, WeightedGraph};
+use dmst_core::util::ceil_log2;
+use dmst_core::{analyze_forest, run_forest, ElkinConfig, ForestRun};
+use dmst_graphs::{analysis, generators as gen, mst, EdgeId, WeightedGraph};
 
 /// A path whose weights increase left to right: every vertex's MWOE points
 /// left, so uncontrolled merging builds one long chain immediately.
 fn monotone_path(n: usize) -> WeightedGraph {
     let edges = (1..n).map(|v| (v - 1, v, v as u64)).collect();
     WeightedGraph::new(n, edges).expect("valid path")
+}
+
+/// The forest `edges` spans in `g`, shaped like a [`run_forest`] result:
+/// each tree is named after and rooted at its smallest vertex
+/// ([`analysis::components`]'s label). A replay has no run, so its
+/// statistics are empty.
+fn replay_forest(g: &WeightedGraph, edges: &[EdgeId], k: u64) -> ForestRun {
+    let n = g.num_nodes();
+    let forest = WeightedGraph::new(n, edges.iter().map(|&e| g.edges()[e]).collect())
+        .expect("a sub-forest of a valid graph");
+    let (label, _) = analysis::components(&forest);
+    let mut parent_of = vec![None; n];
+    for root in (0..n).filter(|&v| label[v] == v) {
+        for (v, p) in analysis::bfs_parents(&forest, root).into_iter().enumerate() {
+            parent_of[v] = parent_of[v].or(p);
+        }
+    }
+    ForestRun {
+        fragment_of: label.into_iter().map(|f| f as u64).collect(),
+        parent_of,
+        bfs_parent_of: vec![None; n],
+        stats: RunStats::default(),
+        k,
+        bfs_height: 0,
+    }
 }
 
 fn main() {
@@ -37,25 +64,23 @@ fn main() {
         ("random n=512".into(), gen::random_connected(512, 1536, &mut r)),
     ];
 
-    for (name, g) in cases {
+    for (name, g) in &cases {
         let n = g.num_nodes();
         for k in [8u64, 32] {
-            for (mode, label) in
-                [(MergeControl::Matched, "matched"), (MergeControl::Uncontrolled, "uncontrolled")]
-            {
-                let cfg = ElkinConfig {
-                    k_override: Some(k),
-                    merge_control: mode,
-                    ..ElkinConfig::default()
-                };
-                let run = run_forest(&g, &cfg).expect("forest run");
-                let report = analyze_forest(&g, &run);
-                if mode == MergeControl::Matched {
-                    assert!(
-                        report.max_diameter <= 24 * k,
-                        "matched-mode diameter exploded: {report:?}"
-                    );
-                }
+            let cfg = ElkinConfig::with_k(k);
+            let matched = analyze_forest(g, &run_forest(g, &cfg).expect("forest run"));
+            assert!(matched.max_diameter <= 24 * k, "matched diameter exploded: {matched:?}");
+            let phases = ceil_log2(k) as usize;
+            let replay = replay_forest(g, &mst::boruvka_phases(g, phases).edges, k);
+            let uncontrolled = analyze_forest(g, &replay);
+            if name == "monotone path" {
+                assert_eq!(
+                    (uncontrolled.num_fragments, uncontrolled.max_diameter),
+                    (1, n as u64 - 1),
+                    "plain Boruvka must chain the monotone path into one fragment"
+                );
+            }
+            for (label, report) in [("matched", matched), ("uncontrolled", uncontrolled)] {
                 row(&[
                     name.clone(),
                     n.to_string(),

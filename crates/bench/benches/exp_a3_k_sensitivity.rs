@@ -28,7 +28,7 @@ fn main() {
     let r = &mut gen::WeightRng::new(0xA3);
     let w = Workload::new("torus 32x32", gen::torus_2d(32, 32, r));
     let n = w.graph.num_nodes() as u64;
-    let d = u64::from(w.diameter);
+    let d = u64::from(w.diameter());
     println!("workload: {}, n = {n}, D = {d}\n", w.name);
 
     header(&["k", "rounds", "(D+k+n/k)lg n", "ratio", "messages"]);

@@ -24,13 +24,14 @@ fn main() {
             Workload::new(format!("random n={n}"), gen::random_connected(n, 3 * n, r)),
         ] {
             let run = run_mst(&w.graph, &ElkinConfig::default()).expect("run");
-            let bound = round_bound(n as u64, u64::from(w.diameter), 1);
+            let d = w.diameter();
+            let bound = round_bound(n as u64, u64::from(d), 1);
             let ratio = run.stats.rounds as f64 / bound;
             ratios.push(ratio);
             row(&[
                 w.name.clone(),
                 n.to_string(),
-                w.diameter.to_string(),
+                d.to_string(),
                 run.k.to_string(),
                 run.stats.rounds.to_string(),
                 f3(bound),

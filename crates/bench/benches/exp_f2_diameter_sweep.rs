@@ -24,12 +24,13 @@ fn main() {
         let n = w.graph.num_nodes();
         let run = run_mst(&w.graph, &ElkinConfig::with_k(paper_k(&w.graph, 1))).expect("run");
         let lg = (n as f64).log2();
-        let norm = run.stats.rounds as f64 / (f64::from(w.diameter).max(1.0) * lg);
+        let d = w.diameter();
+        let norm = run.stats.rounds as f64 / (f64::from(d).max(1.0) * lg);
         row(&[
             count.to_string(),
             size.to_string(),
             n.to_string(),
-            w.diameter.to_string(),
+            d.to_string(),
             run.k.to_string(),
             run.stats.rounds.to_string(),
             f3(norm),

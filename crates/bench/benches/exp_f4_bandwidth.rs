@@ -18,13 +18,14 @@ fn main() {
     let r = &mut gen::WeightRng::new(0xF4);
     let w = Workload::new("random n=4096", gen::random_connected(4096, 3 * 4096, r));
     let n = w.graph.num_nodes() as u64;
-    println!("workload: {}, n = {n}, D = {}\n", w.name, w.diameter);
+    let d = u64::from(w.diameter());
+    println!("workload: {}, n = {n}, D = {d}\n", w.name);
 
     header(&["b", "k", "rounds", "bound", "ratio", "messages"]);
     let mut first_msgs = None;
     for b in [1u32, 2, 4, 8, 16, 32] {
         let run = run_mst(&w.graph, &ElkinConfig::with_bandwidth(b)).expect("run");
-        let bound = round_bound(n, u64::from(w.diameter), u64::from(b));
+        let bound = round_bound(n, d, u64::from(b));
         row(&[
             b.to_string(),
             run.k.to_string(),

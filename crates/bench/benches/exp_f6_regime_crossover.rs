@@ -38,18 +38,19 @@ fn main() {
     for w in cases {
         let run = run_mst(&w.graph, &ElkinConfig::with_k(paper_k(&w.graph, 1))).expect("run");
         let regime = if run.k > sqrt_n { "large-D" } else { "small-D" };
+        let d = w.diameter();
         // k never falls below sqrt(n) and never exceeds ~D (BFS height <= D).
         assert!(run.k >= sqrt_n, "k dropped below sqrt(n) on {}", w.name);
         assert!(
-            run.k <= u64::from(w.diameter).max(sqrt_n),
+            run.k <= u64::from(d).max(sqrt_n),
             "k = {} exceeds max(D, sqrt n) = {} on {}",
             run.k,
-            u64::from(w.diameter).max(sqrt_n),
+            u64::from(d).max(sqrt_n),
             w.name
         );
         row(&[
             w.name.clone(),
-            w.diameter.to_string(),
+            d.to_string(),
             sqrt_n.to_string(),
             run.k.to_string(),
             regime.to_string(),

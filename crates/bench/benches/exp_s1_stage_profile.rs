@@ -49,7 +49,7 @@ fn main() {
         assert_eq!(a + b + d, run.stats.rounds, "profile must partition the run");
         row(&[
             w.name.clone(),
-            w.diameter.to_string(),
+            w.diameter().to_string(),
             run.k.to_string(),
             a.to_string(),
             b.to_string(),

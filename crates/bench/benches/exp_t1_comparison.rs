@@ -66,7 +66,7 @@ fn smoke() {
     // words `Message::encode` wrote into the rings, the same length the
     // capacity check charges, so a protocol change that bloats the
     // encoding trips this even when rounds and messages stay flat.
-    for (label, run, ceiling) in [("cliquepath", &cp, 406_006u64), ("torus", &tor, 29_411)] {
+    for (label, run, ceiling) in [("cliquepath", &cp, 391_948u64), ("torus", &tor, 28_896)] {
         println!("wire gate: {label:<22} {:>9} (ceiling {ceiling})", run.stats.wire_words);
         assert!(
             run.stats.wire_words <= ceiling,

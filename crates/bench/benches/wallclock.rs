@@ -147,7 +147,7 @@ fn gate() {
         "gate workload rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 1_390_096,
+        run.stats.messages, 1_369_613,
         "gate workload messages moved; re-pin deliberately (`repin -- --large`)"
     );
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
@@ -166,7 +166,7 @@ fn gate() {
         "cliquepath rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 2_707_743,
+        run.stats.messages, 2_638_280,
         "cliquepath messages moved; re-pin deliberately (`repin -- --large`)"
     );
 

@@ -41,14 +41,6 @@ pub struct Candidate {
     pub src_slot: u64,
 }
 
-/// Keep the better (smaller-keyed) of two optional candidates.
-pub fn better(a: Option<Candidate>, b: Option<Candidate>) -> Option<Candidate> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => Some(if x.key <= y.key { x } else { y }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,15 +52,5 @@ mod tests {
         assert!(CandKey::new(2, 100, 200) < a);
         assert!(CandKey::new(3, 1, 9) < a);
         assert!(CandKey::new(3, 2, 8) < a);
-    }
-
-    #[test]
-    fn better_prefers_smaller_key() {
-        let mk =
-            |w| Candidate { key: CandKey::new(w, 0, 1), src_coarse: 0, dst_coarse: 1, src_slot: 0 };
-        assert_eq!(better(None, None), None);
-        assert_eq!(better(Some(mk(5)), None).unwrap().key.weight, 5);
-        assert_eq!(better(Some(mk(5)), Some(mk(3))).unwrap().key.weight, 3);
-        assert_eq!(better(Some(mk(2)), Some(mk(3))).unwrap().key.weight, 2);
     }
 }

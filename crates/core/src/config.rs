@@ -1,11 +1,9 @@
 //! Run configuration for the distributed MST algorithm.
 
-use crate::schedule::MergeControl;
-
 /// Configuration of one algorithm execution.
 ///
 /// The defaults reproduce the paper's Theorem 3.1 setting — standard
-/// CONGEST (`b = 1`), automatic `k`, matched merging, BFS root at vertex 0.
+/// CONGEST (`b = 1`), automatic `k`, BFS root at vertex 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ElkinConfig {
     /// The `b` of `CONGEST(b log n)` (Theorem 3.2). Must be positive:
@@ -24,9 +22,6 @@ pub struct ElkinConfig {
     /// The designated BFS root. It is given, not elected: no stage of the
     /// run elects a leader.
     pub root: usize,
-    /// Merge policy of the Controlled-GHS stage (ablation A1 sets
-    /// [`MergeControl::Uncontrolled`]).
-    pub merge_control: MergeControl,
     /// Simulator worker shards (forwarded to
     /// [`RunConfig::shards`](congest_sim::RunConfig)): `1` (the default)
     /// runs sequentially, `0` auto-sizes to the machine. Purely a wallclock
@@ -36,13 +31,7 @@ pub struct ElkinConfig {
 
 impl Default for ElkinConfig {
     fn default() -> Self {
-        Self {
-            bandwidth: 1,
-            k_override: None,
-            root: 0,
-            merge_control: MergeControl::Matched,
-            shards: 1,
-        }
+        Self { bandwidth: 1, k_override: None, root: 0, shards: 1 }
     }
 }
 
@@ -78,7 +67,6 @@ mod tests {
         let c = ElkinConfig::new();
         assert_eq!(c.bandwidth, 1);
         assert_eq!(c.k_override, None);
-        assert_eq!(c.merge_control, MergeControl::Matched);
     }
 
     #[test]

@@ -52,12 +52,10 @@ mod runner;
 mod schedule;
 pub mod util;
 
-pub use candidate::{better, CandKey, Candidate};
+pub use candidate::{CandKey, Candidate};
 pub use config::ElkinConfig;
 pub use forest::{analyze_forest, ForestReport};
 pub use msg::Msg;
 pub use node::ElkinNode;
 pub use runner::{marked_mst_edges, run_forest, run_mst, ForestRun, MstRun, RunError};
-pub use schedule::{
-    choose_k, choose_k_cost, ExchangeKind, MergeControl, Params, Schedule, Slot, Window,
-};
+pub use schedule::{choose_k, choose_k_cost, ExchangeKind, Params, Schedule, Slot, Window};

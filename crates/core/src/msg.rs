@@ -28,29 +28,28 @@ const TAG_PARAMS: u8 = 3;
 const TAG_FRAG_ANNOUNCE: u8 = 4;
 const TAG_PROBE: u8 = 5;
 const TAG_MWOE_UP: u8 = 6;
-const TAG_PARTICIPATE: u8 = 7;
-const TAG_MWOE_PATH: u8 = 8;
-const TAG_CONNECT_REQ: u8 = 9;
-const TAG_COLOR_DOWN: u8 = 10;
-const TAG_COLOR_CROSS: u8 = 11;
-const TAG_COLOR_UP: u8 = 12;
-const TAG_UNMATCHED_UP: u8 = 13;
-const TAG_ACCEPT_PATH: u8 = 14;
-const TAG_ACCEPT_CROSS: u8 = 15;
-const TAG_MATCHED_UP: u8 = 16;
-const TAG_STATUS_PATH: u8 = 17;
-const TAG_STATUS_CROSS: u8 = 18;
-const TAG_MERGE_PATH: u8 = 19;
-const TAG_MERGE_CROSS: u8 = 20;
-const TAG_NEW_FRAG: u8 = 21;
-const TAG_COARSE_ANNOUNCE: u8 = 22;
-const TAG_FRAG_MWOE_UP: u8 = 23;
-const TAG_CANDIDATE: u8 = 24;
-const TAG_UP_DONE: u8 = 25;
-const TAG_ASSIGN: u8 = 26;
-const TAG_NEW_COARSE: u8 = 27;
-const TAG_MARK_PATH: u8 = 28;
-const TAG_MARK_CROSS: u8 = 29;
+const TAG_MWOE_PATH: u8 = 7;
+const TAG_CONNECT_REQ: u8 = 8;
+const TAG_COLOR_DOWN: u8 = 9;
+const TAG_COLOR_CROSS: u8 = 10;
+const TAG_COLOR_UP: u8 = 11;
+const TAG_UNMATCHED_UP: u8 = 12;
+const TAG_ACCEPT_PATH: u8 = 13;
+const TAG_ACCEPT_CROSS: u8 = 14;
+const TAG_MATCHED_UP: u8 = 15;
+const TAG_STATUS_PATH: u8 = 16;
+const TAG_STATUS_CROSS: u8 = 17;
+const TAG_MERGE_PATH: u8 = 18;
+const TAG_MERGE_CROSS: u8 = 19;
+const TAG_NEW_FRAG: u8 = 20;
+const TAG_COARSE_ANNOUNCE: u8 = 21;
+const TAG_FRAG_MWOE_UP: u8 = 22;
+const TAG_CANDIDATE: u8 = 23;
+const TAG_UP_DONE: u8 = 24;
+const TAG_ASSIGN: u8 = 25;
+const TAG_NEW_COARSE: u8 = 26;
+const TAG_MARK_PATH: u8 = 27;
+const TAG_MARK_CROSS: u8 = 28;
 
 /// Writes a [`CandKey`] as three full words (the weight needs all 64
 /// bits; the endpoints get whole words so the key stays one fixed shape
@@ -132,17 +131,16 @@ pub enum Msg {
         /// (fragment too tall to participate this phase).
         overflow: bool,
     },
-    /// Root tells its (participating) fragment that the phase is on.
-    Participate,
     /// Downcast along the argmin path toward the MWOE endpoint.
     MwoePath,
     /// Sent across the MWOE to the foreign endpoint, registering the sender's
-    /// fragment as a "foreign child" (paper §4).
-    ConnectReq {
-        /// The child fragment's id.
-        child_frag: u64,
-    },
-    /// Fragment-internal broadcast of the fragment's current CV color.
+    /// fragment as a "foreign child" (paper §4). The receiver reads the
+    /// child's fragment id off the port: both ends retire a port together,
+    /// so a live port's neighbor fragment id is current.
+    ConnectReq,
+    /// Fragment-internal broadcast of the fragment's current CV color. The
+    /// first exchange's copy also tells every vertex of a participating
+    /// fragment that it participates this phase.
     ColorDown {
         /// The color.
         color: u64,
@@ -165,10 +163,9 @@ pub enum Msg {
     /// Downcast along the argmin path toward the chosen child's cross edge.
     AcceptPath,
     /// Acceptance sent across the cross edge: "your fragment is matched".
-    AcceptCross {
-        /// The accepting (parent) fragment's id.
-        parent_frag: u64,
-    },
+    /// The receiver reads the accepting fragment's id off the port, like
+    /// [`Msg::ConnectReq`].
+    AcceptCross,
     /// The child fragment routes the acceptance up to its root.
     MatchedUp {
         /// The partner (parent) fragment's id.
@@ -215,10 +212,12 @@ pub enum Msg {
     /// w.r.t. the coarse partition: sent to the fragment parent as soon
     /// as the sender is locally ready (all neighbor announcements in) and
     /// its fragment subtree has reported. Always matches the receiver's
-    /// current phase (the subtree cannot outrun its own fragment root).
+    /// current phase (the subtree cannot outrun its own fragment root), so
+    /// its source coarse id is the receiver's own and does not travel.
     FragMwoeUp {
-        /// Best candidate in the subtree (key + coarse ids), if any.
-        cand: Option<(CandKey, u64, u64)>,
+        /// Best candidate in the subtree (key + the coarse id on the far
+        /// side of the edge), if any.
+        cand: Option<(CandKey, u64)>,
     },
     /// A candidate record in the pipelined, filtered upcast to the BFS root.
     Candidate {
@@ -268,11 +267,11 @@ impl Message for Msg {
             }
             Msg::FragAnnounce { .. } => "b:announce",
             Msg::Probe { .. } | Msg::MwoeUp { .. } => "b:mwoe",
-            Msg::Participate | Msg::MwoePath | Msg::ConnectReq { .. } => "b:connect",
+            Msg::MwoePath | Msg::ConnectReq => "b:connect",
             Msg::ColorDown { .. } | Msg::ColorCross { .. } | Msg::ColorUp { .. } => "b:color",
             Msg::UnmatchedUp { .. }
             | Msg::AcceptPath
-            | Msg::AcceptCross { .. }
+            | Msg::AcceptCross
             | Msg::MatchedUp { .. }
             | Msg::StatusPath
             | Msg::StatusCross => "b:match",
@@ -322,12 +321,8 @@ impl Message for Msg {
                 w.flag(1, *overflow);
                 encode_key(w, &cand.unwrap_or(CandKey { weight: 0, lo: 0, hi: 0 }));
             }
-            Msg::Participate => w.tag(TAG_PARTICIPATE),
             Msg::MwoePath => w.tag(TAG_MWOE_PATH),
-            Msg::ConnectReq { child_frag } => {
-                w.tag(TAG_CONNECT_REQ);
-                w.pack(*child_frag);
-            }
+            Msg::ConnectReq => w.tag(TAG_CONNECT_REQ),
             Msg::ColorDown { color } => {
                 w.tag(TAG_COLOR_DOWN);
                 w.pack(*color);
@@ -346,10 +341,7 @@ impl Message for Msg {
                 w.pack(child.unwrap_or(0)); // child fragment id < n
             }
             Msg::AcceptPath => w.tag(TAG_ACCEPT_PATH),
-            Msg::AcceptCross { parent_frag } => {
-                w.tag(TAG_ACCEPT_CROSS);
-                w.pack(*parent_frag);
-            }
+            Msg::AcceptCross => w.tag(TAG_ACCEPT_CROSS),
             Msg::MatchedUp { partner } => {
                 w.tag(TAG_MATCHED_UP);
                 w.pack(*partner);
@@ -369,10 +361,9 @@ impl Message for Msg {
             Msg::FragMwoeUp { cand } => {
                 w.tag(TAG_FRAG_MWOE_UP);
                 w.flag(0, cand.is_some());
-                let (key, src, dst) = cand.unwrap_or((CandKey { weight: 0, lo: 0, hi: 0 }, 0, 0));
-                w.pack(src);
+                let (key, dst) = cand.unwrap_or((CandKey { weight: 0, lo: 0, hi: 0 }, 0));
+                w.pack(dst); // coarse ids are vertex ids < n
                 encode_key(w, &key);
-                w.word(dst);
             }
             Msg::Candidate { rec } => {
                 w.tag(TAG_CANDIDATE);
@@ -419,15 +410,14 @@ impl Message for Msg {
                 let key = decode_key(r);
                 Msg::MwoeUp { cand: some.then_some(key), overflow }
             }
-            TAG_PARTICIPATE => Msg::Participate,
             TAG_MWOE_PATH => Msg::MwoePath,
-            TAG_CONNECT_REQ => Msg::ConnectReq { child_frag: r.packed() },
+            TAG_CONNECT_REQ => Msg::ConnectReq,
             TAG_COLOR_DOWN => Msg::ColorDown { color: r.packed() },
             TAG_COLOR_CROSS => Msg::ColorCross { color: r.packed() },
             TAG_COLOR_UP => Msg::ColorUp { color: r.packed() },
             TAG_UNMATCHED_UP => Msg::UnmatchedUp { child: r.flag(0).then_some(r.packed()) },
             TAG_ACCEPT_PATH => Msg::AcceptPath,
-            TAG_ACCEPT_CROSS => Msg::AcceptCross { parent_frag: r.packed() },
+            TAG_ACCEPT_CROSS => Msg::AcceptCross,
             TAG_MATCHED_UP => Msg::MatchedUp { partner: r.packed() },
             TAG_STATUS_PATH => Msg::StatusPath,
             TAG_STATUS_CROSS => Msg::StatusCross,
@@ -437,10 +427,8 @@ impl Message for Msg {
             TAG_COARSE_ANNOUNCE => Msg::CoarseAnnounce { coarse: r.packed() },
             TAG_FRAG_MWOE_UP => {
                 let some = r.flag(0);
-                let src = r.packed();
-                let key = decode_key(r);
-                let dst = r.word();
-                Msg::FragMwoeUp { cand: some.then_some((key, src, dst)) }
+                let dst = r.packed();
+                Msg::FragMwoeUp { cand: some.then_some((decode_key(r), dst)) }
             }
             TAG_CANDIDATE => {
                 let src_slot = r.packed();
@@ -489,23 +477,22 @@ mod tests {
                 Msg::Params { .. } => Msg::FragAnnounce { frag: 1 },
                 Msg::FragAnnounce { .. } => Msg::Probe { ttl: 2 },
                 Msg::Probe { .. } => Msg::MwoeUp { cand: Some(key), overflow: true },
-                Msg::MwoeUp { .. } => Msg::Participate,
-                Msg::Participate => Msg::MwoePath,
-                Msg::MwoePath => Msg::ConnectReq { child_frag: 3 },
-                Msg::ConnectReq { .. } => Msg::ColorDown { color: 4 },
+                Msg::MwoeUp { .. } => Msg::MwoePath,
+                Msg::MwoePath => Msg::ConnectReq,
+                Msg::ConnectReq => Msg::ColorDown { color: 4 },
                 Msg::ColorDown { .. } => Msg::ColorCross { color: 5 },
                 Msg::ColorCross { .. } => Msg::ColorUp { color: 6 },
                 Msg::ColorUp { .. } => Msg::UnmatchedUp { child: Some(7) },
                 Msg::UnmatchedUp { .. } => Msg::AcceptPath,
-                Msg::AcceptPath => Msg::AcceptCross { parent_frag: 8 },
-                Msg::AcceptCross { .. } => Msg::MatchedUp { partner: 9 },
+                Msg::AcceptPath => Msg::AcceptCross,
+                Msg::AcceptCross => Msg::MatchedUp { partner: 9 },
                 Msg::MatchedUp { .. } => Msg::StatusPath,
                 Msg::StatusPath => Msg::StatusCross,
                 Msg::StatusCross => Msg::MergePath,
                 Msg::MergePath => Msg::MergeCross,
                 Msg::MergeCross => Msg::NewFrag { id: 1 },
                 Msg::NewFrag { .. } => Msg::CoarseAnnounce { coarse: 2 },
-                Msg::CoarseAnnounce { .. } => Msg::FragMwoeUp { cand: Some((key, 3, 4)) },
+                Msg::CoarseAnnounce { .. } => Msg::FragMwoeUp { cand: Some((key, 4)) },
                 Msg::FragMwoeUp { .. } => Msg::Candidate { rec },
                 Msg::Candidate { .. } => Msg::UpDone,
                 Msg::UpDone => {
@@ -563,6 +550,10 @@ mod tests {
         ] {
             assert_eq!(encoded_len(&m), 1, "{m:?}");
         }
+        // `FragMwoeUp` packs its far coarse id the same way: the tag word
+        // and the key's three words.
+        let up = Msg::FragMwoeUp { cand: Some((CandKey::new(u64::MAX, 3, 4), 7)) };
+        assert_eq!(encoded_len(&up), 4);
     }
 
     #[test]
@@ -575,18 +566,15 @@ mod tests {
 
     #[test]
     fn tag_guards_mirror_tags() {
-        // The rows are exactly the tags the variants send, sorted: a new
-        // tag without a row fails, and so does a row no variant sends.
-        let guards = crate::node::TAG_GUARDS;
-        let sent: std::collections::BTreeSet<&str> = every_variant().iter().map(Msg::tag).collect();
-        let rows: Vec<&str> = guards.iter().map(|&(tag, _)| tag).collect();
-        assert_eq!(rows, Vec::from_iter(sent), "TAG_GUARDS rows must be the sorted wire tags");
-        for &(tag, letter) in guards {
-            assert_eq!(
-                tag.chars().next(),
-                Some(letter),
-                "census letter of {tag:?} must match its stage prefix"
-            );
+        // The tag-guard rule: every wire tag is `<letter>:<name>`, and its
+        // letter is one that `stage_tag` reports, so the census charges
+        // each tag's messages to the stage that sends it.
+        use crate::node::Stage;
+        let letters = [Stage::A, Stage::B, Stage::CD].map(Stage::letter);
+        for m in every_variant() {
+            let tag = m.tag();
+            let letter = tag.split_once(':').map(|(l, _)| l);
+            assert!(letter.is_some_and(|l| letters.contains(&l)), "{m:?} has tag {tag:?}");
         }
     }
 }

@@ -264,6 +264,8 @@ pub(crate) struct BScratch {
     pub overflow: bool,
     pub responded: bool,
     pub sel: Sel,
+    /// Set at the root in the Connect window, and at every other vertex of
+    /// the fragment by the first exchange's `ColorDown`.
     pub participating: bool,
     pub out_port: Option<PortId>,
     /// Port-indexed: `(child fragment id, matched?)` for registered foreign
@@ -300,10 +302,10 @@ pub(crate) struct DScratch {
     pub ann_recv: usize,
     /// `FragMwoeUp`s of `phase` received from fragment children.
     pub frag_up_recv: usize,
-    /// Running best candidate `(key, src coarse, dst coarse)` over my
-    /// fragment subtree (children merged on arrival, own edges at
-    /// completion).
-    pub agg: Option<(CandKey, u64, u64)>,
+    /// Running best candidate `(key, dst coarse)` over my fragment subtree
+    /// (children merged on arrival, own edges at completion). The source
+    /// coarse id is this vertex's own `coarse`.
+    pub agg: Option<(CandKey, u64)>,
     pub sel: Sel,
     /// `FragMwoeUp` sent up (or, at fragment roots, the aggregate turned
     /// into a pipelined record — see `injected`).
@@ -417,6 +419,21 @@ pub(crate) enum Stage {
     CD,
 }
 
+impl Stage {
+    /// The census letter `stage_tag` reports, which opens every wire tag
+    /// of this stage's messages (`msg::tests::tag_guards_mirror_tags`).
+    /// Stage D opens at every vertex in the round Stage B ends
+    /// (`run_forest`'s vertices finish in that round, and report "d" as
+    /// well).
+    pub(crate) fn letter(self) -> &'static str {
+        match self {
+            Stage::A => "a",
+            Stage::B => "b",
+            Stage::CD => "d",
+        }
+    }
+}
+
 impl ElkinNode {
     /// Builds the program for one vertex from its simulator-provided
     /// [`NodeInfo`] and the run configuration.
@@ -515,29 +532,6 @@ impl ElkinNode {
     }
 }
 
-/// The census table: one row per wire tag, `(tag, census stage letter)`.
-///
-/// `msg::tests::tag_guards_mirror_tags` checks it both ways against one
-/// sample of every [`Msg`] variant: a new tag without a row fails, and so
-/// does a row that no variant sends. Each letter is its tag's stage
-/// prefix, and `stage_tag` debug-asserts that its letter governs a row.
-/// The wake hints themselves are checked on the real protocol by
-/// `congest_sim::EveryRound` (`tests/dual_executor.rs`).
-pub(crate) const TAG_GUARDS: &[(&str, char)] = &[
-    ("a:bfs", 'a'),
-    ("b:announce", 'b'),
-    ("b:color", 'b'),
-    ("b:connect", 'b'),
-    ("b:match", 'b'),
-    ("b:merge", 'b'),
-    ("b:mwoe", 'b'),
-    ("d:announce", 'd'),
-    ("d:downcast", 'd'),
-    ("d:fragmwoe", 'd'),
-    ("d:newcoarse", 'd'),
-    ("d:upcast", 'd'),
-];
-
 impl NodeProgram for ElkinNode {
     type Msg = Msg;
 
@@ -590,18 +584,6 @@ impl NodeProgram for ElkinNode {
     }
 
     fn stage_tag(&self) -> &'static str {
-        let letter = match self.stage {
-            Stage::A => "a",
-            Stage::B => "b",
-            // Stage D opens at every vertex in the round Stage B ends
-            // (`run_forest`'s vertices finish in that round, and report
-            // "d" as well).
-            Stage::CD => "d",
-        };
-        debug_assert!(
-            TAG_GUARDS.iter().any(|&(_, l)| letter.starts_with(l)),
-            "census letter {letter:?} governs no TAG_GUARDS row"
-        );
-        letter
+        self.stage.letter()
     }
 }

@@ -122,8 +122,8 @@ impl ElkinNode {
             // BFS root: size is n, height is H.
             let n = size;
             let h = height;
-            let (b, merge) = (self.cfg.bandwidth, self.cfg.merge_control);
-            let k = self.cfg.k_override.unwrap_or_else(|| choose_k_cost(n, h, b, merge));
+            let b = self.cfg.bandwidth;
+            let k = self.cfg.k_override.unwrap_or_else(|| choose_k_cost(n, h, b));
             // An override of 0 runs as 1 (no Controlled-GHS phase). Past
             // 2 * n.next_power_of_two() an override only adds phases that
             // find one fragment left (at most ceil(log2 n) + 1 are needed),
@@ -156,11 +156,10 @@ impl ElkinNode {
     ///
     /// If the cell holds a timeline built from other parameters.
     pub(crate) fn a_adopt_params(&mut self, params: Params) {
-        let merge = self.cfg.merge_control;
         let cell = self.sched.get_or_insert_with(Arc::default);
-        let sched = cell.get_or_init(|| Schedule::new(&params, merge));
+        let sched = cell.get_or_init(|| Schedule::new(&params));
         assert!(
-            sched.built_from(&params, merge),
+            sched.built_from(&params),
             "vertex {} adopted {params:?}, but the run's shared schedule was built from \
              other parameters",
             self.id

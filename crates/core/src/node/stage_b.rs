@@ -15,16 +15,18 @@
 //!    than the budget report *overflow*, excluding tall fragments
 //!    (participation = height ≤ p, so every fragment of diameter ≤ p
 //!    participates; see DESIGN.md).
-//! 3. **Connect** — participating roots flood `Participate`, route
-//!    `MwoePath` along the argmin path, and the MWOE endpoint fires
-//!    `ConnectReq` across the edge, registering a *foreign child* on the
-//!    other side. Mutual-MWOE pairs resolve parenthood by higher fragment
-//!    id (paper §4).
+//! 3. **Connect** — participating roots route `MwoePath` along the argmin
+//!    path, and the MWOE endpoint fires `ConnectReq` across the edge,
+//!    registering a *foreign child* on the other side. Mutual-MWOE pairs
+//!    resolve parenthood by higher fragment id (paper §4).
 //! 4. **Exchange × X** — Cole–Vishkin 3-coloring of the fragment forest:
 //!    each exchange broadcasts the fragment color, crosses child MWOEs, and
 //!    routes the parent color back to the child's root. A recoloring root
 //!    excludes its own pre-shift color whether or not it has a foreign
-//!    child, since no one reads a childless fragment's color.
+//!    child, since no one reads a childless fragment's color. Only
+//!    participating roots start an exchange, so the first `ColorDown` is
+//!    also what tells the rest of the fragment that it participates; no
+//!    vertex but the root reads that before the Collect windows.
 //! 5. **Collect / Accept × 3** — maximal matching, one color class at a
 //!    time: roots of class-`c` unmatched fragments pick their smallest
 //!    unmatched foreign child and notify it. In the same window each
@@ -45,7 +47,7 @@ use congest_sim::{PortId, RoundCtx};
 use crate::candidate::CandKey;
 use crate::cv;
 use crate::msg::Msg;
-use crate::schedule::{ExchangeKind, MergeControl, Schedule, Slot, Window};
+use crate::schedule::{ExchangeKind, Schedule, Slot, Window};
 
 use super::{lane, BScratch, ElkinNode, Sel, Stage};
 
@@ -71,19 +73,12 @@ impl ElkinNode {
                         self.b_probe_complete(ctx);
                     }
                 }
-                Msg::Participate => {
-                    if !self.b.participating {
-                        self.b.participating = true;
-                        for &p in &self.frag_children {
-                            ctx.send(p, Msg::Participate);
-                        }
-                    }
-                }
                 Msg::MwoePath => self.b_mwoe_path(ctx),
-                Msg::ConnectReq { child_frag } => {
-                    self.b.foreign_child[port] = Some((child_frag, false));
+                Msg::ConnectReq => {
+                    self.b.foreign_child[port] = Some((self.ports.nbr_frag(port), false));
                 }
                 Msg::ColorDown { color } => {
+                    self.b.participating = true;
                     self.b.color = color;
                     for &p in &self.frag_children {
                         ctx.send(p, Msg::ColorDown { color });
@@ -109,10 +104,10 @@ impl ElkinNode {
                     }
                 }
                 Msg::AcceptPath => self.b_accept_path(ctx),
-                Msg::AcceptCross { parent_frag } => {
+                Msg::AcceptCross => {
                     self.b.matched_port = Some(port);
                     self.ports.mark_mst(port);
-                    self.b_matched_up(ctx, parent_frag);
+                    self.b_matched_up(ctx, self.ports.nbr_frag(port));
                 }
                 Msg::MatchedUp { partner } => self.b_matched_up(ctx, partner),
                 Msg::StatusPath => self.b_status_path(ctx),
@@ -124,13 +119,6 @@ impl ElkinNode {
                 Msg::MergeCross => {
                     self.ports.mark_mst(port);
                     self.b.merge_ports.push(port);
-                    if self.cfg.merge_control == MergeControl::Uncontrolled
-                        && Some(port) == self.b.out_port
-                    {
-                        // Mutual MWOE: tell the root so the higher-id side
-                        // can initiate the flood.
-                        self.b_matched_up(ctx, self.ports.nbr_frag(port));
-                    }
                 }
                 Msg::NewFrag { id } => self.b_flood_receive(ctx, port, id),
                 ref other => unreachable!("stage B received {other:?}"),
@@ -199,10 +187,9 @@ impl ElkinNode {
                     && self.b.probe_pending == 0
                     && !self.b.overflow
                 {
+                    // The rest of the fragment learns it participates from
+                    // the first exchange's `ColorDown`.
                     self.b.participating = true;
-                    for &q in &self.frag_children {
-                        ctx.send(q, Msg::Participate);
-                    }
                     // No outgoing edge: the whole graph is one fragment.
                     if self.b.sel != Sel::None {
                         self.b_mwoe_path(ctx);
@@ -263,14 +250,10 @@ impl ElkinNode {
                 }
             }
             Window::MergeGo => {
-                let fire = match self.cfg.merge_control {
-                    MergeControl::Matched => !self.b.matched,
-                    MergeControl::Uncontrolled => true,
-                };
                 if slot.offset == 0
                     && self.b.participating
                     && self.is_frag_root()
-                    && fire
+                    && !self.b.matched
                     && self.b.sel != Sel::None
                 {
                     self.b_merge_path(ctx);
@@ -278,21 +261,11 @@ impl ElkinNode {
             }
             Window::MergeFlood => {
                 if slot.offset == 0 {
-                    let initiator = match self.cfg.merge_control {
-                        // Higher-id root of the matched pair floods.
-                        MergeControl::Matched => {
-                            self.b.participating
-                                && self.is_frag_root()
-                                && self.b.matched
-                                && self.b.partner.is_some_and(|pid| pid < self.frag_id)
-                        }
-                        // Higher-id side of the (unique) mutual MWOE floods.
-                        MergeControl::Uncontrolled => {
-                            self.b.participating
-                                && self.is_frag_root()
-                                && self.b.partner.is_some_and(|pid| pid < self.frag_id)
-                        }
-                    };
+                    // Higher-id root of the matched pair floods.
+                    let initiator = self.b.participating
+                        && self.is_frag_root()
+                        && self.b.matched
+                        && self.b.partner.is_some_and(|pid| pid < self.frag_id);
                     if initiator {
                         self.b_flood_init(ctx);
                     } else if !self.b.participating {
@@ -381,7 +354,7 @@ impl ElkinNode {
         match self.b.sel {
             Sel::Mine(q) => {
                 self.b.out_port = Some(q);
-                ctx.send(q, Msg::ConnectReq { child_frag: self.frag_id });
+                ctx.send(q, Msg::ConnectReq);
             }
             Sel::Child(c) => ctx.send(c, Msg::MwoePath),
             Sel::None => unreachable!("MwoePath reached a subtree without a candidate"),
@@ -464,17 +437,15 @@ impl ElkinNode {
             Sel::Mine(q) => {
                 self.b.matched_port = Some(q);
                 self.ports.mark_mst(q);
-                ctx.send(q, Msg::AcceptCross { parent_frag: self.frag_id });
+                ctx.send(q, Msg::AcceptCross);
             }
             Sel::Child(c) => ctx.send(c, Msg::AcceptPath),
             Sel::None => unreachable!("AcceptPath reached a subtree without a candidate"),
         }
     }
 
-    /// Carries a match up to the fragment root, which records its partner.
-    /// In matched mode the fragment was picked by its forest parent; in
-    /// uncontrolled mode its MWOE is mutual, and `partner` decides who
-    /// initiates the flood.
+    /// Carries a match up to the fragment root, which records its partner:
+    /// the forest parent that picked the fragment.
     fn b_matched_up(&mut self, ctx: &mut RoundCtx<'_, Msg>, partner: u64) {
         if self.is_frag_root() {
             self.b.matched = true;

@@ -121,9 +121,9 @@ impl ElkinNode {
                         "FragMwoeUp after subtree completion at vertex {}",
                         self.id
                     );
-                    if let Some((key, sc, dc)) = cand {
-                        if self.d.agg.is_none_or(|(a, _, _)| key < a) {
-                            self.d.agg = Some((key, sc, dc));
+                    if let Some((key, dc)) = cand {
+                        if self.d.agg.is_none_or(|(a, _)| key < a) {
+                            self.d.agg = Some((key, dc));
                             self.d.sel = Sel::Child(port);
                         }
                     }
@@ -209,9 +209,9 @@ impl ElkinNode {
         if self.cd_aggregate_ready() {
             self.d.responded = true;
             let (mine, sel) = self.cd_local_candidate();
-            if let Some((key, sc, dc)) = mine {
-                if self.d.agg.is_none_or(|(a, _, _)| key < a) {
-                    self.d.agg = Some((key, sc, dc));
+            if let Some((key, dc)) = mine {
+                if self.d.agg.is_none_or(|(a, _)| key < a) {
+                    self.d.agg = Some((key, dc));
                     self.d.sel = sel;
                 }
             }
@@ -338,17 +338,18 @@ impl ElkinNode {
 
     // ---- helpers ----
 
-    /// Lightest incident edge leaving my *coarse* fragment. A retired
-    /// port's `nbr_coarse` is stale, but its edge is internal anyway.
-    fn cd_local_candidate(&self) -> (Option<(CandKey, u64, u64)>, Sel) {
-        let mut best: Option<(CandKey, u64, u64)> = None;
+    /// Lightest incident edge leaving my *coarse* fragment, with the
+    /// coarse id on its far side. A retired port's `nbr_coarse` is stale,
+    /// but its edge is internal anyway.
+    fn cd_local_candidate(&self) -> (Option<(CandKey, u64)>, Sel) {
+        let mut best: Option<(CandKey, u64)> = None;
         let mut sel = Sel::None;
         for q in self.live_ports() {
             let nc = self.ports.nbr_coarse(q);
             if nc != self.coarse {
                 let key = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
-                if best.is_none_or(|(b, _, _)| key < b) {
-                    best = Some((key, self.coarse, nc));
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, nc));
                     sel = Sel::Mine(q);
                 }
             }
@@ -356,12 +357,15 @@ impl ElkinNode {
         (best, sel)
     }
 
-    /// Fragment root: turn the aggregate into a pipelined record.
+    /// Fragment root: turn the aggregate into a pipelined record. Every
+    /// vertex of the base fragment holds the same coarse id, so the
+    /// source side is the root's own.
     fn cd_inject(&mut self) {
         debug_assert!(!self.d.injected);
         self.d.injected = true;
-        if let Some((key, sc, dc)) = self.d.agg {
-            let rec = Candidate { key, src_coarse: sc, dst_coarse: dc, src_slot: self.slot };
+        if let Some((key, dc)) = self.d.agg {
+            let src_coarse = self.coarse;
+            let rec = Candidate { key, src_coarse, dst_coarse: dc, src_slot: self.slot };
             self.cd_offer(rec);
         }
     }

@@ -22,12 +22,11 @@
 //! | Exchange × X | `2p+2` | `ColorDown` descends `<= p`, `ColorCross` (+1), `ColorUp` ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
 //! | Collect (×3) | `p+1` | pure convergecast, ascend `<= p` |
 //! | Accept (×3) | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p`; alongside, `StatusPath` descends `<= p` and `StatusCross` (+1) lands by offset `p+1` |
-//! | MergeGo | `p+2` / `2p+2` unc. | `MergePath` descends `<= p`, `MergeCross` (+1); uncontrolled adds the mutual `MatchedUp` ascent `<= p` |
-//! | MergeFlood | `5p+5` / `n+2p+6` unc. | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
+//! | MergeGo | `p+2` | `MergePath` descends `<= p`, `MergeCross` (+1) |
+//! | MergeFlood | `5p+5` | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
 //!
-//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations. Summed, a matched
-//! phase lasts `(2X+18)p + (2X+20)` rounds, an uncontrolled one
-//! `n + 7p + 12`.
+//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations. Summed, a phase
+//! lasts `(2X+18)p + (2X+20)` rounds.
 //!
 //! Every phase ends on its schedule: the merge flood sleeps out its
 //! worst-case window, so the whole Stage B timeline is a pure function of
@@ -45,26 +44,9 @@
 //! hands every vertex the same cell, the first vertex to adopt the
 //! broadcast [`Params`] builds the table into it, and every other vertex
 //! asserts that the table was built from the parameters it received.
-//!
-//! The **uncontrolled** mode (ablation A1) skips coloring and matching
-//! entirely and lets every fragment merge along its MWOE; its flood window
-//! must cover `Θ(n)` because without matching the fragment diameter is
-//! unbounded — that blow-up is exactly what the ablation demonstrates.
 
 use crate::cv::steps_to_six;
 use crate::util::{ceil_log2, isqrt};
-
-/// Whether Controlled-GHS merges via maximal matching (the paper) or merges
-/// every fragment along its MWOE (ablation A1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MergeControl {
-    /// Paper behaviour: 3-coloring + maximal matching bounds fragment
-    /// diameter by `O(2^i)` per phase.
-    #[default]
-    Matched,
-    /// Ablation: pure Borůvka merging; diameter may blow up to `Θ(n)`.
-    Uncontrolled,
-}
 
 /// The globally agreed parameters broadcast by the BFS root at the end of
 /// Stage A.
@@ -117,7 +99,7 @@ const CD_SCALE: u128 = 32;
 /// candidate wins, the smallest on a tie; costs are compared as exact
 /// fractions, so `k` is non-decreasing in `h` and non-increasing in `b`.
 /// Always `1 <= k <= max(isqrt(n/b), 1)`.
-pub fn choose_k_cost(n: u64, h: u64, bandwidth: u32, merge: MergeControl) -> u64 {
+pub fn choose_k_cost(n: u64, h: u64, bandwidth: u32) -> u64 {
     let b = u64::from(bandwidth.max(1));
     let cap = isqrt(n / b).max(1);
     let floor = h.div_ceil(8).min(cap);
@@ -125,7 +107,7 @@ pub fn choose_k_cost(n: u64, h: u64, bandwidth: u32, merge: MergeControl) -> u64
     // compares the predictions of `x` and `y` exactly.
     let scaled = |k: u64| {
         let params = Params { n, h, k, t0: 0 };
-        let stage_b = Schedule::new(&params, merge).end();
+        let stage_b = Schedule::new(&params).end();
         let phases = ceil_log2(n.div_ceil(k).max(1));
         let per_kb = CD_SCALE * u128::from(stage_b)
             + u128::from(phases) * (CD_ALPHA * u128::from(h) + CD_GAMMA);
@@ -149,7 +131,7 @@ pub enum Window {
     Announce,
     /// Depth-budgeted probe + MWOE convergecast.
     Probe,
-    /// Participate flood, argmin downcast, cross-edge connect.
+    /// Argmin downcast and cross-edge connect.
     Connect,
     /// One Cole–Vishkin exchange; see [`ExchangeKind`].
     Exchange(u32),
@@ -199,14 +181,13 @@ struct Span {
 }
 
 /// The fully determined Stage B schedule, identical at every vertex: a
-/// pure function of the broadcast parameters and the merge control.
+/// pure function of the broadcast parameters.
 /// [`Schedule::new`] flattens every phase's windows into one table in
 /// round order, so [`Schedule::locate`] and [`Schedule::next_boundary`] are
 /// one binary search each.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     params: Params,
-    merge: MergeControl,
     num_phases: u32,
     exchanges: u32,
     /// Every window of every phase in round order; each phase holds the
@@ -216,11 +197,10 @@ pub struct Schedule {
 
 impl Schedule {
     /// Builds the schedule from the broadcast parameters.
-    pub fn new(params: &Params, merge: MergeControl) -> Self {
+    pub fn new(params: &Params) -> Self {
         let num_phases = if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 };
         let mut s = Self {
             params: *params,
-            merge,
             num_phases,
             exchanges: steps_to_six(params.n) + 6,
             table: Vec::new(),
@@ -236,9 +216,9 @@ impl Schedule {
     }
 
     /// Whether this is the schedule [`Schedule::new`] builds from exactly
-    /// these arguments.
-    pub(crate) fn built_from(&self, params: &Params, merge: MergeControl) -> bool {
-        (self.params, self.merge) == (*params, merge)
+    /// these parameters.
+    pub(crate) fn built_from(&self, params: &Params) -> bool {
+        self.params == *params
     }
 
     /// Number of Controlled-GHS phases (`ceil(log2 k)`).
@@ -276,23 +256,15 @@ impl Schedule {
         v.push((Window::Announce, 1));
         v.push((Window::Probe, 2 * p + 1));
         v.push((Window::Connect, p + 2));
-        match self.merge {
-            MergeControl::Matched => {
-                for x in 0..self.exchanges {
-                    v.push((Window::Exchange(x), 2 * p + 2));
-                }
-                for c in 0..3u8 {
-                    v.push((Window::MatchCollect(c), p + 1));
-                    v.push((Window::MatchAccept(c), 2 * p + 2));
-                }
-                v.push((Window::MergeGo, p + 2));
-                v.push((Window::MergeFlood, 5 * p + 5));
-            }
-            MergeControl::Uncontrolled => {
-                v.push((Window::MergeGo, 2 * p + 2));
-                v.push((Window::MergeFlood, self.params.n + 2 * p + 6));
-            }
+        for x in 0..self.exchanges {
+            v.push((Window::Exchange(x), 2 * p + 2));
         }
+        for c in 0..3u8 {
+            v.push((Window::MatchCollect(c), p + 1));
+            v.push((Window::MatchAccept(c), 2 * p + 2));
+        }
+        v.push((Window::MergeGo, p + 2));
+        v.push((Window::MergeFlood, 5 * p + 5));
         v
     }
 
@@ -373,15 +345,6 @@ mod tests {
         Params { n, h: 3, k, t0: 100 }
     }
 
-    fn matched(n: u64, k: u64) -> Schedule {
-        Schedule::new(&params(n, k), MergeControl::Matched)
-    }
-
-    /// First round of phase `i`, read off the table.
-    fn phase_start(s: &Schedule, phase: u32) -> u64 {
-        s.phase_spans(phase)[0].start
-    }
-
     #[test]
     fn choose_k_regimes() {
         // Small diameter: k = sqrt(n).
@@ -396,178 +359,65 @@ mod tests {
 
     #[test]
     fn choose_k_cost_pins() {
-        let k = |n, h, b| choose_k_cost(n, h, b, MergeControl::Matched);
         // The benchmark's random graph (H = 7): a small k, not the cap 128.
-        assert_eq!(k(16384, 7, 1), 8);
+        assert_eq!(choose_k_cost(16384, 7, 1), 8);
         // Its cliquepath (H = 4095) and the T1 cliquepath 288x8 (H = 575):
         // the H/8 floor reaches the cap, so k stays at isqrt(n), a power of
         // two or not.
-        assert_eq!(k(16384, 4095, 1), 128);
-        assert_eq!(k(2304, 575, 1), 48);
+        assert_eq!(choose_k_cost(16384, 4095, 1), 128);
+        assert_eq!(choose_k_cost(2304, 575, 1), 48);
         // Tiny inputs give 1.
-        assert_eq!(k(1, 0, 1), 1);
-        assert_eq!(k(3, 0, 8), 1);
+        assert_eq!(choose_k_cost(1, 0, 1), 1);
+        assert_eq!(choose_k_cost(3, 0, 8), 1);
     }
 
     #[test]
     fn phases_count() {
-        assert_eq!(matched(100, 1).num_phases(), 0);
-        assert_eq!(matched(100, 2).num_phases(), 1);
-        assert_eq!(matched(100, 8).num_phases(), 3);
-        assert_eq!(matched(100, 9).num_phases(), 4);
-    }
-
-    #[test]
-    fn locate_covers_every_round_exactly_once() {
-        let s = matched(64, 8);
-        assert!(s.locate(99).is_none());
-        assert!(s.locate(s.end()).is_none());
-        let mut prev: Option<Slot> = None;
-        for r in s.start()..s.end() {
-            let slot = s.locate(r).expect("round inside stage B must be scheduled");
-            if let Some(p) = prev {
-                // Progress is monotone: same window with +1 offset, or a new window.
-                if p.window == slot.window && p.phase == slot.phase {
-                    assert_eq!(slot.offset, p.offset + 1);
-                } else {
-                    assert_eq!(slot.offset, 0);
-                    assert!(p.last, "window changed before its final round");
-                }
-            } else {
-                assert_eq!(
-                    slot,
-                    Slot { phase: 0, window: Window::Announce, offset: 0, last: true }
-                );
-            }
-            prev = Some(slot);
-        }
-        let last = prev.unwrap();
-        assert_eq!(last.phase, s.num_phases() - 1);
-        assert_eq!(last.window, Window::MergeFlood);
-        assert!(last.last);
-    }
-
-    #[test]
-    fn locate_rel_is_total_and_open_ended() {
-        // The phase-relative view: offset `rel` of phase `i` is the round
-        // `phase_start(i) + rel`. Every offset below `phase_len` lies in
-        // phase `i`; the merge flood is no longer open-ended, so offset
-        // `phase_len` opens the next phase, or leaves Stage B after the last.
-        let s = matched(64, 8);
-        for phase in 0..s.num_phases() {
-            let start = phase_start(&s, phase);
-            let len = s.phase_len(phase);
-            let mut prev: Option<Slot> = None;
-            for rel in 0..len {
-                let slot = s.locate(start + rel).expect("offset inside its phase");
-                assert_eq!(slot.phase, phase);
-                if let Some(pv) = prev {
-                    if pv.window == slot.window {
-                        assert_eq!(slot.offset, pv.offset + 1);
-                    } else {
-                        assert!(pv.last);
-                        assert_eq!(slot.offset, 0);
-                    }
-                }
-                prev = Some(slot);
-            }
-            let last = prev.unwrap();
-            assert_eq!(last.window, Window::MergeFlood);
-            assert!(last.last);
-            match s.locate(start + len) {
-                Some(next) => {
-                    assert_eq!(
-                        next,
-                        Slot { phase: phase + 1, window: Window::Announce, offset: 0, last: true }
-                    );
-                }
-                None => assert_eq!((phase + 1, start + len), (s.num_phases(), s.end())),
-            }
-        }
-    }
-
-    #[test]
-    fn next_boundary_matches_naive_scan() {
-        for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
-            let s = Schedule::new(&params(64, 8), merge);
-            // A round is a wake boundary iff it opens or closes a window;
-            // the stage-end transition round (end()) is one as well.
-            let is_boundary = |r: u64| {
-                s.locate(r).map(|slot| slot.offset == 0 || slot.last).unwrap_or(r == s.end())
-            };
-            for r in s.start().saturating_sub(2)..s.end() {
-                let nb = s.next_boundary(r);
-                assert!(nb > r && is_boundary(nb), "{merge:?}: bad boundary {nb} after {r}");
-                for mid in (r + 1)..nb {
-                    assert!(!is_boundary(mid), "{merge:?}: missed boundary {mid} after {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn next_boundary_rel_walks_window_edges() {
-        // `next_boundary` seen from inside one phase: the next boundary
-        // after any offset is a window edge of that phase, or the phase's
-        // end (the next phase's Announce, or Stage D after the last).
-        let s = matched(64, 8);
-        for phase in 0..s.num_phases() {
-            let start = phase_start(&s, phase);
-            let len = s.phase_len(phase);
-            for rel in 0..len {
-                let nb = s.next_boundary(start + rel) - start;
-                assert!(nb > rel && nb <= len);
-                if nb < len {
-                    let slot = s.locate(start + nb).unwrap();
-                    assert!(slot.offset == 0 || slot.last);
-                    for mid in (rel + 1)..nb {
-                        let m = s.locate(start + mid).unwrap();
-                        assert!(m.offset != 0 && !m.last, "missed rel boundary {mid}");
-                    }
-                }
-            }
-        }
-        // Past Stage B no window remains: every round is its own successor.
-        assert_eq!(s.next_boundary(s.end()), s.end() + 1);
-        assert_eq!(s.next_boundary(s.end() + 9), s.end() + 10);
+        let phases = |k| Schedule::new(&params(100, k)).num_phases();
+        assert_eq!(phases(1), 0);
+        assert_eq!(phases(2), 1);
+        assert_eq!(phases(8), 3);
+        assert_eq!(phases(9), 4);
     }
 
     #[test]
     fn table_matches_a_walk_of_the_layouts() {
-        // Every round of [t0 - 2, end + 2): the table's answers equal a
+        // Every round of [t0 - 2, end + 10): the table's answers equal a
         // linear walk of the per-phase layouts laid end to end from t0.
-        for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
-            for (k, n) in [1, 2, 3, 8, 64].into_iter().flat_map(|k| [2, 64, 16384].map(|n| (k, n)))
-            {
-                let s = Schedule::new(&params(n, k), merge);
-                let case = format!("{merge:?}/k={k}/n={n}");
-                let at = |r: u64| (s.locate(r), s.next_boundary(r));
-                for r in s.start() - 2..s.start() {
-                    assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
-                }
-                let mut start = s.start();
-                for phase in 0..s.num_phases() {
-                    for (window, len) in s.layout(phase) {
-                        let last = start + len - 1;
-                        for r in start..=last {
-                            let slot = Slot { phase, window, offset: r - start, last: r == last };
-                            let next = if r < last { last } else { last + 1 };
-                            assert_eq!(at(r), (Some(slot), next), "{case}: round {r}");
-                        }
-                        start += len;
+        // Each phase opens with its one-round Announce and closes with its
+        // merge flood, and past Stage B every round is its own successor.
+        for (k, n) in [1, 2, 3, 8, 64].into_iter().flat_map(|k| [2, 64, 16384].map(|n| (k, n))) {
+            let s = Schedule::new(&params(n, k));
+            let case = format!("k={k}/n={n}");
+            let at = |r: u64| (s.locate(r), s.next_boundary(r));
+            for r in s.start() - 2..s.start() {
+                assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
+            }
+            let mut start = s.start();
+            for phase in 0..s.num_phases() {
+                let layout = s.layout(phase);
+                assert_eq!(layout.first(), Some(&(Window::Announce, 1)), "{case}");
+                assert_eq!(layout.last().map(|w| w.0), Some(Window::MergeFlood), "{case}");
+                for (window, len) in layout {
+                    let last = start + len - 1;
+                    for r in start..=last {
+                        let slot = Slot { phase, window, offset: r - start, last: r == last };
+                        let next = if r < last { last } else { last + 1 };
+                        assert_eq!(at(r), (Some(slot), next), "{case}: round {r}");
                     }
+                    start += len;
                 }
-                assert_eq!(s.end(), start, "{case}");
-                for r in start..start + 2 {
-                    assert_eq!(at(r), (None, r + 1), "{case}: round {r}");
-                }
+            }
+            assert_eq!(s.end(), start, "{case}");
+            for r in start..start + 10 {
+                assert_eq!(at(r), (None, r + 1), "{case}: round {r}");
             }
         }
     }
 
     #[test]
     fn exchange_kinds_partition() {
-        let s = matched(1 << 20, 4);
+        let s = Schedule::new(&params(1 << 20, 4));
         let ladder = s.exchanges() - 6;
         assert!(matches!(s.exchange_kind(0), ExchangeKind::Ladder));
         assert_eq!(s.exchange_kind(ladder), ExchangeKind::ShiftDown(3));
@@ -577,47 +427,24 @@ mod tests {
     }
 
     #[test]
-    fn uncontrolled_layout_has_no_matching() {
-        let s = Schedule::new(&params(64, 8), MergeControl::Uncontrolled);
-        for r in s.start()..s.end() {
-            let slot = s.locate(r).unwrap();
-            assert!(
-                !matches!(
-                    slot.window,
-                    Window::Exchange(_) | Window::MatchCollect(_) | Window::MatchAccept(_)
-                ),
-                "uncontrolled schedule contains {:?}",
-                slot.window
-            );
-        }
-        // The flood window is Θ(n).
-        assert!(s.phase_len(0) > 64);
-    }
-
-    #[test]
     fn phase_lengths_follow_the_closed_forms() {
         // Every phase of k = 64 (p = 2^i, X CV exchanges): the sums of the
         // module table's lengths.
         for n in [2, 64, 16384] {
-            for merge in [MergeControl::Matched, MergeControl::Uncontrolled] {
-                let s = Schedule::new(&params(n, 64), merge);
-                let x = u64::from(s.exchanges());
-                assert_eq!(s.num_phases(), 6);
-                for i in 0..s.num_phases() {
-                    let p = s.radius(i);
-                    let want = match merge {
-                        MergeControl::Matched => (2 * x + 18) * p + 2 * x + 20,
-                        MergeControl::Uncontrolled => n + 7 * p + 12,
-                    };
-                    assert_eq!(s.phase_len(i), want, "{merge:?}/n={n}: phase {i}");
-                }
+            let s = Schedule::new(&params(n, 64));
+            let x = u64::from(s.exchanges());
+            assert_eq!(s.num_phases(), 6);
+            for i in 0..s.num_phases() {
+                let p = s.radius(i);
+                let want = (2 * x + 18) * p + 2 * x + 20;
+                assert_eq!(s.phase_len(i), want, "n={n}: phase {i}");
             }
         }
     }
 
     #[test]
     fn phase_budgets_grow_geometrically() {
-        let s = matched(1 << 16, 64);
+        let s = Schedule::new(&params(1 << 16, 64));
         for i in 1..s.num_phases() {
             let a = s.phase_len(i - 1);
             let b = s.phase_len(i);

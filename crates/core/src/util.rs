@@ -38,12 +38,6 @@ pub fn isqrt(n: u64) -> u64 {
     r
 }
 
-/// Ceiling division for `u64`.
-pub fn div_ceil(a: u64, b: u64) -> u64 {
-    assert!(b > 0, "division by zero");
-    a / b + u64::from(!a.is_multiple_of(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,13 +74,5 @@ mod tests {
             let r = isqrt(n);
             assert!(r * r <= n && (r + 1) * (r + 1) > n);
         }
-    }
-
-    #[test]
-    fn div_ceil_values() {
-        assert_eq!(div_ceil(0, 3), 0);
-        assert_eq!(div_ceil(1, 3), 1);
-        assert_eq!(div_ceil(3, 3), 1);
-        assert_eq!(div_ceil(4, 3), 2);
     }
 }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use dmst_core::util::isqrt;
-use dmst_core::{choose_k, choose_k_cost, MergeControl, Params, Schedule, Window};
+use dmst_core::{choose_k, choose_k_cost, Params, Schedule, Window};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -13,14 +13,8 @@ proptest! {
     /// by one; windows only change after their final round; phases are
     /// visited in order.
     #[test]
-    fn locate_total_and_monotone(
-        n in 2u64..100_000,
-        k in 1u64..600,
-        t0 in 0u64..10_000,
-        uncontrolled in any::<bool>(),
-    ) {
-        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let s = Schedule::new(&Params { n, h: 5, k, t0 }, merge);
+    fn locate_total_and_monotone(n in 2u64..100_000, k in 1u64..600, t0 in 0u64..10_000) {
+        let s = Schedule::new(&Params { n, h: 5, k, t0 });
         prop_assert!(s.locate(t0.wrapping_sub(1)).is_none() || t0 == 0);
         prop_assert!(s.locate(s.end()).is_none());
         if k <= 1 {
@@ -53,52 +47,24 @@ proptest! {
         prop_assert_eq!(total, s.end() - s.start());
     }
 
-    /// Under both merge controls, the first window of every phase is
-    /// Announce with length 1, the last is MergeFlood, and the phases tile
-    /// `[t0, end)`.
+    /// The phases tile `[t0, end)`: offset 0 of every phase is its single
+    /// Announce round, offset `phase_len - 1` closes its merge flood, and
+    /// offset `phase_len` is the next phase's Announce, or past Stage B
+    /// after the last phase.
     #[test]
     fn phase_boundaries(
         n in 2u64..10_000,
         k in 2u64..200,
         h in 0u64..500,
         t0 in 0u64..1_000,
-        uncontrolled in any::<bool>(),
     ) {
-        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let s = Schedule::new(&Params { n, h, k, t0 }, merge);
+        let s = Schedule::new(&Params { n, h, k, t0 });
         let mut start = t0;
-        for i in 0..s.num_phases() {
-            let first = s.locate(start).unwrap();
-            prop_assert_eq!((first.phase, first.window), (i, Window::Announce));
-            prop_assert!(first.last, "announce is a single round");
-            let last = s.locate(start + s.phase_len(i) - 1).unwrap();
-            prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
-            prop_assert!(last.last);
-            start += s.phase_len(i);
-        }
-        prop_assert_eq!(start, s.end());
-    }
-
-    /// The phase-relative view of the schedule agrees with its
-    /// layout: offset 0 of every phase is its single Announce round,
-    /// offset `phase_len - 1` closes its merge flood, and offset
-    /// `phase_len` is the next phase's Announce, or past Stage B after the
-    /// last phase.
-    #[test]
-    fn locate_rel_matches_layout(
-        n in 2u64..10_000,
-        k in 2u64..200,
-        h in 0u64..500,
-        uncontrolled in any::<bool>(),
-    ) {
-        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let s = Schedule::new(&Params { n, h, k, t0: 0 }, merge);
-        let mut start = s.start();
         for i in 0..s.num_phases() {
             let len = s.phase_len(i);
             let first = s.locate(start).unwrap();
             prop_assert_eq!((first.phase, first.window, first.offset), (i, Window::Announce, 0));
-            prop_assert!(first.last);
+            prop_assert!(first.last, "announce is a single round");
             let last = s.locate(start + len - 1).unwrap();
             prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
             prop_assert!(last.last);
@@ -111,6 +77,7 @@ proptest! {
             }
             start += len;
         }
+        prop_assert_eq!(start, s.end());
     }
 
     /// choose_k honors both regimes and never returns zero.
@@ -133,16 +100,14 @@ proptest! {
         dh in 0u64..2_000,
         b in 1u32..64,
         db in 0u32..64,
-        uncontrolled in any::<bool>(),
     ) {
-        let merge = if uncontrolled { MergeControl::Uncontrolled } else { MergeControl::Matched };
-        let k = choose_k_cost(n, h, b, merge);
+        let k = choose_k_cost(n, h, b);
         let cap = isqrt(n / u64::from(b)).max(1);
         prop_assert!((1..=cap).contains(&k), "k = {} outside 1..={}", k, cap);
         prop_assert!(k.is_power_of_two() || k == cap, "k = {} is neither 2^i nor the cap", k);
-        let taller = choose_k_cost(n, h + dh, b, merge);
+        let taller = choose_k_cost(n, h + dh, b);
         prop_assert!(taller >= k, "k fell from {} to {} as h grew by {}", k, taller, dh);
-        let wider = choose_k_cost(n, h, b + db, merge);
+        let wider = choose_k_cost(n, h, b + db);
         prop_assert!(wider <= k, "k rose from {} to {} as b grew by {}", k, wider, db);
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end smoke tests of the full algorithm across graph families,
 //! bandwidths, and k overrides.
 
-use dmst_core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl};
+use dmst_core::{analyze_forest, run_forest, run_mst, ElkinConfig};
 use dmst_graphs::{generators as gen, mst, WeightedGraph};
 
 fn check(g: &WeightedGraph, cfg: &ElkinConfig, label: &str) {
@@ -47,14 +47,6 @@ fn bandwidth_and_k_sweeps() {
     for k in [1u64, 2, 3, 8, 20, 64] {
         check(&g, &ElkinConfig::with_k(k), &format!("k={k}"));
     }
-}
-
-#[test]
-fn uncontrolled_merge_still_correct() {
-    let r = &mut gen::WeightRng::new(9);
-    let g = gen::grid_2d(6, 6, r);
-    let cfg = ElkinConfig { merge_control: MergeControl::Uncontrolled, ..Default::default() };
-    check(&g, &cfg, "uncontrolled");
 }
 
 #[test]

@@ -30,7 +30,7 @@ fn check(m: &Msg) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Deterministically builds one of the 30 variants from raw components.
+/// Deterministically builds one of the 29 variants from raw components.
 /// `small*` feed packed (tag-word) fields, `big*` feed full-word fields.
 #[allow(clippy::too_many_arguments)]
 fn build(
@@ -54,30 +54,29 @@ fn build(
         4 => Msg::FragAnnounce { frag: id },
         5 => Msg::Probe { ttl: small },
         6 => Msg::MwoeUp { cand: flag.then_some(key), overflow: flag2 },
-        7 => Msg::Participate,
-        8 => Msg::MwoePath,
-        9 => Msg::ConnectReq { child_frag: id },
-        10 => Msg::ColorDown { color: id },
-        11 => Msg::ColorCross { color: id },
-        12 => Msg::ColorUp { color: id },
-        13 => Msg::UnmatchedUp { child: flag.then_some(id) },
-        14 => Msg::AcceptPath,
-        15 => Msg::AcceptCross { parent_frag: id },
-        16 => Msg::MatchedUp { partner: id },
-        17 => Msg::StatusPath,
-        18 => Msg::StatusCross,
-        19 => Msg::MergePath,
-        20 => Msg::MergeCross,
-        21 => Msg::NewFrag { id },
-        22 => Msg::CoarseAnnounce { coarse: id },
-        23 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
-        24 => Msg::Candidate {
+        7 => Msg::MwoePath,
+        8 => Msg::ConnectReq,
+        9 => Msg::ColorDown { color: id },
+        10 => Msg::ColorCross { color: id },
+        11 => Msg::ColorUp { color: id },
+        12 => Msg::UnmatchedUp { child: flag.then_some(id) },
+        13 => Msg::AcceptPath,
+        14 => Msg::AcceptCross,
+        15 => Msg::MatchedUp { partner: id },
+        16 => Msg::StatusPath,
+        17 => Msg::StatusCross,
+        18 => Msg::MergePath,
+        19 => Msg::MergeCross,
+        20 => Msg::NewFrag { id },
+        21 => Msg::CoarseAnnounce { coarse: id },
+        22 => Msg::FragMwoeUp { cand: flag.then_some((key, id2)) },
+        23 => Msg::Candidate {
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
-        25 => Msg::UpDone,
-        26 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
-        27 => Msg::NewCoarse { id, done: flag },
-        28 => Msg::MarkPath,
+        24 => Msg::UpDone,
+        25 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
+        26 => Msg::NewCoarse { id, done: flag },
+        27 => Msg::MarkPath,
         _ => Msg::MarkCross,
     }
 }
@@ -89,7 +88,7 @@ proptest! {
     /// message.
     #[test]
     fn msg_roundtrip(
-        sel in 0usize..30,
+        sel in 0usize..29,
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),
@@ -106,7 +105,7 @@ proptest! {
     /// sequentially to the original sequence, each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
-        sels in proptest::collection::vec(0usize..30, 1..8),
+        sels in proptest::collection::vec(0usize..29, 1..8),
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),

@@ -88,10 +88,26 @@ pub fn prim(g: &WeightedGraph) -> MstResult {
 /// Borůvka's algorithm: repeatedly add every component's minimum-weight
 /// outgoing edge (the sequential skeleton of the distributed algorithms).
 pub fn boruvka(g: &WeightedGraph) -> MstResult {
+    boruvka_phases(g, usize::MAX)
+}
+
+/// The MST forest after at most `phases` Borůvka phases: every component
+/// merges along its minimum-weight outgoing edge, with no control over how
+/// long the merged chains grow. `phases = 0` leaves every vertex alone;
+/// enough phases (`ceil(log2 n)`) give [`boruvka`]'s tree.
+///
+/// ```
+/// use dmst_graphs::{mst, WeightedGraph};
+/// // Weights rise along the path, so one phase already merges it whole.
+/// let g = WeightedGraph::new(4, vec![(0, 1, 1), (1, 2, 2), (2, 3, 3)]).unwrap();
+/// assert_eq!(mst::boruvka_phases(&g, 0).edges, Vec::<usize>::new());
+/// assert_eq!(mst::boruvka_phases(&g, 1).edges, vec![0, 1, 2]);
+/// ```
+pub fn boruvka_phases(g: &WeightedGraph, phases: usize) -> MstResult {
     let n = g.num_nodes();
     let mut uf = UnionFind::new(n);
     let mut chosen: Vec<EdgeId> = Vec::with_capacity(n.saturating_sub(1));
-    loop {
+    for _ in 0..phases {
         // best[root of component] = lightest outgoing edge, by EdgeKey.
         let mut best: Vec<Option<EdgeId>> = vec![None; n];
         let mut any = false;
@@ -182,6 +198,23 @@ mod tests {
         let t = all_three(&g);
         assert_eq!(t.edges.len(), 3); // 2 + 1
         assert_eq!(t.total_weight, 1 + 2 + 9);
+    }
+
+    #[test]
+    fn boruvka_phase_cap_grows_a_sub_forest() {
+        let g = generators::random_connected(90, 180, &mut WeightRng::new(12));
+        let tree = kruskal(&g);
+        let mut prev: Vec<EdgeId> = Vec::new();
+        for phases in 0..8 {
+            let forest = boruvka_phases(&g, phases).edges;
+            // Each phase at least halves the component count, and keeps
+            // every edge the previous phases chose.
+            assert!(forest.len() >= 90 - (90 >> phases).max(1), "phase {phases}");
+            assert!(forest.iter().all(|e| tree.edges.contains(e)), "phase {phases}");
+            assert!(prev.iter().all(|e| forest.contains(e)), "phase {phases}");
+            prev = forest;
+        }
+        assert_eq!(prev, tree.edges, "ceil(log2 90) = 7 phases finish");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::baselines::{run_ghs, run_pipeline};
 use crate::congest::RunStats;
-use crate::core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl};
+use crate::core::{analyze_forest, run_forest, run_mst, ElkinConfig};
 use crate::graphs::{generators as gen, mst, EdgeId, UnionFind, WeightedGraph};
 
 /// One distributed MST algorithm under conformance test.
@@ -206,22 +206,16 @@ pub fn family_matrix(rng: &mut gen::WeightRng) -> Vec<(&'static str, WeightedGra
 }
 
 /// The `ElkinConfig` knob matrix for a graph on `n` vertices: bandwidth ×
-/// `k` override × merge control × root placement. Roots
+/// `k` override × shard count × root placement. Roots
 /// outside `0..n` are clamped away, and duplicate configurations are
 /// removed.
 pub fn config_matrix(n: usize) -> Vec<ElkinConfig> {
     let mut out = Vec::new();
-    for b in [1u32, 2, 3, 8] {
-        for k in [None, Some(1), Some(5), Some(16), Some(200)] {
-            for mode in [MergeControl::Matched, MergeControl::Uncontrolled] {
+    for bandwidth in [1u32, 2, 3, 8] {
+        for k_override in [None, Some(1), Some(5), Some(16), Some(200)] {
+            for shards in [1, 2] {
                 for root in [0, n / 3, n.saturating_sub(1)] {
-                    let cfg = ElkinConfig {
-                        bandwidth: b,
-                        k_override: k,
-                        root,
-                        merge_control: mode,
-                        ..ElkinConfig::default()
-                    };
+                    let cfg = ElkinConfig { bandwidth, k_override, root, shards };
                     if !out.contains(&cfg) {
                         out.push(cfg);
                     }

@@ -15,7 +15,7 @@
 //! finish of Stage D.
 
 use dmst::congest::{EveryRound, Network, RunConfig, Topology};
-use dmst::core::{marked_mst_edges, run_mst, ElkinConfig, ElkinNode, MergeControl};
+use dmst::core::{marked_mst_edges, run_mst, ElkinConfig, ElkinNode};
 use dmst::graphs::generators as gen;
 use dmst_bench::standard_trio;
 
@@ -41,14 +41,12 @@ fn t1_trio_stats_are_shard_invariant() {
 
 #[test]
 fn t1_trio_matches_every_round_stepping() {
-    let uncontrolled =
-        ElkinConfig { merge_control: MergeControl::Uncontrolled, ..ElkinConfig::default() };
     let mut inputs = Vec::new();
     // k = 16 runs four Stage B phases where the automatic k runs one to
     // three, so the wake hints of the later phases' wider windows are
     // checked too.
-    for cfg in [ElkinConfig::default(), ElkinConfig::with_k(16), uncontrolled] {
-        let label = format!("k = {:?}, {:?}", cfg.k_override, cfg.merge_control);
+    for cfg in [ElkinConfig::default(), ElkinConfig::with_k(16)] {
+        let label = format!("k = {:?}", cfg.k_override);
         for w in standard_trio(256, 0x51) {
             inputs.push((format!("{} ({label})", w.name), w.graph, cfg));
         }
