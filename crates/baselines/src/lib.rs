@@ -23,8 +23,6 @@
 //! # Ok::<(), dmst_baselines::BaselineError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 pub mod ghs;

@@ -36,8 +36,6 @@
 //! # Ok::<(), dmst_core::RunError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 mod candidate;
@@ -55,7 +53,7 @@ pub mod util;
 pub use candidate::{CandKey, Candidate};
 pub use config::ElkinConfig;
 pub use forest::{analyze_forest, ForestReport};
-pub use msg::Msg;
+pub use msg::{Msg, Walk};
 pub use node::ElkinNode;
 pub use runner::{marked_mst_edges, run_forest, run_mst, ForestRun, MstRun, RunError};
 pub use schedule::{choose_k, choose_k_cost, ExchangeKind, Params, Schedule, Slot, Window};

@@ -28,28 +28,19 @@ const TAG_PARAMS: u8 = 3;
 const TAG_FRAG_ANNOUNCE: u8 = 4;
 const TAG_PROBE: u8 = 5;
 const TAG_MWOE_UP: u8 = 6;
-const TAG_MWOE_PATH: u8 = 7;
-const TAG_CONNECT_REQ: u8 = 8;
-const TAG_COLOR_DOWN: u8 = 9;
-const TAG_COLOR_CROSS: u8 = 10;
-const TAG_COLOR_UP: u8 = 11;
-const TAG_UNMATCHED_UP: u8 = 12;
-const TAG_ACCEPT_PATH: u8 = 13;
-const TAG_ACCEPT_CROSS: u8 = 14;
-const TAG_MATCHED_UP: u8 = 15;
-const TAG_STATUS_PATH: u8 = 16;
-const TAG_STATUS_CROSS: u8 = 17;
-const TAG_MERGE_PATH: u8 = 18;
-const TAG_MERGE_CROSS: u8 = 19;
-const TAG_NEW_FRAG: u8 = 20;
-const TAG_COARSE_ANNOUNCE: u8 = 21;
-const TAG_FRAG_MWOE_UP: u8 = 22;
-const TAG_CANDIDATE: u8 = 23;
-const TAG_UP_DONE: u8 = 24;
-const TAG_ASSIGN: u8 = 25;
-const TAG_NEW_COARSE: u8 = 26;
-const TAG_MARK_PATH: u8 = 27;
-const TAG_MARK_CROSS: u8 = 28;
+const TAG_COLOR_DOWN: u8 = 7;
+const TAG_COLOR_UP: u8 = 8;
+const TAG_UNMATCHED_UP: u8 = 9;
+const TAG_MATCHED_UP: u8 = 10;
+const TAG_NEW_FRAG: u8 = 11;
+const TAG_COARSE_ANNOUNCE: u8 = 12;
+const TAG_FRAG_MWOE_UP: u8 = 13;
+const TAG_CANDIDATE: u8 = 14;
+const TAG_UP_DONE: u8 = 15;
+const TAG_ASSIGN: u8 = 16;
+const TAG_NEW_COARSE: u8 = 17;
+const TAG_PATH: u8 = 18;
+const TAG_CROSS: u8 = 19;
 
 /// Writes a [`CandKey`] as three full words (the weight needs all 64
 /// bits; the endpoints get whole words so the key stays one fixed shape
@@ -131,13 +122,6 @@ pub enum Msg {
         /// (fragment too tall to participate this phase).
         overflow: bool,
     },
-    /// Downcast along the argmin path toward the MWOE endpoint.
-    MwoePath,
-    /// Sent across the MWOE to the foreign endpoint, registering the sender's
-    /// fragment as a "foreign child" (paper §4). The receiver reads the
-    /// child's fragment id off the port: both ends retire a port together,
-    /// so a live port's neighbor fragment id is current.
-    ConnectReq,
     /// Fragment-internal broadcast of the fragment's current CV color. The
     /// first exchange's copy also tells every vertex of a participating
     /// fragment that it participates this phase.
@@ -145,12 +129,8 @@ pub enum Msg {
         /// The color.
         color: u64,
     },
-    /// Color forwarded across a cross edge to a foreign child's endpoint.
-    ColorCross {
-        /// Parent fragment's color.
-        color: u64,
-    },
-    /// Color routed up from the MWOE endpoint to the fragment root.
+    /// The parent fragment's color, sent over each foreign child's cross
+    /// edge and routed from that edge's endpoint up to the child's root.
     ColorUp {
         /// Parent fragment's color.
         color: u64,
@@ -160,27 +140,11 @@ pub enum Msg {
         /// Argmin over the subtree, if any unmatched child exists.
         child: Option<u64>,
     },
-    /// Downcast along the argmin path toward the chosen child's cross edge.
-    AcceptPath,
-    /// Acceptance sent across the cross edge: "your fragment is matched".
-    /// The receiver reads the accepting fragment's id off the port, like
-    /// [`Msg::ConnectReq`].
-    AcceptCross,
     /// The child fragment routes the acceptance up to its root.
     MatchedUp {
         /// The partner (parent) fragment's id.
         partner: u64,
     },
-    /// Downcast along the MWOE argmin path of a fragment that just
-    /// accepted a child: "we are matched".
-    StatusPath,
-    /// Matched-status notice across the MWOE to the fragment's forest
-    /// parent, which registered the sender's fragment as a foreign child.
-    StatusCross,
-    /// Downcast along the argmin path: unmatched fragment merges via MWOE.
-    MergePath,
-    /// Merge request across the MWOE; the receiver's side absorbs the sender.
-    MergeCross,
     /// Flood establishing the merged fragment: new id + re-orientation.
     NewFrag {
         /// Id of the merged fragment (its new root's vertex id).
@@ -250,13 +214,46 @@ pub enum Msg {
         /// Global termination flag.
         done: bool,
     },
-    /// Downcast along the remembered argmin path: mark the candidate edge.
-    /// Travels the same fragment-tree edges as the same phase's
-    /// [`Msg::NewCoarse`] and is always sent *before* it, so per-edge FIFO
-    /// guarantees it reaches each hop's `DScratch` before the phase rolls.
-    MarkPath,
-    /// Marks the far endpoint of a chosen MST edge across the edge itself.
-    MarkCross,
+
+    // ---- Argmin walks, both stages (see `Walk`) ----
+    /// One hop of a walk down its argmin path, from a vertex to the
+    /// fragment child its convergecast selected.
+    Path(Walk),
+    /// The walk crossing the selected edge to its far endpoint.
+    Cross(Walk),
+}
+
+/// What an argmin walk does. A walk retraces the selections an argmin
+/// convergecast left behind ([`Msg::Path`], one fragment-tree edge per
+/// hop) to the vertex whose own port holds the minimum, which acts on that
+/// edge and crosses it ([`Msg::Cross`]). The kind rides in the tag word,
+/// so both messages are one word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Walk {
+    /// Stage B, Connect window, down the MWOE path: registers the sender's
+    /// fragment as a foreign child of the receiver's (paper §4). The
+    /// receiver reads its id off the port: both ends retire a port
+    /// together, so a live port's neighbor fragment id is current.
+    Connect,
+    /// Stage B, Accept window, down the collect's path: the edge joins the
+    /// MST and the chosen foreign child learns that it is matched.
+    Accept,
+    /// Stage B, Accept window, down the MWOE path of a fragment that just
+    /// accepted a child: its forest parent learns that it is matched.
+    Status,
+    /// Stage B, MergeGo window, down an unmatched fragment's MWOE path: the
+    /// edge joins the MST and the receiver's side absorbs the sender.
+    Merge,
+    /// Stage D, down the phase's argmin path: the chosen candidate edge is
+    /// marked at both ends. Sent before the same phase's
+    /// [`Msg::NewCoarse`] over the same edges, so per-edge FIFO delivers it
+    /// before each hop's `DScratch` rolls.
+    Mark,
+}
+
+impl Walk {
+    /// Every kind, in wire order: `kind as u64` indexes it.
+    pub const ALL: [Walk; 5] = [Walk::Connect, Walk::Accept, Walk::Status, Walk::Merge, Walk::Mark];
 }
 
 impl Message for Msg {
@@ -267,20 +264,20 @@ impl Message for Msg {
             }
             Msg::FragAnnounce { .. } => "b:announce",
             Msg::Probe { .. } | Msg::MwoeUp { .. } => "b:mwoe",
-            Msg::MwoePath | Msg::ConnectReq => "b:connect",
-            Msg::ColorDown { .. } | Msg::ColorCross { .. } | Msg::ColorUp { .. } => "b:color",
-            Msg::UnmatchedUp { .. }
-            | Msg::AcceptPath
-            | Msg::AcceptCross
-            | Msg::MatchedUp { .. }
-            | Msg::StatusPath
-            | Msg::StatusCross => "b:match",
-            Msg::MergePath | Msg::MergeCross | Msg::NewFrag { .. } => "b:merge",
+            Msg::ColorDown { .. } | Msg::ColorUp { .. } => "b:color",
+            Msg::UnmatchedUp { .. } | Msg::MatchedUp { .. } => "b:match",
+            Msg::NewFrag { .. } => "b:merge",
             Msg::CoarseAnnounce { .. } => "d:announce",
             Msg::FragMwoeUp { .. } => "d:fragmwoe",
             Msg::Candidate { .. } | Msg::UpDone => "d:upcast",
             Msg::Assign { .. } => "d:downcast",
-            Msg::NewCoarse { .. } | Msg::MarkPath | Msg::MarkCross => "d:newcoarse",
+            Msg::NewCoarse { .. } => "d:newcoarse",
+            Msg::Path(walk) | Msg::Cross(walk) => match walk {
+                Walk::Connect => "b:connect",
+                Walk::Accept | Walk::Status => "b:match",
+                Walk::Merge => "b:merge",
+                Walk::Mark => "d:newcoarse",
+            },
         }
     }
 
@@ -321,14 +318,8 @@ impl Message for Msg {
                 w.flag(1, *overflow);
                 encode_key(w, &cand.unwrap_or(CandKey { weight: 0, lo: 0, hi: 0 }));
             }
-            Msg::MwoePath => w.tag(TAG_MWOE_PATH),
-            Msg::ConnectReq => w.tag(TAG_CONNECT_REQ),
             Msg::ColorDown { color } => {
                 w.tag(TAG_COLOR_DOWN);
-                w.pack(*color);
-            }
-            Msg::ColorCross { color } => {
-                w.tag(TAG_COLOR_CROSS);
                 w.pack(*color);
             }
             Msg::ColorUp { color } => {
@@ -340,16 +331,10 @@ impl Message for Msg {
                 w.flag(0, child.is_some());
                 w.pack(child.unwrap_or(0)); // child fragment id < n
             }
-            Msg::AcceptPath => w.tag(TAG_ACCEPT_PATH),
-            Msg::AcceptCross => w.tag(TAG_ACCEPT_CROSS),
             Msg::MatchedUp { partner } => {
                 w.tag(TAG_MATCHED_UP);
                 w.pack(*partner);
             }
-            Msg::StatusPath => w.tag(TAG_STATUS_PATH),
-            Msg::StatusCross => w.tag(TAG_STATUS_CROSS),
-            Msg::MergePath => w.tag(TAG_MERGE_PATH),
-            Msg::MergeCross => w.tag(TAG_MERGE_CROSS),
             Msg::NewFrag { id } => {
                 w.tag(TAG_NEW_FRAG);
                 w.pack(*id);
@@ -385,8 +370,14 @@ impl Message for Msg {
                 w.flag(0, *done);
                 w.pack(*id);
             }
-            Msg::MarkPath => w.tag(TAG_MARK_PATH),
-            Msg::MarkCross => w.tag(TAG_MARK_CROSS),
+            Msg::Path(walk) => {
+                w.tag(TAG_PATH);
+                w.pack(*walk as u64);
+            }
+            Msg::Cross(walk) => {
+                w.tag(TAG_CROSS);
+                w.pack(*walk as u64);
+            }
         }
     }
 
@@ -410,19 +401,10 @@ impl Message for Msg {
                 let key = decode_key(r);
                 Msg::MwoeUp { cand: some.then_some(key), overflow }
             }
-            TAG_MWOE_PATH => Msg::MwoePath,
-            TAG_CONNECT_REQ => Msg::ConnectReq,
             TAG_COLOR_DOWN => Msg::ColorDown { color: r.packed() },
-            TAG_COLOR_CROSS => Msg::ColorCross { color: r.packed() },
             TAG_COLOR_UP => Msg::ColorUp { color: r.packed() },
             TAG_UNMATCHED_UP => Msg::UnmatchedUp { child: r.flag(0).then_some(r.packed()) },
-            TAG_ACCEPT_PATH => Msg::AcceptPath,
-            TAG_ACCEPT_CROSS => Msg::AcceptCross,
             TAG_MATCHED_UP => Msg::MatchedUp { partner: r.packed() },
-            TAG_STATUS_PATH => Msg::StatusPath,
-            TAG_STATUS_CROSS => Msg::StatusCross,
-            TAG_MERGE_PATH => Msg::MergePath,
-            TAG_MERGE_CROSS => Msg::MergeCross,
             TAG_NEW_FRAG => Msg::NewFrag { id: r.packed() },
             TAG_COARSE_ANNOUNCE => Msg::CoarseAnnounce { coarse: r.packed() },
             TAG_FRAG_MWOE_UP => {
@@ -445,8 +427,8 @@ impl Message for Msg {
                 done: r.flag(1),
             },
             TAG_NEW_COARSE => Msg::NewCoarse { id: r.packed(), done: r.flag(0) },
-            TAG_MARK_PATH => Msg::MarkPath,
-            TAG_MARK_CROSS => Msg::MarkCross,
+            TAG_PATH => Msg::Path(Walk::ALL[r.packed() as usize]),
+            TAG_CROSS => Msg::Cross(Walk::ALL[r.packed() as usize]),
             other => unreachable!("unknown Msg wire tag {other}"),
         }
     }
@@ -477,20 +459,11 @@ mod tests {
                 Msg::Params { .. } => Msg::FragAnnounce { frag: 1 },
                 Msg::FragAnnounce { .. } => Msg::Probe { ttl: 2 },
                 Msg::Probe { .. } => Msg::MwoeUp { cand: Some(key), overflow: true },
-                Msg::MwoeUp { .. } => Msg::MwoePath,
-                Msg::MwoePath => Msg::ConnectReq,
-                Msg::ConnectReq => Msg::ColorDown { color: 4 },
-                Msg::ColorDown { .. } => Msg::ColorCross { color: 5 },
-                Msg::ColorCross { .. } => Msg::ColorUp { color: 6 },
+                Msg::MwoeUp { .. } => Msg::ColorDown { color: 4 },
+                Msg::ColorDown { .. } => Msg::ColorUp { color: 6 },
                 Msg::ColorUp { .. } => Msg::UnmatchedUp { child: Some(7) },
-                Msg::UnmatchedUp { .. } => Msg::AcceptPath,
-                Msg::AcceptPath => Msg::AcceptCross,
-                Msg::AcceptCross => Msg::MatchedUp { partner: 9 },
-                Msg::MatchedUp { .. } => Msg::StatusPath,
-                Msg::StatusPath => Msg::StatusCross,
-                Msg::StatusCross => Msg::MergePath,
-                Msg::MergePath => Msg::MergeCross,
-                Msg::MergeCross => Msg::NewFrag { id: 1 },
+                Msg::UnmatchedUp { .. } => Msg::MatchedUp { partner: 9 },
+                Msg::MatchedUp { .. } => Msg::NewFrag { id: 1 },
                 Msg::NewFrag { .. } => Msg::CoarseAnnounce { coarse: 2 },
                 Msg::CoarseAnnounce { .. } => Msg::FragMwoeUp { cand: Some((key, 4)) },
                 Msg::FragMwoeUp { .. } => Msg::Candidate { rec },
@@ -499,9 +472,15 @@ mod tests {
                     Msg::Assign { dest_slot: 5, new_coarse: 6, chosen: true, done: false }
                 }
                 Msg::Assign { .. } => Msg::NewCoarse { id: 7, done: true },
-                Msg::NewCoarse { .. } => Msg::MarkPath,
-                Msg::MarkPath => Msg::MarkCross,
-                Msg::MarkCross => return None,
+                Msg::NewCoarse { .. } => Msg::Path(Walk::Connect),
+                Msg::Path(walk) => Msg::Cross(*walk),
+                Msg::Cross(walk) => Msg::Path(match walk {
+                    Walk::Connect => Walk::Accept,
+                    Walk::Accept => Walk::Status,
+                    Walk::Status => Walk::Merge,
+                    Walk::Merge => Walk::Mark,
+                    Walk::Mark => return None,
+                }),
             })
         })
         .collect()
@@ -562,6 +541,22 @@ mod tests {
         assert_eq!(Msg::NewFrag { id: 3 }.tag(), "b:merge");
         assert_eq!(Msg::NewCoarse { id: 0, done: true }.tag(), "d:newcoarse");
         assert_eq!(Msg::UpDone.tag(), "d:upcast");
+    }
+
+    #[test]
+    fn tag_set_is_pinned() {
+        // perfbench's `core.msgs.*` metrics and the `RunStats::by_tag`
+        // readers key on these strings (DESIGN.md §2's table): a message
+        // moved to a new tag would silently read 0 there.
+        let all = every_variant();
+        let tags: std::collections::BTreeSet<&str> = all.iter().map(Message::tag).collect();
+        let census = "a:bfs b:announce b:color b:connect b:match b:merge b:mwoe \
+                      d:announce d:downcast d:fragmwoe d:newcoarse d:upcast";
+        assert_eq!(tags.into_iter().collect::<Vec<_>>().join(" "), census);
+        for walk in Walk::ALL {
+            assert!(all.contains(&Msg::Path(walk)), "no Path({walk:?}) sample");
+            assert!(all.contains(&Msg::Cross(walk)), "no Cross({walk:?}) sample");
+        }
     }
 
     #[test]

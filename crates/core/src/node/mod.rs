@@ -32,7 +32,7 @@ use congest_sim::{NodeInfo, NodeProgram, PortId, RoundCtx};
 
 use crate::candidate::{CandKey, Candidate};
 use crate::config::ElkinConfig;
-use crate::msg::Msg;
+use crate::msg::{Msg, Walk};
 use crate::schedule::{Params, Schedule};
 
 /// Marker for "unknown neighbor data" in port-indexed tables.
@@ -243,6 +243,32 @@ pub(crate) enum Sel {
     Child(PortId),
 }
 
+/// A running argmin and the direction it came from: what an argmin
+/// convergecast leaves at each vertex, and what [`ElkinNode::walk`]
+/// descends.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Argmin<K> {
+    pub best: Option<K>,
+    pub sel: Sel,
+}
+
+impl<K> Default for Argmin<K> {
+    fn default() -> Self {
+        Self { best: None, sel: Sel::None }
+    }
+}
+
+impl<K: Copy + Ord> Argmin<K> {
+    /// Keeps `key`, reached through `sel`, if it beats the best so far; a
+    /// tie keeps the earlier offer.
+    pub fn offer(&mut self, key: K, sel: Sel) {
+        if self.best.is_none_or(|b| key < b) {
+            self.best = Some(key);
+            self.sel = sel;
+        }
+    }
+}
+
 /// Stage A working state.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AState {
@@ -260,10 +286,11 @@ pub(crate) struct AState {
 pub(crate) struct BScratch {
     pub probed: bool,
     pub probe_pending: usize,
-    pub agg: Option<CandKey>,
+    /// The probe's convergecast: my subtree's lightest edge leaving the
+    /// fragment, which the Connect, Status and Merge walks descend.
+    pub mwoe: Argmin<CandKey>,
     pub overflow: bool,
     pub responded: bool,
-    pub sel: Sel,
     /// Set at the root in the Connect window, and at every other vertex of
     /// the fragment by the first exchange's `ColorDown`.
     pub participating: bool,
@@ -274,11 +301,12 @@ pub(crate) struct BScratch {
     pub color: u64,
     pub prev_color: u64,
     pub parent_color: Option<u64>,
-    pub matched: bool,
+    /// Set at a matched fragment's root: the partner fragment's id.
     pub partner: Option<u64>,
     pub col_pending: usize,
-    pub col_agg: Option<u64>,
-    pub col_sel: Sel,
+    /// A Collect window's convergecast: my subtree's smallest unmatched
+    /// foreign-child fragment id, which the Accept walk descends.
+    pub unmatched: Argmin<u64>,
     pub merge_ports: Vec<PortId>,
     pub matched_port: Option<PortId>,
     pub flooded: bool,
@@ -303,10 +331,10 @@ pub(crate) struct DScratch {
     /// `FragMwoeUp`s of `phase` received from fragment children.
     pub frag_up_recv: usize,
     /// Running best candidate `(key, dst coarse)` over my fragment subtree
-    /// (children merged on arrival, own edges at completion). The source
-    /// coarse id is this vertex's own `coarse`.
-    pub agg: Option<(CandKey, u64)>,
-    pub sel: Sel,
+    /// (children merged on arrival, own edges at completion), which the
+    /// Mark walk descends. The source coarse id is this vertex's own
+    /// `coarse`.
+    pub mwoe: Argmin<(CandKey, u64)>,
     /// `FragMwoeUp` sent up (or, at fragment roots, the aggregate turned
     /// into a pipelined record — see `injected`).
     pub responded: bool,
@@ -314,8 +342,6 @@ pub(crate) struct DScratch {
     /// Best known candidate per source coarse id (also the BFS root's
     /// collection).
     pub up_best: BTreeMap<u64, Candidate>,
-    /// Best key already forwarded per source coarse id.
-    pub up_sent: BTreeMap<u64, CandKey>,
     /// Entries of `up_best` not yet forwarded, ordered by key (send queue).
     pub up_pending: std::collections::BTreeSet<(CandKey, u64)>,
     pub updone_children: usize,
@@ -497,6 +523,37 @@ impl ElkinNode {
     /// The ports not yet retired, in ascending order.
     pub(crate) fn live_ports(&self) -> impl Iterator<Item = PortId> + '_ {
         (0..self.deg).filter(|&q| !self.ports.retired(q))
+    }
+
+    /// One hop of an argmin walk: the vertex whose own port holds the
+    /// minimum acts on that edge and crosses it, any other vertex passes
+    /// the walk on to the fragment child its convergecast selected.
+    pub(crate) fn walk(&mut self, ctx: &mut RoundCtx<'_, Msg>, kind: Walk) {
+        let sel = match kind {
+            Walk::Connect | Walk::Status | Walk::Merge => self.b.mwoe.sel,
+            Walk::Accept => self.b.unmatched.sel,
+            Walk::Mark => self.d.mwoe.sel,
+        };
+        match sel {
+            Sel::Mine(q) => {
+                match kind {
+                    Walk::Connect => self.b.out_port = Some(q),
+                    Walk::Accept => {
+                        self.b.matched_port = Some(q);
+                        self.ports.mark_mst(q);
+                    }
+                    // The fragment behind the MWOE is my foreign child: I
+                    // am the higher side of a mutual MWOE and have no
+                    // forest parent to tell.
+                    Walk::Status if self.b.foreign_child[q].is_some() => return,
+                    Walk::Status => {}
+                    Walk::Merge | Walk::Mark => self.ports.mark_mst(q),
+                }
+                ctx.send(q, Msg::Cross(kind));
+            }
+            Sel::Child(c) => ctx.send(c, Msg::Path(kind)),
+            Sel::None => unreachable!("a {kind:?} walk reached a subtree without a candidate"),
+        }
     }
 
     /// Ports that are incident MST edges, in ascending order — the

@@ -15,13 +15,12 @@
 //!    than the budget report *overflow*, excluding tall fragments
 //!    (participation = height ≤ p, so every fragment of diameter ≤ p
 //!    participates; see DESIGN.md).
-//! 3. **Connect** — participating roots route `MwoePath` along the argmin
-//!    path, and the MWOE endpoint fires `ConnectReq` across the edge,
-//!    registering a *foreign child* on the other side. Mutual-MWOE pairs
-//!    resolve parenthood by higher fragment id (paper §4).
+//! 3. **Connect** — participating roots walk to the MWOE, which the walk
+//!    crosses to register a *foreign child* on the other side. Mutual-MWOE
+//!    pairs resolve parenthood by higher fragment id (paper §4).
 //! 4. **Exchange × X** — Cole–Vishkin 3-coloring of the fragment forest:
-//!    each exchange broadcasts the fragment color, crosses child MWOEs, and
-//!    routes the parent color back to the child's root. A recoloring root
+//!    each exchange broadcasts the fragment color, which crosses child
+//!    MWOEs and climbs to the child's root as `ColorUp`. A recoloring root
 //!    excludes its own pre-shift color whether or not it has a foreign
 //!    child, since no one reads a childless fragment's color. Only
 //!    participating roots start an exchange, so the first `ColorDown` is
@@ -29,16 +28,18 @@
 //!    vertex but the root reads that before the Collect windows.
 //! 5. **Collect / Accept × 3** — maximal matching, one color class at a
 //!    time: roots of class-`c` unmatched fragments pick their smallest
-//!    unmatched foreign child and notify it. In the same window each
-//!    accepting root tells its own forest parent, the only fragment whose
-//!    choice its matched status can change: `StatusPath` down its MWOE
-//!    argmin path, then `StatusCross` across the MWOE.
-//! 6. **MergeGo / MergeFlood** — unmatched fragments merge along their
-//!    MWOEs; the merged fragment's new root (higher-id endpoint of the
-//!    matched pair, or the untouched root of a non-participating fragment)
-//!    floods `NewFrag`, re-orienting parent pointers and installing the new
-//!    fragment id. Every edge that joins two fragments is marked MST at
-//!    both endpoints the moment it is used.
+//!    unmatched foreign child and walk to it. In the same window each
+//!    accepting root walks to its MWOE to tell its own forest parent, the
+//!    only fragment whose choice its matched status can change.
+//! 6. **MergeGo / MergeFlood** — unmatched fragments walk to their MWOEs
+//!    and merge across them; the merged fragment's new root (higher-id
+//!    endpoint of the matched pair, or the untouched root of a
+//!    non-participating fragment) floods `NewFrag`, re-orienting parent
+//!    pointers and installing the new fragment id. Every edge that joins
+//!    two fragments is marked MST at both endpoints the moment it is used.
+//!
+//! Each walk is one [`Walk`] kind of [`ElkinNode::walk`], down the
+//! selections that the Probe or Collect convergecast's [`Argmin`] left.
 
 use std::sync::OnceLock;
 
@@ -46,10 +47,10 @@ use congest_sim::{PortId, RoundCtx};
 
 use crate::candidate::CandKey;
 use crate::cv;
-use crate::msg::Msg;
+use crate::msg::{Msg, Walk};
 use crate::schedule::{ExchangeKind, Schedule, Slot, Window};
 
-use super::{lane, BScratch, ElkinNode, Sel, Stage};
+use super::{lane, Argmin, BScratch, ElkinNode, Sel, Stage};
 
 impl ElkinNode {
     pub(crate) fn b_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
@@ -59,64 +60,60 @@ impl ElkinNode {
                     assert!(!self.ports.retired(port), "FragAnnounce over a retired port");
                     self.ports.set_nbr_frag(port, frag);
                 }
-                Msg::Probe { ttl } => self.b_probe_receive(ctx, port, ttl),
+                Msg::Probe { ttl } => {
+                    debug_assert_eq!(Some(port), self.frag_parent);
+                    self.b_probe(ctx, ttl);
+                }
                 Msg::MwoeUp { cand, overflow } => {
                     self.b.overflow |= overflow;
                     if let Some(k) = cand {
-                        if self.b.agg.is_none_or(|a| k < a) {
-                            self.b.agg = Some(k);
-                            self.b.sel = Sel::Child(port);
-                        }
+                        self.b.mwoe.offer(k, Sel::Child(port));
                     }
                     self.b.probe_pending -= 1;
                     if self.b.probe_pending == 0 {
                         self.b_probe_complete(ctx);
                     }
                 }
-                Msg::MwoePath => self.b_mwoe_path(ctx),
-                Msg::ConnectReq => {
-                    self.b.foreign_child[port] = Some((self.ports.nbr_frag(port), false));
-                }
                 Msg::ColorDown { color } => {
                     self.b.participating = true;
                     self.b.color = color;
-                    for &p in &self.frag_children {
-                        ctx.send(p, Msg::ColorDown { color });
-                    }
-                    self.b_cross_color(ctx, color);
+                    self.b_color_down(ctx, color);
                 }
-                Msg::ColorCross { color } => {
-                    if Some(port) == self.b.out_port {
-                        self.b_color_up(ctx, color);
-                    }
+                Msg::ColorUp { color } => {
+                    // The parent's color crosses to the port my
+                    // `Cross(Connect)` left by, then climbs child to parent.
+                    debug_assert!(
+                        Some(port) == self.b.out_port || self.frag_children.contains(&port),
+                        "ColorUp from neither my MWOE nor a fragment child"
+                    );
+                    self.b_color_up(ctx, color);
                 }
-                Msg::ColorUp { color } => self.b_color_up(ctx, color),
                 Msg::UnmatchedUp { child } => {
                     if let Some(c) = child {
-                        if self.b.col_agg.is_none_or(|a| c < a) {
-                            self.b.col_agg = Some(c);
-                            self.b.col_sel = Sel::Child(port);
-                        }
+                        self.b.unmatched.offer(c, Sel::Child(port));
                     }
                     self.b.col_pending -= 1;
                     if self.b.col_pending == 0 {
                         self.b_collect_complete(ctx);
                     }
                 }
-                Msg::AcceptPath => self.b_accept_path(ctx),
-                Msg::AcceptCross => {
+                Msg::MatchedUp { partner } => self.b_matched_up(ctx, partner),
+                Msg::Path(kind @ (Walk::Connect | Walk::Accept | Walk::Status | Walk::Merge)) => {
+                    self.walk(ctx, kind);
+                }
+                Msg::Cross(Walk::Connect) => {
+                    self.b.foreign_child[port] = Some((self.ports.nbr_frag(port), false));
+                }
+                Msg::Cross(Walk::Accept) => {
                     self.b.matched_port = Some(port);
                     self.ports.mark_mst(port);
                     self.b_matched_up(ctx, self.ports.nbr_frag(port));
                 }
-                Msg::MatchedUp { partner } => self.b_matched_up(ctx, partner),
-                Msg::StatusPath => self.b_status_path(ctx),
-                Msg::StatusCross => {
+                Msg::Cross(Walk::Status) => {
                     let child = self.b.foreign_child[port].as_mut();
                     child.expect("a status notice comes from a registered foreign child").1 = true;
                 }
-                Msg::MergePath => self.b_merge_path(ctx),
-                Msg::MergeCross => {
+                Msg::Cross(Walk::Merge) => {
                     self.ports.mark_mst(port);
                     self.b.merge_ports.push(port);
                 }
@@ -177,7 +174,7 @@ impl ElkinNode {
             }
             Window::Probe => {
                 if slot.offset == 0 && self.is_frag_root() {
-                    self.b_probe_start(ctx, p);
+                    self.b_probe(ctx, p as u32);
                 }
             }
             Window::Connect => {
@@ -191,8 +188,8 @@ impl ElkinNode {
                     // the first exchange's `ColorDown`.
                     self.b.participating = true;
                     // No outgoing edge: the whole graph is one fragment.
-                    if self.b.sel != Sel::None {
-                        self.b_mwoe_path(ctx);
+                    if self.b.mwoe.sel != Sel::None {
+                        self.walk(ctx, Walk::Connect);
                     }
                 }
                 if slot.last {
@@ -210,11 +207,7 @@ impl ElkinNode {
             }
             Window::Exchange(x) => {
                 if slot.offset == 0 && self.b.participating && self.is_frag_root() {
-                    let color = self.b.color;
-                    for &q in &self.frag_children {
-                        ctx.send(q, Msg::ColorDown { color });
-                    }
-                    self.b_cross_color(ctx, color);
+                    self.b_color_down(ctx, self.b.color);
                 }
                 if slot.last && self.b.participating && self.is_frag_root() {
                     self.b_exchange_eval(sched.exchange_kind(x));
@@ -222,11 +215,11 @@ impl ElkinNode {
             }
             Window::MatchCollect(_) => {
                 if slot.offset == 0 && self.b.participating {
-                    self.b.col_agg = None;
-                    self.b.col_sel = Sel::None;
-                    if let Some(q) = self.b_local_unmatched_child() {
-                        self.b.col_agg = Some(self.b.foreign_child[q].expect("just found").0);
-                        self.b.col_sel = Sel::Mine(q);
+                    self.b.unmatched = Argmin::default();
+                    for (q, child) in self.b.foreign_child.iter().enumerate() {
+                        if let Some((id, false)) = *child {
+                            self.b.unmatched.offer(id, Sel::Mine(q));
+                        }
                     }
                     self.b.col_pending = self.frag_children.len();
                     if self.b.col_pending == 0 {
@@ -239,13 +232,12 @@ impl ElkinNode {
                     && self.b.participating
                     && self.is_frag_root()
                     && self.b.color == u64::from(c)
-                    && !self.b.matched
+                    && self.b.partner.is_none()
                 {
-                    if let Some(child) = self.b.col_agg {
-                        self.b.matched = true;
+                    if let Some(child) = self.b.unmatched.best {
                         self.b.partner = Some(child);
-                        self.b_accept_path(ctx);
-                        self.b_status_path(ctx);
+                        self.walk(ctx, Walk::Accept);
+                        self.walk(ctx, Walk::Status);
                     }
                 }
             }
@@ -253,10 +245,10 @@ impl ElkinNode {
                 if slot.offset == 0
                     && self.b.participating
                     && self.is_frag_root()
-                    && !self.b.matched
-                    && self.b.sel != Sel::None
+                    && self.b.partner.is_none()
+                    && self.b.mwoe.sel != Sel::None
                 {
-                    self.b_merge_path(ctx);
+                    self.walk(ctx, Walk::Merge);
                 }
             }
             Window::MergeFlood => {
@@ -264,7 +256,6 @@ impl ElkinNode {
                     // Higher-id root of the matched pair floods.
                     let initiator = self.b.participating
                         && self.is_frag_root()
-                        && self.b.matched
                         && self.b.partner.is_some_and(|pid| pid < self.frag_id);
                     if initiator {
                         self.b_flood_init(ctx);
@@ -286,52 +277,27 @@ impl ElkinNode {
 
     // ---- probe / MWOE ----
 
-    /// Lightest incident edge leaving my fragment. A retired port's
-    /// `nbr_frag` is stale, but its edge is internal anyway.
-    fn b_local_candidate(&self) -> (Option<CandKey>, Sel) {
-        let mut best: Option<CandKey> = None;
-        let mut sel = Sel::None;
+    /// Probes my fragment subtree `ttl` hops deeper: seeds the MWOE
+    /// convergecast with my lightest incident edge leaving the fragment (a
+    /// retired port's `nbr_frag` is stale, but its edge is internal
+    /// anyway), then passes the probe on, or reports at once as a leaf or
+    /// where the budget runs out.
+    fn b_probe(&mut self, ctx: &mut RoundCtx<'_, Msg>, ttl: u32) {
+        debug_assert!(!self.b.probed, "duplicate probe within a phase");
+        self.b.probed = true;
+        let mut mwoe = Argmin::default();
         for q in self.live_ports() {
             if self.ports.nbr_frag(q) != self.frag_id {
                 let k = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
-                if best.is_none_or(|b| k < b) {
-                    best = Some(k);
-                    sel = Sel::Mine(q);
-                }
+                mwoe.offer(k, Sel::Mine(q));
             }
         }
-        (best, sel)
-    }
-
-    fn b_probe_start(&mut self, ctx: &mut RoundCtx<'_, Msg>, p: u64) {
-        self.b.probed = true;
-        let (best, sel) = self.b_local_candidate();
-        self.b.agg = best;
-        self.b.sel = sel;
-        self.b.probe_pending = self.frag_children.len();
-        if self.b.probe_pending == 0 {
-            return; // complete: singleton or leaf-root
-        }
-        let ttl = (p - 1) as u32;
-        for &q in &self.frag_children {
-            ctx.send(q, Msg::Probe { ttl });
-        }
-    }
-
-    fn b_probe_receive(&mut self, ctx: &mut RoundCtx<'_, Msg>, port: PortId, ttl: u32) {
-        debug_assert!(!self.b.probed, "duplicate probe within a phase");
-        debug_assert_eq!(Some(port), self.frag_parent);
-        self.b.probed = true;
-        let (best, sel) = self.b_local_candidate();
-        self.b.agg = best;
-        self.b.sel = sel;
-        if self.frag_children.is_empty() {
-            ctx.send(port, Msg::MwoeUp { cand: self.b.agg, overflow: false });
-            self.b.responded = true;
-        } else if ttl == 0 {
-            // Fragment extends beyond the participation radius.
-            ctx.send(port, Msg::MwoeUp { cand: self.b.agg, overflow: true });
-            self.b.responded = true;
+        self.b.mwoe = mwoe;
+        if self.frag_children.is_empty() || ttl == 0 {
+            // Children below an exhausted budget: the fragment extends
+            // beyond the participation radius.
+            self.b.overflow = !self.frag_children.is_empty();
+            self.b_probe_complete(ctx);
         } else {
             self.b.probe_pending = self.frag_children.len();
             for &q in &self.frag_children {
@@ -346,29 +312,21 @@ impl ElkinNode {
         }
         self.b.responded = true;
         let up = self.frag_parent.expect("non-root has a fragment parent");
-        ctx.send(up, Msg::MwoeUp { cand: self.b.agg, overflow: self.b.overflow });
-    }
-
-    /// One hop down the MWOE argmin path; its endpoint fires `ConnectReq`.
-    fn b_mwoe_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.b.sel {
-            Sel::Mine(q) => {
-                self.b.out_port = Some(q);
-                ctx.send(q, Msg::ConnectReq);
-            }
-            Sel::Child(c) => ctx.send(c, Msg::MwoePath),
-            Sel::None => unreachable!("MwoePath reached a subtree without a candidate"),
-        }
+        ctx.send(up, Msg::MwoeUp { cand: self.b.mwoe.best, overflow: self.b.overflow });
     }
 
     // ---- Cole–Vishkin exchanges ----
 
-    /// Forward my fragment's color over every cross edge on which a foreign
-    /// child registered.
-    fn b_cross_color(&mut self, ctx: &mut RoundCtx<'_, Msg>, color: u64) {
-        for q in 0..self.deg {
-            if self.b.foreign_child[q].is_some() {
-                ctx.send(q, Msg::ColorCross { color });
+    /// Passes my fragment's color down the fragment tree and over every
+    /// cross edge on which a foreign child registered, whose endpoint
+    /// routes it up to the child's root.
+    fn b_color_down(&self, ctx: &mut RoundCtx<'_, Msg>, color: u64) {
+        for &q in &self.frag_children {
+            ctx.send(q, Msg::ColorDown { color });
+        }
+        for (q, child) in self.b.foreign_child.iter().enumerate() {
+            if child.is_some() {
+                ctx.send(q, Msg::ColorUp { color });
             }
         }
     }
@@ -409,46 +367,18 @@ impl ElkinNode {
 
     // ---- matching ----
 
-    /// My smallest unmatched registered foreign child, by fragment id.
-    fn b_local_unmatched_child(&self) -> Option<PortId> {
-        let mut best: Option<(u64, PortId)> = None;
-        for q in 0..self.deg {
-            if let Some((id, matched)) = self.b.foreign_child[q] {
-                if !matched && best.is_none_or(|(b, _)| id < b) {
-                    best = Some((id, q));
-                }
-            }
-        }
-        best.map(|(_, q)| q)
-    }
-
     fn b_collect_complete(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         if self.is_frag_root() {
             return; // aggregate stays local; used in the Accept window
         }
         let up = self.frag_parent.expect("non-root has a fragment parent");
-        ctx.send(up, Msg::UnmatchedUp { child: self.b.col_agg });
-    }
-
-    /// One hop down the collect's argmin path; its endpoint accepts the
-    /// chosen child across their cross edge, which joins the MST.
-    fn b_accept_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.b.col_sel {
-            Sel::Mine(q) => {
-                self.b.matched_port = Some(q);
-                self.ports.mark_mst(q);
-                ctx.send(q, Msg::AcceptCross);
-            }
-            Sel::Child(c) => ctx.send(c, Msg::AcceptPath),
-            Sel::None => unreachable!("AcceptPath reached a subtree without a candidate"),
-        }
+        ctx.send(up, Msg::UnmatchedUp { child: self.b.unmatched.best });
     }
 
     /// Carries a match up to the fragment root, which records its partner:
     /// the forest parent that picked the fragment.
     fn b_matched_up(&mut self, ctx: &mut RoundCtx<'_, Msg>, partner: u64) {
         if self.is_frag_root() {
-            self.b.matched = true;
             self.b.partner = Some(partner);
         } else {
             let up = self.frag_parent.expect("non-root has a fragment parent");
@@ -456,35 +386,7 @@ impl ElkinNode {
         }
     }
 
-    /// One hop of the accepting root's notice to its own forest parent,
-    /// the only fragment whose choice its matched status can change: down
-    /// the MWOE argmin path, then across the MWOE. A fragment that its
-    /// parent matched tells no one: only that parent could pick it.
-    fn b_status_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.b.sel {
-            // The fragment behind the MWOE is my foreign child: I am the
-            // higher side of a mutual MWOE and have no forest parent.
-            Sel::Mine(q) if self.b.foreign_child[q].is_some() => {}
-            Sel::Mine(q) => ctx.send(q, Msg::StatusCross),
-            Sel::Child(c) => ctx.send(c, Msg::StatusPath),
-            Sel::None => unreachable!("a fragment with a foreign child has an MWOE"),
-        }
-    }
-
     // ---- merge flood ----
-
-    /// One hop down the MWOE argmin path of a merging fragment; its
-    /// endpoint marks the MWOE and crosses it.
-    fn b_merge_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.b.sel {
-            Sel::Mine(q) => {
-                self.ports.mark_mst(q);
-                ctx.send(q, Msg::MergeCross);
-            }
-            Sel::Child(c) => ctx.send(c, Msg::MergePath),
-            Sel::None => unreachable!("MergePath reached a subtree without a candidate"),
-        }
-    }
 
     fn b_flood_init(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         self.b.flooded = true;

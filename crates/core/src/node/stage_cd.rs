@@ -46,11 +46,11 @@
 //!    phase 0's candidates: with two or more base fragments in a connected
 //!    graph each has an outgoing edge, and in phase 0 each has a coarse id
 //!    of its own, so the per-coarse-id filter passes every one of them.
-//! 5. Fragment roots broadcast `NewCoarse`; chosen candidates are marked
-//!    by a `MarkPath` downcast along the remembered argmin path plus a
-//!    `MarkCross` over the edge itself. `MarkPath` is
-//!    always sent before the same edge's `NewCoarse`, so per-edge FIFO
-//!    delivers it while the phase-`j` scratch (and its `Sel`) is intact.
+//! 5. Fragment roots broadcast `NewCoarse`; a chosen candidate is marked
+//!    at both ends by a [`Walk::Mark`] down the phase's argmin path and
+//!    across the edge. Each hop is sent before the same edge's
+//!    `NewCoarse`, so per-edge FIFO delivers it while the phase-`j`
+//!    scratch (and its `Argmin`) is intact.
 //!    Termination needs no extra control flow: `done` rides the final
 //!    answer path and every vertex quiesces once its queues drain. A lone
 //!    base fragment (phase 0 finds no outgoing edge) spans the graph: its
@@ -67,7 +67,7 @@
 use congest_sim::RoundCtx;
 
 use crate::candidate::{CandKey, Candidate};
-use crate::msg::Msg;
+use crate::msg::{Msg, Walk};
 
 use super::{lane, DScratch, ElkinNode, Sel, UNKNOWN};
 
@@ -121,11 +121,8 @@ impl ElkinNode {
                         "FragMwoeUp after subtree completion at vertex {}",
                         self.id
                     );
-                    if let Some((key, dc)) = cand {
-                        if self.d.agg.is_none_or(|(a, _)| key < a) {
-                            self.d.agg = Some((key, dc));
-                            self.d.sel = Sel::Child(port);
-                        }
+                    if let Some(cand) = cand {
+                        self.d.mwoe.offer(cand, Sel::Child(port));
                     }
                     self.d.frag_up_recv += 1;
                 }
@@ -168,18 +165,19 @@ impl ElkinNode {
                     }
                 }
                 Msg::NewCoarse { id, done } => self.cd_apply_new_coarse(ctx, id, done),
-                // `MarkPath` was sent before the same phase's `NewCoarse`
-                // on this edge, so FIFO guarantees it is processed while
-                // `d.sel` still holds the phase's argmin selection.
-                Msg::MarkPath => self.cd_mark_path(ctx),
-                Msg::MarkCross => self.ports.mark_mst(port),
+                // The `Mark` path hop was sent before the same phase's
+                // `NewCoarse` on this edge, so FIFO guarantees it is
+                // processed while `d.mwoe` still holds the phase's argmin
+                // selection.
+                Msg::Path(Walk::Mark) => self.walk(ctx, Walk::Mark),
+                Msg::Cross(Walk::Mark) => self.ports.mark_mst(port),
                 ref other => unreachable!("stage D received {other:?}"),
             }
         }
     }
 
     /// Per-round scheduled work. Unconditional control sends (handler
-    /// forwards, announce, `FragMwoeUp`, `NewCoarse`/`MarkPath` via the
+    /// forwards, announce, `FragMwoeUp`, `NewCoarse` and the Mark walk via the
     /// root merge) run before the pipeline flushes, which go through
     /// [`RoundCtx::try_send`] and so spend exactly what is left of each
     /// edge's word budget this round. The completion marker (`UpDone`) is
@@ -208,14 +206,8 @@ impl ElkinNode {
         // reported. No probe broadcast and no global go-signal exist.
         if self.cd_aggregate_ready() {
             self.d.responded = true;
-            let (mine, sel) = self.cd_local_candidate();
-            if let Some((key, dc)) = mine {
-                if self.d.agg.is_none_or(|(a, _)| key < a) {
-                    self.d.agg = Some((key, dc));
-                    self.d.sel = sel;
-                }
-            }
-            if self.is_frag_root() && self.d.phase == 0 && self.d.agg.is_none() {
+            self.cd_offer_local();
+            if self.is_frag_root() && self.d.phase == 0 && self.d.mwoe.best.is_none() {
                 // No edge leaves this base fragment: it spans the graph,
                 // so it answers itself and the run is over.
                 self.cd_apply_new_coarse(ctx, self.coarse, true);
@@ -223,7 +215,7 @@ impl ElkinNode {
                 self.cd_inject();
             } else {
                 let up = self.frag_parent.expect("non-root has a fragment parent");
-                ctx.send(up, Msg::FragMwoeUp { cand: self.d.agg });
+                ctx.send(up, Msg::FragMwoeUp { cand: self.d.mwoe.best });
             }
         }
 
@@ -236,7 +228,6 @@ impl ElkinNode {
                     break;
                 }
                 self.d.up_pending.remove(&(key, sc));
-                self.d.up_sent.insert(sc, key);
             }
         }
 
@@ -338,23 +329,19 @@ impl ElkinNode {
 
     // ---- helpers ----
 
-    /// Lightest incident edge leaving my *coarse* fragment, with the
-    /// coarse id on its far side. A retired port's `nbr_coarse` is stale,
-    /// but its edge is internal anyway.
-    fn cd_local_candidate(&self) -> (Option<(CandKey, u64)>, Sel) {
-        let mut best: Option<(CandKey, u64)> = None;
-        let mut sel = Sel::None;
+    /// Offers my incident edges leaving my *coarse* fragment, each with
+    /// the coarse id on its far side, to the subtree aggregate. A retired
+    /// port's `nbr_coarse` is stale, but its edge is internal anyway.
+    fn cd_offer_local(&mut self) {
+        let mut mwoe = std::mem::take(&mut self.d.mwoe);
         for q in self.live_ports() {
             let nc = self.ports.nbr_coarse(q);
             if nc != self.coarse {
                 let key = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, nc));
-                    sel = Sel::Mine(q);
-                }
+                mwoe.offer((key, nc), Sel::Mine(q));
             }
         }
-        (best, sel)
+        self.d.mwoe = mwoe;
     }
 
     /// Fragment root: turn the aggregate into a pipelined record. Every
@@ -363,7 +350,7 @@ impl ElkinNode {
     fn cd_inject(&mut self) {
         debug_assert!(!self.d.injected);
         self.d.injected = true;
-        if let Some((key, dc)) = self.d.agg {
+        if let Some((key, dc)) = self.d.mwoe.best {
             let src_coarse = self.coarse;
             let rec = Candidate { key, src_coarse, dst_coarse: dc, src_slot: self.slot };
             self.cd_offer(rec);
@@ -374,9 +361,6 @@ impl ElkinNode {
     /// collection): keep only improvements per source coarse id.
     fn cd_offer(&mut self, rec: Candidate) {
         let sc = rec.src_coarse;
-        if self.d.up_sent.get(&sc).is_some_and(|s| *s <= rec.key) {
-            return;
-        }
         if let Some(old) = self.d.up_best.get(&sc) {
             if old.key <= rec.key {
                 return;
@@ -431,9 +415,10 @@ impl ElkinNode {
             .unwrap_or_else(|| panic!("slot {dest} not in any child interval of {}", self.id))
     }
 
-    /// A base-fragment root received its phase answer: mark the chosen
-    /// edge (before `NewCoarse`, so FIFO protects every hop's `Sel`),
-    /// broadcast the new coarse id, and roll into the next phase myself.
+    /// A base-fragment root received its phase answer: walk to the chosen
+    /// edge and mark it (before `NewCoarse`, so FIFO protects every hop's
+    /// `Sel`), broadcast the new coarse id, and roll into the next phase
+    /// myself.
     fn cd_consume_assign(
         &mut self,
         ctx: &mut RoundCtx<'_, Msg>,
@@ -443,22 +428,9 @@ impl ElkinNode {
     ) {
         debug_assert!(self.is_frag_root());
         if chosen {
-            self.cd_mark_path(ctx);
+            self.walk(ctx, Walk::Mark);
         }
         self.cd_apply_new_coarse(ctx, nc, done);
-    }
-
-    /// Marks the chosen edge along the phase's argmin path: its endpoint
-    /// marks it and crosses it, anyone else passes `MarkPath` on.
-    fn cd_mark_path(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.d.sel {
-            Sel::Mine(q) => {
-                self.ports.mark_mst(q);
-                ctx.send(q, Msg::MarkCross);
-            }
-            Sel::Child(c) => ctx.send(c, Msg::MarkPath),
-            Sel::None => unreachable!("MarkPath reached a subtree without a candidate"),
-        }
     }
 
     /// The one phase-roll call site: pass the new coarse id down the

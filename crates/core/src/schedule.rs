@@ -18,11 +18,11 @@
 //! |---|---|---|
 //! | Announce | `1` | one local send; delivered at the next window's offset 0 |
 //! | Probe | `2p+1` | descend `p` (depth-`j` vertex hears at offset `j`), ascend `p`: root hears the last `MwoeUp` at offset `2p` |
-//! | Connect | `p+2` | `MwoePath` descends `<= p`, `ConnectReq` crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
-//! | Exchange × X | `2p+2` | `ColorDown` descends `<= p`, `ColorCross` (+1), `ColorUp` ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
+//! | Connect | `p+2` | the Connect walk descends `<= p` and crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
+//! | Exchange × X | `2p+2` | `ColorDown` descends `<= p`, `ColorUp` crosses (+1) and ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
 //! | Collect (×3) | `p+1` | pure convergecast, ascend `<= p` |
-//! | Accept (×3) | `2p+2` | `AcceptPath` descends `<= p`, `AcceptCross` (+1), `MatchedUp` ascends `<= p`; alongside, `StatusPath` descends `<= p` and `StatusCross` (+1) lands by offset `p+1` |
-//! | MergeGo | `p+2` | `MergePath` descends `<= p`, `MergeCross` (+1) |
+//! | Accept (×3) | `2p+2` | the Accept walk descends `<= p` and crosses (+1), `MatchedUp` ascends `<= p`; alongside, the Status walk descends `<= p` and crosses (+1), landing by offset `p+1` |
+//! | MergeGo | `p+2` | the Merge walk descends `<= p` and crosses (+1) |
 //! | MergeFlood | `5p+5` | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
 //!
 //! `X = steps_to_six(n) + 6` Cole–Vishkin iterations. Summed, a phase

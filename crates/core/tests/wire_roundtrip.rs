@@ -12,7 +12,7 @@
 //! key components carry full words.
 
 use congest_sim::{Message, WireReader, WireWriter, UNIT_WORDS};
-use dmst_core::{CandKey, Candidate, Msg};
+use dmst_core::{CandKey, Candidate, Msg, Walk};
 use proptest::prelude::*;
 
 /// Encode, check the length bounds, decode, check identity and that the
@@ -30,9 +30,10 @@ fn check(m: &Msg) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Deterministically builds one of the 29 variants from raw components.
+/// Deterministically builds one of the 20 variants from raw components
+/// (the two walk messages with any of the five kinds).
 /// `small*` feed packed (tag-word) fields, `big*` feed full-word fields.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one parameter per proptest strategy")]
 fn build(
     sel: usize,
     small: u32,
@@ -46,6 +47,7 @@ fn build(
     let id = u64::from(small);
     let id2 = u64::from(small2);
     let key = CandKey::new(big, big2, big3);
+    let walk = Walk::ALL[small2 as usize % Walk::ALL.len()];
     match sel {
         0 => Msg::Bfs { me: id },
         1 => Msg::BfsChild { me: id2 },
@@ -54,30 +56,21 @@ fn build(
         4 => Msg::FragAnnounce { frag: id },
         5 => Msg::Probe { ttl: small },
         6 => Msg::MwoeUp { cand: flag.then_some(key), overflow: flag2 },
-        7 => Msg::MwoePath,
-        8 => Msg::ConnectReq,
-        9 => Msg::ColorDown { color: id },
-        10 => Msg::ColorCross { color: id },
-        11 => Msg::ColorUp { color: id },
-        12 => Msg::UnmatchedUp { child: flag.then_some(id) },
-        13 => Msg::AcceptPath,
-        14 => Msg::AcceptCross,
-        15 => Msg::MatchedUp { partner: id },
-        16 => Msg::StatusPath,
-        17 => Msg::StatusCross,
-        18 => Msg::MergePath,
-        19 => Msg::MergeCross,
-        20 => Msg::NewFrag { id },
-        21 => Msg::CoarseAnnounce { coarse: id },
-        22 => Msg::FragMwoeUp { cand: flag.then_some((key, id2)) },
-        23 => Msg::Candidate {
+        7 => Msg::ColorDown { color: id },
+        8 => Msg::ColorUp { color: id },
+        9 => Msg::UnmatchedUp { child: flag.then_some(id) },
+        10 => Msg::MatchedUp { partner: id },
+        11 => Msg::NewFrag { id },
+        12 => Msg::CoarseAnnounce { coarse: id },
+        13 => Msg::FragMwoeUp { cand: flag.then_some((key, id2)) },
+        14 => Msg::Candidate {
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
-        24 => Msg::UpDone,
-        25 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
-        26 => Msg::NewCoarse { id, done: flag },
-        27 => Msg::MarkPath,
-        _ => Msg::MarkCross,
+        15 => Msg::UpDone,
+        16 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
+        17 => Msg::NewCoarse { id, done: flag },
+        18 => Msg::Path(walk),
+        _ => Msg::Cross(walk),
     }
 }
 
@@ -88,7 +81,7 @@ proptest! {
     /// message.
     #[test]
     fn msg_roundtrip(
-        sel in 0usize..29,
+        sel in 0usize..20,
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),
@@ -105,7 +98,7 @@ proptest! {
     /// sequentially to the original sequence, each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
-        sels in proptest::collection::vec(0usize..29, 1..8),
+        sels in proptest::collection::vec(0usize..20, 1..8),
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),

@@ -27,8 +27,6 @@
 //! assert_eq!(d, 8); // 4 + 4 hops around the torus
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 pub mod analysis;

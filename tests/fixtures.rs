@@ -1,13 +1,14 @@
 //! The lint configuration as a fixture. Each static contract of the
 //! workspace (DESIGN.md §7) that clippy enforces lives in a few lines of
-//! config: a ban in a protocol crate's `clippy.toml`, or a crate-level
-//! `deny`. Deleting such a line would weaken the gate without failing
-//! anything, so each test here pins the lines behind one contract.
+//! config: a ban in a protocol crate's `clippy.toml`, an entry of the root
+//! manifest's `[workspace.lints]`, or a module-level `deny`. Deleting such
+//! a line would weaken the gate without failing anything, so each test
+//! here pins the lines behind one contract.
 
 use std::fs;
 use std::path::Path;
 
-/// The four library crates the determinism bans and lint denies cover.
+/// The four library crates the determinism bans and workspace lints cover.
 const PROTOCOL_CRATES: [&str; 4] =
     ["crates/congest", "crates/core", "crates/graphs", "crates/baselines"];
 
@@ -37,6 +38,16 @@ fn config_paths(toml: &str, key: &str) -> Vec<String> {
         .filter_map(|entry| entry.split_once('"'))
         .map(|(path, _)| path.to_owned())
         .collect()
+}
+
+/// Asserts that the TOML table `[table]` of the file `rel` holds the line
+/// `entry`.
+fn assert_entry(rel: &str, table: &str, entry: &str) {
+    let header = format!("[{table}]");
+    let toml = read(rel);
+    let body = toml.lines().map(str::trim).skip_while(|line| *line != header).skip(1);
+    let found = body.take_while(|line| !line.starts_with('[')).any(|line| line == entry);
+    assert!(found, "{rel}: `[{table}]` lost `{entry}`");
 }
 
 /// The lints that inner `#![level(...)]` attributes of `src` name, comment
@@ -108,14 +119,13 @@ fn panic_hygiene() {
 
 #[test]
 fn unused_and_malformed_allow() {
+    for lint in ["allow_attributes", "allow_attributes_without_reason"] {
+        assert_entry("Cargo.toml", "workspace.lints.clippy", &format!("{lint} = \"deny\""));
+    }
+    assert_entry("Cargo.toml", "workspace.lints.rust", "unsafe_code = \"forbid\"");
+    // The table binds every target of each package that opts in.
     for krate in PROTOCOL_CRATES {
-        let denied = inner_lints(&read(&format!("{krate}/src/lib.rs")), "deny");
-        for lint in ["clippy::allow_attributes", "clippy::allow_attributes_without_reason"] {
-            assert!(
-                denied.iter().any(|d| d == lint),
-                "{krate}/src/lib.rs no longer denies `{lint}`"
-            );
-        }
+        assert_entry(&format!("{krate}/Cargo.toml"), "lints", "workspace = true");
     }
     // An `#[expect]` that suppresses nothing is only a warning.
     assert!(read(".github/workflows/ci.yml").contains(CLIPPY_GATE), "CI lost `{CLIPPY_GATE}`");

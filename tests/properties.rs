@@ -33,12 +33,12 @@ proptest! {
         prop_assert_eq!(run.edges, truth.edges);
     }
 
-    /// Regression for the fused-phase argmin race (PR 3): `MarkPath`
-    /// retraces the remembered argmin path through per-phase `DScratch`
-    /// that the `NewCoarse` roll replaces — under the barrier protocol a
-    /// late `MarkPath` hit scratch the phase barrier had already reset
-    /// (the `unreachable!` in `cd_handle`). The fix is ordering, not
-    /// state: `MarkPath` is sent before the same edge's `NewCoarse`, so
+    /// Regression for the fused-phase argmin race: the Mark walk retraces
+    /// the remembered argmin path through per-phase `DScratch` that the
+    /// `NewCoarse` roll replaces — under the barrier protocol a late hop
+    /// hit scratch the phase barrier had already reset (the `unreachable!`
+    /// in `ElkinNode::walk`). The fix is ordering, not state: each
+    /// `Path(Walk::Mark)` hop is sent before the same edge's `NewCoarse`, so
     /// per-edge FIFO delivers it while the phase-`j` selection is intact.
     /// Drive deep fragment trees (tall caterpillar MSTs, forced `k`) with
     /// colliding weights: a mis-ordered roll either trips that
