@@ -7,7 +7,8 @@
 //! globally nondecreasing key order, every intermediate vertex discarding
 //! edges whose endpoints its local union–find already connects (such an
 //! edge is the heaviest on a cycle of lighter forwarded edges, so it cannot
-//! be in the MST — the classic cycle filter). The BFS root runs the final
+//! be in the MST — the classic cycle filter, [`CycleFilter`], which Elkin's
+//! Stage D finish runs too). The BFS root runs the final
 //! Kruskal over fragments and floods the chosen `O(sqrt(n))` edges to the
 //! whole graph, which is what drives the message complexity to
 //! `Θ(m + n^{3/2})` and motivates Elkin's Borůvka-on-top replacement.
@@ -16,11 +17,12 @@
 //! second starts from the first's final state); the reported cost is the
 //! sum — see DESIGN.md.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use congest_sim::{Message, NodeInfo, NodeProgram, PortId, RoundCtx, WireReader, WireWriter};
 
-use dmst_core::{CandKey, ForestRun};
+use dmst_core::fraggraph::CycleFilter;
+use dmst_core::{CandKey, Candidate, ForestRun};
 
 /// Wire protocol of Pipeline MST (phase 2).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -106,33 +108,10 @@ impl Message for PipeMsg {
     }
 }
 
-/// Tiny union–find over arbitrary `u64` labels (fragment ids), used for the
-/// local cycle filter at every vertex and the final Kruskal at the root.
-#[derive(Clone, Debug, Default)]
-struct LabelUf {
-    parent: BTreeMap<u64, u64>,
-}
-
-impl LabelUf {
-    fn find(&mut self, x: u64) -> u64 {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let r = self.find(p);
-        self.parent.insert(x, r);
-        r
-    }
-
-    /// Returns `true` if the labels were in different sets.
-    fn union(&mut self, a: u64, b: u64) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        self.parent.insert(ra.max(rb), ra.min(rb));
-        true
-    }
+/// The inter-fragment edge `key` between fragments `src` and `dst`, as a
+/// filter record.
+fn edge(key: CandKey, src: u64, dst: u64) -> Candidate {
+    Candidate { key, src_coarse: src, dst_coarse: dst, src_slot: 0 }
 }
 
 /// Phase 2 node, preloaded with the Phase 1 outcome (base fragment, BFS
@@ -150,14 +129,10 @@ pub struct PipeNode {
     nbr_id: Vec<u64>,
     nbr_frag: Vec<u64>,
 
-    /// Candidates not yet forwarded, keyed for in-order release.
-    pending: BTreeMap<CandKey, (u64, u64)>,
-    /// Cycle filter.
-    uf: LabelUf,
-    /// Largest key received from each BFS child (children send in
-    /// nondecreasing order, so this bounds everything still to come).
-    last_from: Vec<Option<CandKey>>,
-    child_done: Vec<bool>,
+    /// Candidates not yet forwarded, released in key order through the
+    /// cycle filter (`src_coarse`/`dst_coarse` hold the fragment ids on
+    /// the edge's two sides; `src_slot` is unused).
+    filter: CycleFilter,
     enumerated: bool,
     done_sent: bool,
 
@@ -208,10 +183,7 @@ impl PipeNode {
             bfs_children,
             nbr_id: vec![u64::MAX; deg],
             nbr_frag: vec![u64::MAX; deg],
-            pending: BTreeMap::new(),
-            uf: LabelUf::default(),
-            last_from: vec![None; nchild],
-            child_done: vec![false; nchild],
+            filter: CycleFilter::new(nchild),
             enumerated: false,
             done_sent: false,
             chosen: Vec::new(),
@@ -229,15 +201,6 @@ impl PipeNode {
 
     fn child_index(&self, port: PortId) -> usize {
         self.bfs_children.iter().position(|&q| q == port).expect("message from a BFS child")
-    }
-
-    /// Gate for in-order release: every child has either finished or already
-    /// sent something `>= key` (children emit in nondecreasing order).
-    fn may_release(&self, key: CandKey) -> bool {
-        self.child_done
-            .iter()
-            .zip(&self.last_from)
-            .all(|(&done, last)| done || last.is_some_and(|l| l >= key))
     }
 
     /// Mark the endpoint ports of a chosen edge if we are one of them.
@@ -266,13 +229,11 @@ impl NodeProgram for PipeNode {
                 }
                 PipeMsg::Cand { key, src, dst } => {
                     let idx = self.child_index(port);
-                    debug_assert!(self.last_from[idx].is_none_or(|l| l <= key));
-                    self.last_from[idx] = Some(key);
-                    self.pending.insert(key, (src, dst));
+                    self.filter.receive(idx, edge(key, src, dst));
                 }
                 PipeMsg::PipeDone => {
                     let idx = self.child_index(port);
-                    self.child_done[idx] = true;
+                    self.filter.close(idx);
                 }
                 PipeMsg::Chosen { key } => {
                     self.mark_if_mine(key);
@@ -302,7 +263,7 @@ impl NodeProgram for PipeNode {
             for q in 0..self.deg {
                 if self.nbr_frag[q] != self.frag && self.id < self.nbr_id[q] {
                     let key = CandKey::new(self.weights[q], self.id, self.nbr_id[q]);
-                    self.pending.insert(key, (self.frag, self.nbr_frag[q]));
+                    self.filter.offer(edge(key, self.frag, self.nbr_frag[q]));
                 }
             }
         }
@@ -310,26 +271,19 @@ impl NodeProgram for PipeNode {
         // In-order filtered release toward the BFS root (one candidate per
         // round per edge: b = 1 unit messages; filtering is free).
         if self.enumerated && !self.done_sent {
-            while let Some((&key, &(src, dst))) = self.pending.iter().next() {
-                if !self.may_release(key) {
-                    break;
-                }
-                self.pending.remove(&key);
-                if !self.uf.union(src, dst) {
-                    continue; // heaviest on a cycle: discard, try the next
-                }
+            while self.filter.peek().is_some() {
+                let Candidate { key, src_coarse: src, dst_coarse: dst, .. } = self.filter.release();
                 if let Some(up) = self.bfs_parent {
                     ctx.send(up, PipeMsg::Cand { key, src, dst });
-                } else {
-                    self.chosen.push(key);
-                    self.mark_if_mine(key);
-                    continue; // the root can absorb several per round
+                    break; // one message per round per edge
                 }
-                break; // one message per round per edge
+                // The root can absorb several per round.
+                self.chosen.push(key);
+                self.mark_if_mine(key);
             }
 
             // Subtree exhausted?
-            if self.pending.is_empty() && self.child_done.iter().all(|&d| d) {
+            if self.filter.exhausted() {
                 self.done_sent = true;
                 if let Some(up) = self.bfs_parent {
                     ctx.send(up, PipeMsg::PipeDone);

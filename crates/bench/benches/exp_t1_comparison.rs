@@ -16,15 +16,20 @@
 //! sanity point with its own wire-word ceiling.
 
 use dmst_baselines::{run_ghs, run_pipeline};
-use dmst_bench::{banner, header, row, standard_trio, Workload};
+use dmst_bench::{
+    banner, budget, header, row, standard_trio, Workload, CLIQUEPATH_2304_ROUNDS,
+    CLIQUEPATH_2304_STAGE_D_CEILING, CLIQUEPATH_2304_WIRE_WORDS, TORUS_256_WIRE_WORDS,
+};
 use dmst_core::{run_mst, ElkinConfig};
 use dmst_graphs::mst;
 
 fn smoke() {
-    banner(
-        "T1 (smoke): round and wire-word budget guard",
-        "cliquepath n=2304: total <= 7590, Stage D <= 2590; wire words <= measured x 1.1; oracle MST",
+    let claim = format!(
+        "cliquepath n=2304: total <= {}, Stage D <= {CLIQUEPATH_2304_STAGE_D_CEILING}; \
+         wire words <= golden x 1.1; oracle MST",
+        budget(CLIQUEPATH_2304_ROUNDS)
     );
+    banner("T1 (smoke): round and wire-word budget guard", &claim);
     header(&["workload", "rounds", "stage D", "messages", "wire words"]);
     let cliquepath = standard_trio(2304, 0x51)
         .into_iter()
@@ -44,33 +49,34 @@ fn smoke() {
         run
     };
     let (cp, tor) = (solve(&cliquepath), solve(&torus));
-    // Fused-Stage-D gates: the golden 6900 total rounds (+10% slack), and
-    // a Stage D ceiling of 2590 rounds, 36% of the 7195-round total it was
-    // first pinned against, so Stage D cannot quietly become the
-    // bottleneck again. It is a fixed bound, not a share: a faster
-    // Stage B must not fail it. The measured 2535 Stage D rounds (6898 in
-    // total) sit within ~6% of the 4H + 2k = 2396-round floor of this
-    // workload's two Borůvka phases.
+    // Stage D gates: the golden total rounds (+10% slack), and the fixed
+    // Stage D ceiling, so Stage D cannot quietly become the bottleneck
+    // again (the goldens live in `dmst_bench`).
+    let cap = budget(CLIQUEPATH_2304_ROUNDS);
     assert!(
-        cp.stats.rounds <= 7590,
-        "cliquepath total {} exceeds the 6900-round golden (+10%)",
+        cp.stats.rounds <= cap,
+        "cliquepath total {} exceeds {cap}, the {CLIQUEPATH_2304_ROUNDS}-round golden (+10%)",
         cp.stats.rounds
     );
     assert!(
-        cp.stats.rounds_in_stage("d") <= 2590,
-        "cliquepath Stage D {} exceeds the 2590-round ceiling",
+        cp.stats.rounds_in_stage("d") <= CLIQUEPATH_2304_STAGE_D_CEILING,
+        "cliquepath Stage D {} exceeds the {CLIQUEPATH_2304_STAGE_D_CEILING}-round ceiling",
         cp.stats.rounds_in_stage("d")
     );
-    // Total-wire-words gate, one ceiling per smoke row: the measured
+    // Total-wire-words gate, one ceiling per smoke row: the golden
     // encoded volume of each run + 10% slack. `wire_words` counts the
     // words `Message::encode` wrote into the rings, the same length the
     // capacity check charges, so a protocol change that bloats the
     // encoding trips this even when rounds and messages stay flat.
-    for (label, run, ceiling) in [("cliquepath", &cp, 391_948u64), ("torus", &tor, 28_896)] {
+    let rows = [
+        ("cliquepath", &cp, budget(CLIQUEPATH_2304_WIRE_WORDS)),
+        ("torus", &tor, budget(TORUS_256_WIRE_WORDS)),
+    ];
+    for (label, run, ceiling) in rows {
         println!("wire gate: {label:<22} {:>9} (ceiling {ceiling})", run.stats.wire_words);
         assert!(
             run.stats.wire_words <= ceiling,
-            "{label}: total wire words {} exceed the measured-x-1.1 ceiling {ceiling}",
+            "{label}: total wire words {} exceed the golden-x-1.1 ceiling {ceiling}",
             run.stats.wire_words
         );
     }

@@ -153,7 +153,7 @@ fn gate() {
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
 
     // Its high-diameter counterpart (perfbench's cliquepath_16384): 2048
-    // cliques of 8 in a path, diameter ~4096, 51k mostly idle rounds, so
+    // cliques of 8 in a path, diameter ~4096, 34k mostly idle rounds, so
     // per-round fixed cost — wakes, fast-forward — sets the pace. Healthy:
     // ~1.7-2.2 s release on one core of a 2-CPU box; the 7 s ceiling keeps
     // over 3x headroom. Counts pinned as above.
@@ -162,11 +162,11 @@ fn gate() {
         run_mst(&g, &ElkinConfig::default()).unwrap()
     });
     assert_eq!(
-        run.stats.rounds, 51_161,
+        run.stats.rounds, 34_078,
         "cliquepath rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 2_638_280,
+        run.stats.messages, 2_292_852,
         "cliquepath messages moved; re-pin deliberately (`repin -- --large`)"
     );
 

@@ -162,7 +162,9 @@ pub enum Msg {
     // vertices are never more than one phase apart (the per-phase `UpDone`
     // convergecast gates the root merge on every vertex), so receivers
     // classify `CoarseAnnounce` / `Candidate` / `UpDone` by per-port FIFO
-    // counting. ----
+    // counting. A finish, the last phase when the BFS root orders one,
+    // sends no `FragMwoeUp`: every vertex feeds its own candidates into a
+    // cycle-filtered upcast. ----
     /// Per-phase refresh of the sender's coarse id over its live ports.
     /// Sent exactly once per phase in phase order until the port is
     /// retired, so the receiver infers the phase from its per-port receive
@@ -183,7 +185,9 @@ pub enum Msg {
         /// side of the edge), if any.
         cand: Option<(CandKey, u64)>,
     },
-    /// A candidate record in the pipelined, filtered upcast to the BFS root.
+    /// A candidate record in the pipelined, filtered upcast to the BFS root
+    /// (filtered per source coarse id in a regular phase, by the cycle
+    /// filter in a finish).
     Candidate {
         /// The record.
         rec: Candidate,
@@ -195,24 +199,34 @@ pub enum Msg {
     /// Interval-routed answer to one base fragment (pipelined downcast).
     /// Receipt closes the answered phase and opens the next one, so
     /// fragments re-announce immediately.
+    ///
+    /// A finish answers twice over: each chosen edge's endpoint gets one
+    /// with `chosen` set and the coarse id across that edge in
+    /// `new_coarse`, then every base fragment gets one with `done` set.
     Assign {
-        /// Destination slot (the base fragment root's interval start).
+        /// Destination slot (the base fragment root's interval start, or
+        /// in a finish a chosen edge's endpoint's slot).
         dest_slot: u64,
-        /// The base fragment's new coarse id.
+        /// The base fragment's new coarse id (in a finish's chosen answer,
+        /// the coarse id across the chosen edge).
         new_coarse: u64,
         /// Whether this base fragment's candidate was chosen as an MST edge.
         chosen: bool,
         /// Whether the algorithm is globally finished after this phase.
         done: bool,
+        /// Whether the next phase is a finish (the BFS root's order).
+        finish: bool,
     },
-    /// Base-fragment-internal broadcast of the new coarse id (+ done
-    /// flag): the fragment-local leg of [`Msg::Assign`], and the whole
-    /// answer when a lone base fragment spans the graph.
+    /// Base-fragment-internal broadcast of the new coarse id (+ the done
+    /// and finish flags): the fragment-local leg of [`Msg::Assign`], and
+    /// the whole answer when a lone base fragment spans the graph.
     NewCoarse {
         /// New coarse id.
         id: u64,
         /// Global termination flag.
         done: bool,
+        /// Whether the next phase is a finish.
+        finish: bool,
     },
 
     // ---- Argmin walks, both stages (see `Walk`) ----
@@ -247,7 +261,8 @@ pub enum Walk {
     /// Stage D, down the phase's argmin path: the chosen candidate edge is
     /// marked at both ends. Sent before the same phase's
     /// [`Msg::NewCoarse`] over the same edges, so per-edge FIFO delivers it
-    /// before each hop's `DScratch` rolls.
+    /// before each hop's `DScratch` rolls. In a finish the answer goes to
+    /// the edge's endpoint itself, which sends only the `Cross`.
     Mark,
 }
 
@@ -358,16 +373,18 @@ impl Message for Msg {
                 w.word(rec.dst_coarse);
             }
             Msg::UpDone => w.tag(TAG_UP_DONE),
-            Msg::Assign { dest_slot, new_coarse, chosen, done } => {
+            Msg::Assign { dest_slot, new_coarse, chosen, done, finish } => {
                 w.tag(TAG_ASSIGN);
                 w.flag(0, *chosen);
                 w.flag(1, *done);
+                w.flag(2, *finish);
                 w.pack(*dest_slot); // slots are < n
                 w.word(*new_coarse);
             }
-            Msg::NewCoarse { id, done } => {
+            Msg::NewCoarse { id, done, finish } => {
                 w.tag(TAG_NEW_COARSE);
                 w.flag(0, *done);
+                w.flag(1, *finish);
                 w.pack(*id);
             }
             Msg::Path(walk) => {
@@ -425,8 +442,9 @@ impl Message for Msg {
                 new_coarse: r.word(),
                 chosen: r.flag(0),
                 done: r.flag(1),
+                finish: r.flag(2),
             },
-            TAG_NEW_COARSE => Msg::NewCoarse { id: r.packed(), done: r.flag(0) },
+            TAG_NEW_COARSE => Msg::NewCoarse { id: r.packed(), done: r.flag(0), finish: r.flag(1) },
             TAG_PATH => Msg::Path(Walk::ALL[r.packed() as usize]),
             TAG_CROSS => Msg::Cross(Walk::ALL[r.packed() as usize]),
             other => unreachable!("unknown Msg wire tag {other}"),
@@ -468,10 +486,14 @@ mod tests {
                 Msg::CoarseAnnounce { .. } => Msg::FragMwoeUp { cand: Some((key, 4)) },
                 Msg::FragMwoeUp { .. } => Msg::Candidate { rec },
                 Msg::Candidate { .. } => Msg::UpDone,
-                Msg::UpDone => {
-                    Msg::Assign { dest_slot: 5, new_coarse: 6, chosen: true, done: false }
-                }
-                Msg::Assign { .. } => Msg::NewCoarse { id: 7, done: true },
+                Msg::UpDone => Msg::Assign {
+                    dest_slot: 5,
+                    new_coarse: 6,
+                    chosen: true,
+                    done: false,
+                    finish: true,
+                },
+                Msg::Assign { .. } => Msg::NewCoarse { id: 7, done: true, finish: true },
                 Msg::NewCoarse { .. } => Msg::Path(Walk::Connect),
                 Msg::Path(walk) => Msg::Cross(*walk),
                 Msg::Cross(walk) => Msg::Path(match walk {
@@ -512,9 +534,10 @@ mod tests {
     fn answers_pack_their_address() {
         // `Assign`'s slot and `NewCoarse`'s id are below n, so they ride
         // in the tag word: at b = 1 an edge carries four `Assign`s a round.
-        let assign = Msg::Assign { dest_slot: 7, new_coarse: 3, chosen: true, done: true };
+        let assign =
+            Msg::Assign { dest_slot: 7, new_coarse: 3, chosen: true, done: true, finish: true };
         assert_eq!(encoded_len(&assign), 2);
-        assert_eq!(encoded_len(&Msg::NewCoarse { id: 7, done: true }), 1);
+        assert_eq!(encoded_len(&Msg::NewCoarse { id: 7, done: true, finish: true }), 1);
     }
 
     #[test]
@@ -539,7 +562,7 @@ mod tests {
     fn tags_group_by_stage() {
         assert_eq!(Msg::Bfs { me: 0 }.tag(), "a:bfs");
         assert_eq!(Msg::NewFrag { id: 3 }.tag(), "b:merge");
-        assert_eq!(Msg::NewCoarse { id: 0, done: true }.tag(), "d:newcoarse");
+        assert_eq!(Msg::NewCoarse { id: 0, done: true, finish: false }.tag(), "d:newcoarse");
         assert_eq!(Msg::UpDone.tag(), "d:upcast");
     }
 

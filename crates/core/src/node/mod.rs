@@ -15,7 +15,9 @@
 //!   (paper §3). Phase 0 opens at every vertex when Stage B ends. Phases
 //!   are *fused*: there is no per-phase barrier — every sub-step triggers
 //!   on local completion events, and the next phase rides the previous
-//!   phase's answer path (see `stage_cd.rs` and DESIGN.md §2).
+//!   phase's answer path. Once few coarse fragments remain on a tall BFS
+//!   tree, one cycle-filtered pipeline (the *finish*) replaces the
+//!   remaining phases (see `stage_cd.rs` and DESIGN.md §2).
 //!
 //! Stage D is event-driven (completion messages, not round windows);
 //! DESIGN.md explains why this is faithful to the paper's cost accounting.
@@ -32,6 +34,7 @@ use congest_sim::{NodeInfo, NodeProgram, PortId, RoundCtx};
 
 use crate::candidate::{CandKey, Candidate};
 use crate::config::ElkinConfig;
+use crate::fraggraph::CycleFilter;
 use crate::msg::{Msg, Walk};
 use crate::schedule::{Params, Schedule};
 
@@ -110,6 +113,12 @@ impl PortArena {
     #[inline]
     fn set(&mut self, l: usize, q: usize, v: u64) {
         self.buf[l * self.deg + q] = v;
+    }
+
+    /// Number of ports.
+    #[inline]
+    pub(crate) fn deg(&self) -> usize {
+        self.deg
     }
 
     /// Weight of the edge behind port `q`.
@@ -355,6 +364,9 @@ pub(crate) struct RootState {
     /// Current coarse id of each base fragment, by its root's slot; filled
     /// from phase 0's candidates (see `cd_root_merge`).
     pub slot_coarse: BTreeMap<u64, u64>,
+    /// The finish this root ordered, if any: its phase `j` and the `F_j`
+    /// coarse fragments it started from.
+    pub finish: Option<(u64, usize)>,
 }
 
 /// The algorithm's per-vertex program. Construct via [`ElkinNode::new`] and
@@ -364,7 +376,6 @@ pub(crate) struct RootState {
 pub struct ElkinNode {
     // Immutable identity.
     pub(crate) id: u64,
-    pub(crate) deg: usize,
     pub(crate) cfg: ElkinConfig,
     /// Stop after Stage B, leaving the `(O(n/k), O(k))` base forest as the
     /// output (Theorem 4.3 standalone; set by
@@ -429,12 +440,17 @@ pub struct ElkinNode {
     pub(crate) ann_recv_next: usize,
     /// `UpDone`s of phase `d.phase + 1` already received from BFS children.
     pub(crate) updone_next: usize,
-    /// Candidate records of phase `d.phase + 1` received early.
-    pub(crate) cand_next: Vec<Candidate>,
+    /// Candidate records of phase `d.phase + 1` received early, with the
+    /// port each came in on (a finish's filter tracks each BFS child).
+    pub(crate) cand_next: Vec<(PortId, Candidate)>,
     /// Pipelined downcast queues, one per BFS child (parallel to
     /// `bfs_children`).
     pub(crate) down: Vec<VecDeque<Msg>>,
     pub(crate) root: Option<Box<RootState>>,
+    /// Set when this vertex rolls into a finish (the BFS root's order
+    /// rides the previous phase's answers) and kept to the end: the finish
+    /// is the last phase, and its answers may land after `done`.
+    pub(crate) finish: Option<Box<CycleFilter>>,
 }
 
 /// Coarse stage marker.
@@ -467,7 +483,6 @@ impl ElkinNode {
         let deg = info.ports.len();
         Self {
             id: info.id as u64,
-            deg,
             ports: PortArena::new(deg, info.ports.iter().map(|p| p.weight)),
             live: deg,
             known_frag: info.id as u64,
@@ -496,6 +511,7 @@ impl ElkinNode {
             cand_next: Vec::new(),
             down: Vec::new(),
             root: None,
+            finish: None,
         }
     }
 
@@ -520,9 +536,14 @@ impl ElkinNode {
         self.live -= self.ports.retire_matching(nbr, mine);
     }
 
+    /// The tie-broken key of the edge behind port `q`.
+    pub(crate) fn edge_key(&self, q: PortId) -> CandKey {
+        CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q))
+    }
+
     /// The ports not yet retired, in ascending order.
     pub(crate) fn live_ports(&self) -> impl Iterator<Item = PortId> + '_ {
-        (0..self.deg).filter(|&q| !self.ports.retired(q))
+        (0..self.ports.deg()).filter(|&q| !self.ports.retired(q))
     }
 
     /// One hop of an argmin walk: the vertex whose own port holds the
@@ -559,7 +580,7 @@ impl ElkinNode {
     /// Ports that are incident MST edges, in ascending order — the
     /// algorithm's required per-vertex output.
     pub fn mst_ports(&self) -> Vec<PortId> {
-        (0..self.deg).filter(|&p| self.ports.mst(p)).collect()
+        (0..self.ports.deg()).filter(|&p| self.ports.mst(p)).collect()
     }
 
     /// The parameter `k` this run settled on (after Stage A).

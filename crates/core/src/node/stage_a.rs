@@ -41,7 +41,7 @@ impl ElkinNode {
                         self.bfs_parent = Some(port);
                         self.a.close_round = round + 2;
                         ctx.send(port, Msg::BfsChild { me: self.id });
-                        for p in 0..self.deg {
+                        for p in 0..self.ports.deg() {
                             if p != port {
                                 ctx.send(p, Msg::Bfs { me: self.id });
                             }
@@ -80,12 +80,12 @@ impl ElkinNode {
             self.a.seen = true;
             self.depth = 0;
             self.a.close_round = 2;
-            if self.deg == 0 {
+            if self.ports.deg() == 0 {
                 // Single-vertex graph: the MST is empty and we are done.
                 self.finished = true;
                 return;
             }
-            for p in 0..self.deg {
+            for p in 0..self.ports.deg() {
                 ctx.send(p, Msg::Bfs { me: self.id });
             }
         }

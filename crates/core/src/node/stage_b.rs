@@ -45,7 +45,6 @@ use std::sync::OnceLock;
 
 use congest_sim::{PortId, RoundCtx};
 
-use crate::candidate::CandKey;
 use crate::cv;
 use crate::msg::{Msg, Walk};
 use crate::schedule::{ExchangeKind, Schedule, Slot, Window};
@@ -158,7 +157,7 @@ impl ElkinNode {
             Window::Announce => {
                 debug_assert!(slot.offset == 0);
                 self.b = BScratch {
-                    foreign_child: vec![None; self.deg],
+                    foreign_child: vec![None; self.ports.deg()],
                     color: self.frag_id,
                     prev_color: self.frag_id,
                     ..BScratch::default()
@@ -288,7 +287,7 @@ impl ElkinNode {
         let mut mwoe = Argmin::default();
         for q in self.live_ports() {
             if self.ports.nbr_frag(q) != self.frag_id {
-                let k = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
+                let k = self.edge_key(q);
                 mwoe.offer(k, Sel::Mine(q));
             }
         }

@@ -63,13 +63,48 @@
 //! beyond one phase is impossible: the root cannot merge `j + 1` before
 //! every vertex contributed `UpDone` for it, which requires that vertex to
 //! have finished `j`.
+//!
+//! **The finish.** Every regular phase climbs the BFS tree twice, so on a
+//! tall tree the last phases cost about `2H` rounds each to merge a
+//! handful of coarse fragments. After merging phase `j - 1`, the BFS root
+//! orders a finish for phase `j` when
+//! [`orders_finish`](crate::fraggraph::orders_finish) holds
+//! (`j >= 1` and `4 <= F_j <= ⌊√H⌋`, with `F_j` the coarse fragments the
+//! merge left). The order rides phase `j - 1`'s `Assign`/`NewCoarse`
+//! answers, and a vertex keeps it to the end of the run. In the finish:
+//!
+//! 1. Announces run as in any phase. A vertex whose own ports have all
+//!    announced queues its lightest live edge into each adjacent coarse
+//!    fragment; no `FragMwoeUp` climbs the base fragment.
+//! 2. Every vertex forwards its queue and its BFS children's candidates
+//!    through a [`CycleFilter`]: in nondecreasing key order, once every
+//!    child's watermark has passed, and only the candidates that close no
+//!    cycle over coarse ids (Kutten–Peleg's filter). At most `F_j - 1`
+//!    candidates cross each BFS edge, and `UpDone` follows the last.
+//! 3. The BFS root runs Kruskal over what reached it: `F_j - 1` edges. It
+//!    answers every base fragment with `done`, as after a last regular
+//!    phase, then each chosen edge's endpoint by its slot; the endpoint
+//!    marks the edge and sends `Cross(Mark)`.
+//!
+//! A vertex may get its fragment's `done` before its own mark answer,
+//! which takes another route. Neither the finish filter nor the phase's
+//! `nbr_coarse` lane is dropped at `done`, so the late mark still finds its
+//! edge, and a vertex with answers left to pass on is not finished.
 
-use congest_sim::RoundCtx;
+use std::collections::BTreeMap;
+
+use congest_sim::{PortId, RoundCtx};
 
 use crate::candidate::{CandKey, Candidate};
+use crate::fraggraph::{orders_finish, CycleFilter};
 use crate::msg::{Msg, Walk};
 
 use super::{lane, DScratch, ElkinNode, Sel, UNKNOWN};
+
+/// Index of the BFS child behind `port`.
+fn child_index(children: &[PortId], port: PortId) -> usize {
+    children.iter().position(|&c| c == port).expect("upcast traffic comes from a BFS child")
+}
 
 impl ElkinNode {
     /// Called once when Stage B's schedule ends: retires the ports Stage
@@ -131,7 +166,7 @@ impl ElkinNode {
                     // last `UpDone` seen on it (per-edge FIFO).
                     let ph = self.ports.updone_count(port);
                     if ph == self.d.phase {
-                        self.cd_offer(rec);
+                        self.cd_take(port, rec);
                     } else {
                         debug_assert_eq!(
                             ph,
@@ -139,13 +174,16 @@ impl ElkinNode {
                             "candidate phase skew > 1 at vertex {}",
                             self.id
                         );
-                        self.cand_next.push(rec);
+                        self.cand_next.push((port, rec));
                     }
                 }
                 Msg::UpDone => {
                     let ph = self.ports.bump_updone_count(port);
                     if ph == self.d.phase {
                         self.d.updone_children += 1;
+                        if let Some(filter) = self.finish.as_deref_mut() {
+                            filter.close(child_index(&self.bfs_children, port));
+                        }
                     } else {
                         debug_assert_eq!(
                             ph,
@@ -156,15 +194,24 @@ impl ElkinNode {
                         self.updone_next += 1;
                     }
                 }
-                Msg::Assign { dest_slot, new_coarse, chosen, done } => {
-                    if dest_slot == self.slot {
-                        self.cd_consume_assign(ctx, new_coarse, chosen, done);
-                    } else {
+                Msg::Assign { dest_slot, new_coarse, chosen, done, finish } => {
+                    if dest_slot != self.slot {
                         let idx = self.cd_route(dest_slot);
                         self.down[idx].push_back(msg.clone());
+                        // Answers to pass on: not finished until they are.
+                        self.finished = false;
+                    } else if self.finish.is_none() {
+                        self.cd_consume_assign(ctx, new_coarse, chosen, done, finish);
+                    } else if chosen {
+                        self.cd_finish_mark(ctx, new_coarse);
+                    } else {
+                        debug_assert!(done, "a finish answers only marks and done");
+                        self.cd_apply_new_coarse(ctx, new_coarse, done, finish);
                     }
                 }
-                Msg::NewCoarse { id, done } => self.cd_apply_new_coarse(ctx, id, done),
+                Msg::NewCoarse { id, done, finish } => {
+                    self.cd_apply_new_coarse(ctx, id, done, finish);
+                }
                 // The `Mark` path hop was sent before the same phase's
                 // `NewCoarse` on this edge, so FIFO guarantees it is
                 // processed while `d.mwoe` still holds the phase's argmin
@@ -206,28 +253,31 @@ impl ElkinNode {
         // reported. No probe broadcast and no global go-signal exist.
         if self.cd_aggregate_ready() {
             self.d.responded = true;
-            self.cd_offer_local();
-            if self.is_frag_root() && self.d.phase == 0 && self.d.mwoe.best.is_none() {
-                // No edge leaves this base fragment: it spans the graph,
-                // so it answers itself and the run is over.
-                self.cd_apply_new_coarse(ctx, self.coarse, true);
-            } else if self.is_frag_root() {
-                self.cd_inject();
+            if self.finish.is_some() {
+                self.cd_finish_offer();
             } else {
-                let up = self.frag_parent.expect("non-root has a fragment parent");
-                ctx.send(up, Msg::FragMwoeUp { cand: self.d.mwoe.best });
+                self.cd_aggregate(ctx);
             }
         }
 
         // (c) Candidate pipeline flush toward the BFS parent.
         if let Some(parent) = self.bfs_parent.filter(|_| self.cd_upcast_ready()) {
-            while let Some(&(key, sc)) = self.d.up_pending.iter().next() {
-                let rec = self.d.up_best[&sc];
-                debug_assert_eq!(rec.key, key);
-                if ctx.try_send(parent, Msg::Candidate { rec }).is_err() {
-                    break;
+            if let Some(filter) = self.finish.as_deref_mut() {
+                while let Some(rec) = filter.peek() {
+                    if ctx.try_send(parent, Msg::Candidate { rec }).is_err() {
+                        break;
+                    }
+                    filter.release();
                 }
-                self.d.up_pending.remove(&(key, sc));
+            } else {
+                while let Some(&(key, sc)) = self.d.up_pending.iter().next() {
+                    let rec = self.d.up_best[&sc];
+                    debug_assert_eq!(rec.key, key);
+                    if ctx.try_send(parent, Msg::Candidate { rec }).is_err() {
+                        break;
+                    }
+                    self.d.up_pending.remove(&(key, sc));
+                }
             }
         }
 
@@ -241,7 +291,11 @@ impl ElkinNode {
                 }
             } else {
                 self.d.updone_sent = true;
-                self.cd_root_merge(ctx);
+                if self.finish.is_some() {
+                    self.cd_finish_merge(ctx);
+                } else {
+                    self.cd_root_merge(ctx);
+                }
             }
         }
 
@@ -262,6 +316,23 @@ impl ElkinNode {
         if self.cd_quiesce_ready() {
             debug_assert!(self.cand_next.is_empty(), "buffered candidates past termination");
             self.finished = true;
+        }
+    }
+
+    /// (b) in a regular phase: offer my own edges, then report the
+    /// fragment subtree's best to the fragment parent, or at the fragment
+    /// root turn it into a pipelined record.
+    fn cd_aggregate(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        self.cd_offer_local();
+        if self.is_frag_root() && self.d.phase == 0 && self.d.mwoe.best.is_none() {
+            // No edge leaves this base fragment: it spans the graph, so it
+            // answers itself and the run is over.
+            self.cd_apply_new_coarse(ctx, self.coarse, true, false);
+        } else if self.is_frag_root() {
+            self.cd_inject();
+        } else {
+            let up = self.frag_parent.expect("non-root has a fragment parent");
+            ctx.send(up, Msg::FragMwoeUp { cand: self.d.mwoe.best });
         }
     }
 
@@ -291,27 +362,36 @@ impl ElkinNode {
         !self.done_seen && !self.d.announced
     }
 
-    /// (b) Every live port announced and every fragment child reported.
+    /// (b) Every live port announced and every fragment child reported (a
+    /// finish sends no `FragMwoeUp`).
     fn cd_aggregate_ready(&self) -> bool {
         self.d.announced
             && !self.d.responded
             && self.d.ann_recv == self.live
-            && self.d.frag_up_recv == self.frag_children.len()
+            && (self.finish.is_some() || self.d.frag_up_recv == self.frag_children.len())
     }
 
-    /// (c) Candidates wait to go up.
+    /// (c) Candidates wait to go up: in a finish, once my own are queued
+    /// and the filter's head has passed every child's watermark.
     fn cd_upcast_ready(&self) -> bool {
-        self.bfs_parent.is_some() && !self.d.up_pending.is_empty()
+        self.bfs_parent.is_some()
+            && match self.finish.as_deref() {
+                Some(filter) => self.d.responded && filter.ready(),
+                None => !self.d.up_pending.is_empty(),
+            }
     }
 
     /// (d) My subtree's upcast is complete: send `UpDone`, or at the BFS
-    /// root, merge.
+    /// root, merge. In a finish the root keeps its queue for Kruskal.
     fn cd_updone_ready(&self) -> bool {
+        let flushed = match self.finish.as_deref() {
+            Some(filter) => self.d.responded && (self.bfs_parent.is_none() || filter.exhausted()),
+            None => (!self.is_frag_root() || self.d.injected) && self.d.up_pending.is_empty(),
+        };
         !self.done_seen
             && !self.d.updone_sent
-            && (!self.is_frag_root() || self.d.injected)
             && self.d.updone_children == self.bfs_children.len()
-            && self.d.up_pending.is_empty()
+            && flushed
     }
 
     /// (e) Answers wait to go down.
@@ -337,8 +417,7 @@ impl ElkinNode {
         for q in self.live_ports() {
             let nc = self.ports.nbr_coarse(q);
             if nc != self.coarse {
-                let key = CandKey::new(self.ports.weight(q), self.id, self.ports.nbr_id(q));
-                mwoe.offer((key, nc), Sel::Mine(q));
+                mwoe.offer((self.edge_key(q), nc), Sel::Mine(q));
             }
         }
         self.d.mwoe = mwoe;
@@ -353,6 +432,16 @@ impl ElkinNode {
         if let Some((key, dc)) = self.d.mwoe.best {
             let src_coarse = self.coarse;
             let rec = Candidate { key, src_coarse, dst_coarse: dc, src_slot: self.slot };
+            self.cd_offer(rec);
+        }
+    }
+
+    /// A current-phase candidate from the BFS child behind `port`: the
+    /// finish's filter takes it, or a regular phase's per-coarse-id buffer.
+    fn cd_take(&mut self, port: PortId, rec: Candidate) {
+        if let Some(filter) = self.finish.as_deref_mut() {
+            filter.receive(child_index(&self.bfs_children, port), rec);
+        } else {
             self.cd_offer(rec);
         }
     }
@@ -392,6 +481,11 @@ impl ElkinNode {
         let coarse_ids: Vec<u64> = root.slot_coarse.values().copied().collect();
         let outcome = crate::fraggraph::merge_fragment_graph(&coarse_ids, &self.d.up_best);
         let done = outcome.done;
+        let h = self.params.expect("Stage A agreed on the parameters").h;
+        let finish = orders_finish(self.d.phase + 1, outcome.remaining, h);
+        if finish {
+            root.finish = Some((self.d.phase + 1, outcome.remaining));
+        }
 
         // Answer every base fragment with its new coarse id.
         for (&slot, coarse) in &mut root.slot_coarse {
@@ -399,14 +493,62 @@ impl ElkinNode {
             *coarse = nc;
             let chosen = outcome.chosen_slots.contains(&slot);
             if slot == self.slot {
-                self.cd_consume_assign(ctx, nc, chosen, done);
+                self.cd_consume_assign(ctx, nc, chosen, done, finish);
             } else {
-                let idx = self.cd_route(slot);
-                let answer = Msg::Assign { dest_slot: slot, new_coarse: nc, chosen, done };
-                self.down[idx].push_back(answer);
+                let answer = Msg::Assign { dest_slot: slot, new_coarse: nc, chosen, done, finish };
+                self.cd_send_down(slot, answer);
             }
         }
         self.root = Some(root);
+    }
+
+    /// BFS root, end of a finish: Kruskal over the candidates that reached
+    /// it, then the answers. Every base fragment gets `done`, as after a
+    /// last regular phase; then each chosen edge's endpoint is answered by
+    /// its own slot. The marks queue behind the `done`s, whose fragment
+    /// floods are the longer tail.
+    fn cd_finish_merge(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
+        let chosen = self.finish.as_deref_mut().expect("the root is finishing").kruskal();
+        let mut root = self.root.take().expect("only the BFS root merges");
+        let id = root.slot_coarse.values().copied().min().expect("a finish has base fragments");
+        for (&slot, coarse) in &mut root.slot_coarse {
+            *coarse = id;
+            if slot == self.slot {
+                self.cd_apply_new_coarse(ctx, id, true, false);
+            } else {
+                let done = Msg::Assign {
+                    dest_slot: slot,
+                    new_coarse: id,
+                    chosen: false,
+                    done: true,
+                    finish: false,
+                };
+                self.cd_send_down(slot, done);
+            }
+        }
+        self.root = Some(root);
+        for rec in chosen {
+            let (slot, far) = (rec.src_slot, rec.dst_coarse);
+            if slot == self.slot {
+                self.cd_finish_mark(ctx, far);
+            } else {
+                let mark = Msg::Assign {
+                    dest_slot: slot,
+                    new_coarse: far,
+                    chosen: true,
+                    done: false,
+                    finish: false,
+                };
+                self.cd_send_down(slot, mark);
+            }
+        }
+    }
+
+    /// Queues the root's `answer` to `slot` on the BFS child whose interval
+    /// holds it.
+    fn cd_send_down(&mut self, slot: u64, answer: Msg) {
+        let idx = self.cd_route(slot);
+        self.down[idx].push_back(answer);
     }
 
     /// Which BFS child's interval contains `dest`?
@@ -425,45 +567,100 @@ impl ElkinNode {
         nc: u64,
         chosen: bool,
         done: bool,
+        finish: bool,
     ) {
         debug_assert!(self.is_frag_root());
         if chosen {
             self.walk(ctx, Walk::Mark);
         }
-        self.cd_apply_new_coarse(ctx, nc, done);
+        self.cd_apply_new_coarse(ctx, nc, done, finish);
     }
 
-    /// The one phase-roll call site: pass the new coarse id down the
-    /// fragment, retire the ports this phase's announces showed internal,
-    /// adopt the new id, roll the scratch, and latch global termination.
-    fn cd_apply_new_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64, done: bool) {
+    /// The one phase-roll call site: pass the new coarse id (and the
+    /// flags) down the fragment, retire the ports this phase's announces
+    /// showed internal, adopt the new id, roll the scratch, and latch
+    /// global termination.
+    fn cd_apply_new_coarse(
+        &mut self,
+        ctx: &mut RoundCtx<'_, Msg>,
+        id: u64,
+        done: bool,
+        finish: bool,
+    ) {
         for &q in &self.frag_children {
-            ctx.send(q, Msg::NewCoarse { id, done });
+            ctx.send(q, Msg::NewCoarse { id, done, finish });
         }
         self.retire_internal(lane::NBR_COARSE, self.coarse);
         self.coarse = id;
-        self.cd_roll_phase();
+        self.cd_roll_phase(finish);
         if done {
             self.done_seen = true;
         }
     }
 
     /// Replace the per-phase scratch with a fresh one for `d.phase + 1`,
-    /// folding in whatever next-phase traffic arrived early (the skew
-    /// buffers; see `DScratch`).
-    fn cd_roll_phase(&mut self) {
+    /// opening the finish's filter if the new phase is one, and fold in
+    /// whatever next-phase traffic arrived early (the skew buffers; see
+    /// `DScratch`).
+    fn cd_roll_phase(&mut self, finish: bool) {
         self.d = DScratch { phase: self.d.phase + 1, ..DScratch::default() };
         self.d.ann_recv = std::mem::take(&mut self.ann_recv_next);
         self.d.updone_children = std::mem::take(&mut self.updone_next);
-        for q in 0..self.deg {
+        for q in 0..self.ports.deg() {
             let next = self.ports.nbr_coarse_next(q);
             if next != UNKNOWN {
                 self.ports.set_nbr_coarse(q, next);
                 self.ports.set_nbr_coarse_next(q, UNKNOWN);
             }
         }
-        for rec in std::mem::take(&mut self.cand_next) {
-            self.cd_offer(rec);
+        if finish {
+            let mut filter = CycleFilter::new(self.bfs_children.len());
+            for (i, &c) in self.bfs_children.iter().enumerate() {
+                // This phase's `UpDone` from `c` already landed.
+                if self.ports.updone_count(c) > self.d.phase {
+                    filter.close(i);
+                }
+            }
+            self.finish = Some(Box::new(filter));
         }
+        for (port, rec) in std::mem::take(&mut self.cand_next) {
+            self.cd_take(port, rec);
+        }
+    }
+
+    // ---- the finish ----
+
+    /// (b) in a finish: queue my lightest live edge into each adjacent
+    /// coarse fragment, addressed by my own slot. A heavier parallel edge
+    /// to the same fragment could only close a cycle.
+    fn cd_finish_offer(&mut self) {
+        let mut lightest: BTreeMap<u64, CandKey> = BTreeMap::new();
+        for q in self.live_ports() {
+            let nc = self.ports.nbr_coarse(q);
+            if nc != self.coarse {
+                let key = self.edge_key(q);
+                lightest.entry(nc).and_modify(|k| *k = key.min(*k)).or_insert(key);
+            }
+        }
+        let (src_coarse, src_slot) = (self.coarse, self.slot);
+        let filter = self.finish.as_deref_mut().expect("the vertex is finishing");
+        for (dst_coarse, key) in lightest {
+            filter.offer(Candidate { key, src_coarse, dst_coarse, src_slot });
+        }
+    }
+
+    /// A finish's chosen answer at the edge's endpoint: mark the lightest
+    /// live edge into coarse fragment `c`, the one this vertex offered, and
+    /// tell the far end. The phase's `nbr_coarse` lane stays current: no
+    /// announce follows a finish, and `done` retires only ports into this
+    /// vertex's own coarse fragment.
+    fn cd_finish_mark(&mut self, ctx: &mut RoundCtx<'_, Msg>, c: u64) {
+        let q = self
+            .live_ports()
+            .filter(|&q| self.ports.nbr_coarse(q) == c)
+            .min_by_key(|&q| self.edge_key(q))
+            .expect("a chosen edge leaves through a live port");
+        self.ports.mark_mst(q);
+        ctx.send(q, Msg::Cross(Walk::Mark));
     }
 }

@@ -247,7 +247,69 @@ pub fn run_forest(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<ForestRun, Run
 mod tests {
     use super::*;
     use crate::schedule::Params;
-    use dmst_graphs::generators::{random_connected, WeightRng};
+    use dmst_graphs::generators::{self as gen, random_connected, WeightRng};
+    use dmst_graphs::mst;
+    use proptest::prelude::*;
+
+    /// Runs `g`, checks the MST against Kruskal's, and returns the finish
+    /// the BFS root ordered, if any: its phase and coarse fragment count.
+    fn finish_order(g: &WeightedGraph, cfg: &ElkinConfig) -> Option<(u64, usize)> {
+        let mut net = network_for(g, cfg, false).unwrap();
+        net.run(&sim_config(g, cfg)).unwrap();
+        let edges = marked_mst_edges(g, &net, ElkinNode::mst_ports).unwrap();
+        assert_eq!(edges, mst::kruskal(g).edges, "{cfg:?}");
+        net.nodes()[cfg.root].root.as_ref().and_then(|r| r.finish)
+    }
+
+    /// The n = 256 cliquepath 32x8 of the T1 trio (the third graph of
+    /// `dmst_bench::standard_trio(256, 0x51)`'s RNG stream; BFS height 63),
+    /// which `dual_executor` also steps under `EveryRound`: phase 0 leaves
+    /// five coarse fragments, `5 <= ⌊√63⌋ = 7`, so phase 1 is a finish.
+    #[test]
+    fn t1_cliquepath_finishes_at_phase_1() {
+        let r = &mut WeightRng::new(0x51);
+        let _torus = gen::torus_2d(16, 16, r);
+        let _random = gen::random_connected(256, 3 * 256, r);
+        let g = gen::path_of_cliques(32, 8, r);
+        for b in [1, 2] {
+            let cfg = ElkinConfig { bandwidth: b, ..ElkinConfig::default() };
+            assert_eq!(finish_order(&g, &cfg), Some((1, 5)), "b = {b}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The finish builds Kruskal's MST on tall graphs, at b in {1, 2}
+        /// and shards in {1, 2}. A forced small `k` leaves the paths and
+        /// cliquepaths enough base fragments for the rule to fire, and the
+        /// cases where it does not are rejected, so every counted case
+        /// finishes. The snake torus is the control: its MST is one path of
+        /// ascending weights, so phase 0 merges every base fragment into
+        /// one and no finish is ever ordered.
+        #[test]
+        fn finish_matches_kruskal_on_tall_graphs(
+            family in 0usize..3,
+            seed in any::<u64>(),
+            k in 2u64..5,
+            b in 1u32..3,
+            shards in 1u32..3,
+        ) {
+            let r = &mut WeightRng::new(seed);
+            let g = match family {
+                0 => gen::path(150, r),
+                1 => gen::path_of_cliques(32, 4, r),
+                _ => gen::snake_torus(12, 12, r),
+            };
+            let cfg = ElkinConfig { bandwidth: b, shards, ..ElkinConfig::with_k(k) };
+            let order = finish_order(&g, &cfg);
+            if family == 2 {
+                prop_assert_eq!(order, None);
+            } else {
+                prop_assume!(order.is_some());
+            }
+        }
+    }
 
     #[test]
     fn every_vertex_shares_one_timeline() {

@@ -67,8 +67,14 @@ fn build(
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
         15 => Msg::UpDone,
-        16 => Msg::Assign { dest_slot: id, new_coarse: big, chosen: flag, done: flag2 },
-        17 => Msg::NewCoarse { id, done: flag },
+        16 => Msg::Assign {
+            dest_slot: id,
+            new_coarse: big,
+            chosen: flag,
+            done: flag2,
+            finish: big2 & 1 == 1,
+        },
+        17 => Msg::NewCoarse { id, done: flag, finish: flag2 },
         18 => Msg::Path(walk),
         _ => Msg::Cross(walk),
     }

@@ -33,7 +33,6 @@
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
 //! and `EXPERIMENTS.md` for paper-vs-measured results.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use congest_sim as congest;

@@ -8,9 +8,14 @@
 use std::fs;
 use std::path::Path;
 
-/// The four library crates the determinism bans and workspace lints cover.
+/// The four library crates the determinism bans cover.
 const PROTOCOL_CRATES: [&str; 4] =
     ["crates/congest", "crates/core", "crates/graphs", "crates/baselines"];
+
+/// The packages that opt into `[workspace.lints]`: the four library crates,
+/// the experiment harness and the root package (`.`).
+const LINTED_PACKAGES: [&str; 6] =
+    ["crates/congest", "crates/core", "crates/graphs", "crates/baselines", "crates/bench", "."];
 
 /// The CI step that turns clippy's warn-level lints into errors.
 const CLIPPY_GATE: &str = "cargo clippy --workspace --all-targets --locked -- -D warnings";
@@ -124,8 +129,8 @@ fn unused_and_malformed_allow() {
     }
     assert_entry("Cargo.toml", "workspace.lints.rust", "unsafe_code = \"forbid\"");
     // The table binds every target of each package that opts in.
-    for krate in PROTOCOL_CRATES {
-        assert_entry(&format!("{krate}/Cargo.toml"), "lints", "workspace = true");
+    for package in LINTED_PACKAGES {
+        assert_entry(&format!("{package}/Cargo.toml"), "lints", "workspace = true");
     }
     // An `#[expect]` that suppresses nothing is only a warning.
     assert!(read(".github/workflows/ci.yml").contains(CLIPPY_GATE), "CI lost `{CLIPPY_GATE}`");
