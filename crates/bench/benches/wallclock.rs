@@ -137,17 +137,20 @@ fn gate() {
     // workload (same generator and seed as scale_probe).
     // Healthy: ~0.9-1.2 s release on one core of a 2-CPU box, so the 4 s
     // ceiling keeps over 3x headroom. The rounds/messages of this run are
-    // themselves pinned so the gate cannot pass by doing less work.
+    // themselves pinned so the gate cannot pass by doing less work. Six
+    // color classes moved this row's rounds up, 931 -> 935, while its
+    // messages fell 14%: across seeds the rounds move both ways
+    // (EXPERIMENTS.md, "Six color classes").
     let g = gen::random_connected(16_384, 32_768, &mut gen::WeightRng::new(0x5CA1E));
     let run = gate_check("end_to_end/elkin_random_16384", 4_000, || {
         run_mst(&g, &ElkinConfig::default()).unwrap()
     });
     assert_eq!(
-        run.stats.rounds, 931,
+        run.stats.rounds, 935,
         "gate workload rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 1_369_613,
+        run.stats.messages, 1_180_461,
         "gate workload messages moved; re-pin deliberately (`repin -- --large`)"
     );
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
@@ -162,11 +165,11 @@ fn gate() {
         run_mst(&g, &ElkinConfig::default()).unwrap()
     });
     assert_eq!(
-        run.stats.rounds, 34_078,
+        run.stats.rounds, 33_841,
         "cliquepath rounds moved; re-pin deliberately (`repin -- --large`)"
     );
     assert_eq!(
-        run.stats.messages, 2_292_852,
+        run.stats.messages, 1_940_424,
         "cliquepath messages moved; re-pin deliberately (`repin -- --large`)"
     );
 

@@ -3,25 +3,18 @@
 //! Section 4 of the paper 3-colors the candidate fragment graph `G'_i` (a
 //! rooted forest: every fragment points at the fragment behind its MWOE) in
 //! `log* n + O(1)` communication steps, then extracts a maximal matching in 3
-//! more steps. This module holds the *pure* per-vertex color transitions;
-//! the distributed driver (who talks to whom, in which round) lives in the
-//! Controlled-GHS stage of the node program.
+//! more steps, one per color class. Any proper coloring gives a maximal
+//! matching that way, one step per class, so this reproduction stops at six
+//! colors and runs six matching steps instead of reducing six colors to
+//! three first (DESIGN.md §2). This module holds the *pure* per-vertex color
+//! transitions; the distributed driver (who talks to whom, in which round)
+//! lives in the Controlled-GHS stage of the node program.
 //!
-//! The scheme:
-//!
-//! 1. **Bit-ladder steps** ([`cv_step`] / [`cv_step_root`]): with colors in
-//!    `0..K`, a vertex takes `2 * i + bit_i(c)` where `i` is the lowest bit
-//!    position at which its color differs from its parent's. Colors drop to
-//!    `0..2*ceil(log2 K)`; iterating reaches the fixed point `K = 6` after
-//!    [`steps_to_six`] iterations.
-//! 2. **Shift-down** ([`shift_down`] / [`shift_down_root`]): every non-root
-//!    adopts its parent's previous color, making all siblings same-colored;
-//!    roots pick a fresh color. Properness is preserved.
-//! 3. **Recolor** ([`recolor`]): one color class `c ∈ {3, 4, 5}` at a time
-//!    moves into `{0, 1, 2}`, avoiding the (single) parent color and the
-//!    vertex's own pre-shift color, which is what its children, if any,
-//!    all hold. A leaf excludes it too: it costs a leaf nothing it needs,
-//!    and no vertex has to learn whether it has children.
+//! **Bit-ladder steps** ([`cv_step`] / [`cv_step_root`]): with colors in
+//! `0..K`, a vertex takes `2 * i + bit_i(c)` where `i` is the lowest bit
+//! position at which its color differs from its parent's. Colors drop to
+//! `0..2*ceil(log2 K)`; iterating reaches the fixed point `K = 6` after
+//! [`steps_to_six`] iterations.
 //!
 //! All functions are deterministic and total; properness invariants are
 //! exercised by unit tests and a whole-forest property test.
@@ -59,42 +52,18 @@ pub fn cv_step_root(my: u64) -> u64 {
     my & 1
 }
 
-/// Shift-down for a non-root: adopt the parent's *previous* color.
-pub fn shift_down(parent_prev: u64) -> u64 {
-    parent_prev
-}
-
-/// Shift-down for a root: pick the smallest color in `{0, 1, 2}` different
-/// from its previous color, so it cannot collide with its children (who all
-/// adopt that previous color).
-pub fn shift_down_root(my_prev: u64) -> u64 {
-    (0..3).find(|&c| c != my_prev).expect("three candidates, at most one excluded")
-}
-
-/// Recoloring of class `c` after a shift-down: a vertex whose current color
-/// is in `{3, 4, 5}` picks the smallest color in `{0, 1, 2}` avoiding its
-/// parent's current color and `children`, its own pre-shift color — the
-/// color every child of it adopted. Leaves pass it as well, so the rule is
-/// uniform.
-pub fn recolor(parent: Option<u64>, children: u64) -> u64 {
-    (0..3)
-        .find(|&c| Some(c) != parent && c != children)
-        .expect("three candidates, at most two excluded")
-}
-
-/// Reference driver: runs the full reduction on an explicitly represented
+/// Reference driver: runs the bit ladder on an explicitly represented
 /// rooted forest (`parent[v] == usize::MAX` for roots) starting from the
-/// coloring `color[v] = v`. Returns a proper 3-coloring.
+/// coloring `color[v] = v`. Returns a proper coloring with colors in `0..6`.
 ///
-/// The distributed implementation in the Controlled-GHS stage performs
-/// exactly these transitions, one communication step per iteration; this
-/// function exists so tests can cross-check the distributed run against the
-/// centralized one.
+/// The Controlled-GHS stage runs these transitions, one communication step
+/// per iteration; this function exists so tests can check them on whole
+/// forests.
 ///
 /// # Panics
 ///
 /// Panics if `parent` contains an out-of-range entry or a self-loop.
-pub fn three_color_forest(parent: &[usize]) -> Vec<u64> {
+pub fn six_color_forest(parent: &[usize]) -> Vec<u64> {
     let n = parent.len();
     for (v, &p) in parent.iter().enumerate() {
         assert!(p == usize::MAX || (p < n && p != v), "invalid parent pointer at {v}");
@@ -108,26 +77,6 @@ pub fn three_color_forest(parent: &[usize]) -> Vec<u64> {
             } else {
                 cv_step(prev[v], prev[parent[v]])
             };
-        }
-    }
-    // 6 -> 3: for each high class, shift down then clear that class.
-    for class in 3..6 {
-        let prev = color.clone();
-        for v in 0..n {
-            color[v] = if parent[v] == usize::MAX {
-                shift_down_root(prev[v])
-            } else {
-                shift_down(prev[parent[v]])
-            };
-        }
-        let cur = color.clone();
-        for v in 0..n {
-            if cur[v] == class {
-                let p = (parent[v] != usize::MAX).then(|| cur[parent[v]]);
-                // After shift-down all children of v carry v's pre-shift
-                // color, which equals what v just handed down: prev[v].
-                color[v] = recolor(p, prev[v]);
-            }
         }
     }
     color
@@ -176,12 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn chain_reduces_to_three() {
+    fn chain_reduces_to_six() {
         let n = 200;
         let parent: Vec<usize> = (0..n).map(|v| if v == 0 { usize::MAX } else { v - 1 }).collect();
-        let color = three_color_forest(&parent);
+        let color = six_color_forest(&parent);
         assert_proper(&parent, &color);
-        assert!(color.iter().all(|&c| c < 3));
+        assert!(color.iter().all(|&c| c < 6));
     }
 
     #[test]
@@ -189,21 +138,21 @@ mod tests {
         // Star: root 0, all others children of 0.
         let parent: Vec<usize> =
             std::iter::once(usize::MAX).chain(std::iter::repeat(0)).take(50).collect();
-        let color = three_color_forest(&parent);
+        let color = six_color_forest(&parent);
         assert_proper(&parent, &color);
-        assert!(color.iter().all(|&c| c < 3));
+        assert!(color.iter().all(|&c| c < 6));
 
         // Forest of two chains.
         let p2 = vec![usize::MAX, 0, 1, usize::MAX, 3, 4];
-        let color = three_color_forest(&p2);
+        let color = six_color_forest(&p2);
         assert_proper(&p2, &color);
-        assert!(color.iter().all(|&c| c < 3));
+        assert!(color.iter().all(|&c| c < 6));
     }
 
     #[test]
     fn singleton_and_empty() {
-        assert_eq!(three_color_forest(&[]), Vec::<u64>::new());
-        let c = three_color_forest(&[usize::MAX]);
-        assert!(c[0] < 3);
+        assert_eq!(six_color_forest(&[]), Vec::<u64>::new());
+        let c = six_color_forest(&[usize::MAX]);
+        assert!(c[0] < 6);
     }
 }

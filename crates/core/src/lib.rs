@@ -14,7 +14,7 @@
 //!    labeling of the BFS tree for point-to-point routing, the labels
 //!    riding the parameter broadcast (Stage A);
 //! 2. **Controlled-GHS** (paper §4): `ceil(log k)` phases of bounded-radius
-//!    MWOE probing, Cole–Vishkin 3-coloring of the fragment forest
+//!    MWOE probing, Cole–Vishkin 6-coloring of the fragment forest
 //!    ([`cv`]), maximal matching, and merge floods, yielding an
 //!    `(O(n/k), O(k))` base MST forest (Theorem 4.3, standalone via
 //!    [`run_forest`]);
@@ -56,4 +56,4 @@ pub use forest::{analyze_forest, ForestReport};
 pub use msg::{Msg, Walk};
 pub use node::ElkinNode;
 pub use runner::{marked_mst_edges, run_forest, run_mst, ForestRun, MstRun, RunError};
-pub use schedule::{choose_k, choose_k_cost, ExchangeKind, Params, Schedule, Slot, Window};
+pub use schedule::{choose_k, choose_k_cost, Params, Schedule, Slot, Window};

@@ -308,7 +308,6 @@ pub(crate) struct BScratch {
     /// children.
     pub foreign_child: Vec<Option<(u64, bool)>>,
     pub color: u64,
-    pub prev_color: u64,
     pub parent_color: Option<u64>,
     /// Set at a matched fragment's root: the partner fragment's id.
     pub partner: Option<u64>,

@@ -18,19 +18,19 @@
 //! 3. **Connect** — participating roots walk to the MWOE, which the walk
 //!    crosses to register a *foreign child* on the other side. Mutual-MWOE
 //!    pairs resolve parenthood by higher fragment id (paper §4).
-//! 4. **Exchange × X** — Cole–Vishkin 3-coloring of the fragment forest:
-//!    each exchange broadcasts the fragment color, which crosses child
-//!    MWOEs and climbs to the child's root as `ColorUp`. A recoloring root
-//!    excludes its own pre-shift color whether or not it has a foreign
-//!    child, since no one reads a childless fragment's color. Only
-//!    participating roots start an exchange, so the first `ColorDown` is
-//!    also what tells the rest of the fragment that it participates; no
-//!    vertex but the root reads that before the Collect windows.
-//! 5. **Collect / Accept × 3** — maximal matching, one color class at a
-//!    time: roots of class-`c` unmatched fragments pick their smallest
-//!    unmatched foreign child and walk to it. In the same window each
-//!    accepting root walks to its MWOE to tell its own forest parent, the
-//!    only fragment whose choice its matched status can change.
+//! 4. **Exchange × L** — Cole–Vishkin bit ladder on the fragment forest,
+//!    down to six colors: each exchange broadcasts the fragment color,
+//!    which crosses child MWOEs and climbs to the child's root as
+//!    `ColorUp`. Only participating roots start an exchange, so the first
+//!    `ColorDown` is also what tells the rest of the fragment that it
+//!    participates; no vertex but the root reads that before the Collect
+//!    windows, and the schedule runs at least one exchange.
+//! 5. **Collect / Accept × 6** — maximal matching, one color class at a
+//!    time, classes 5 down to 0: roots of class-`c` unmatched fragments
+//!    pick their smallest unmatched foreign child and walk to it. In the
+//!    same window each accepting root walks to its MWOE to tell its own
+//!    forest parent, the only fragment whose choice its matched status can
+//!    change.
 //! 6. **MergeGo / MergeFlood** — unmatched fragments walk to their MWOEs
 //!    and merge across them; the merged fragment's new root (higher-id
 //!    endpoint of the matched pair, or the untouched root of a
@@ -47,7 +47,7 @@ use congest_sim::{PortId, RoundCtx};
 
 use crate::cv;
 use crate::msg::{Msg, Walk};
-use crate::schedule::{ExchangeKind, Schedule, Slot, Window};
+use crate::schedule::{Schedule, Slot, Window};
 
 use super::{lane, Argmin, BScratch, ElkinNode, Sel, Stage};
 
@@ -159,7 +159,6 @@ impl ElkinNode {
                 self.b = BScratch {
                     foreign_child: vec![None; self.ports.deg()],
                     color: self.frag_id,
-                    prev_color: self.frag_id,
                     ..BScratch::default()
                 };
                 self.retire_internal(lane::NBR_FRAG, self.known_frag);
@@ -204,12 +203,15 @@ impl ElkinNode {
                     }
                 }
             }
-            Window::Exchange(x) => {
+            Window::Exchange(_) => {
                 if slot.offset == 0 && self.b.participating && self.is_frag_root() {
                     self.b_color_down(ctx, self.b.color);
                 }
                 if slot.last && self.b.participating && self.is_frag_root() {
-                    self.b_exchange_eval(sched.exchange_kind(x));
+                    self.b.color = match self.b.parent_color.take() {
+                        Some(pc) => cv::cv_step(self.b.color, pc),
+                        None => cv::cv_step_root(self.b.color),
+                    };
                 }
             }
             Window::MatchCollect(_) => {
@@ -337,30 +339,6 @@ impl ElkinNode {
         } else {
             let up = self.frag_parent.expect("non-root has a fragment parent");
             ctx.send(up, Msg::ColorUp { color });
-        }
-    }
-
-    fn b_exchange_eval(&mut self, kind: ExchangeKind) {
-        let parent = self.b.parent_color.take();
-        match kind {
-            ExchangeKind::Ladder => {
-                self.b.color = match parent {
-                    Some(pc) => cv::cv_step(self.b.color, pc),
-                    None => cv::cv_step_root(self.b.color),
-                };
-            }
-            ExchangeKind::ShiftDown(_) => {
-                self.b.prev_color = self.b.color;
-                self.b.color = match parent {
-                    Some(pc) => cv::shift_down(pc),
-                    None => cv::shift_down_root(self.b.color),
-                };
-            }
-            ExchangeKind::Recolor(class) => {
-                if self.b.color == class {
-                    self.b.color = cv::recolor(parent, self.b.prev_color);
-                }
-            }
         }
     }
 

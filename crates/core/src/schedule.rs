@@ -19,14 +19,16 @@
 //! | Announce | `1` | one local send; delivered at the next window's offset 0 |
 //! | Probe | `2p+1` | descend `p` (depth-`j` vertex hears at offset `j`), ascend `p`: root hears the last `MwoeUp` at offset `2p` |
 //! | Connect | `p+2` | the Connect walk descends `<= p` and crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
-//! | Exchange × X | `2p+2` | `ColorDown` descends `<= p`, `ColorUp` crosses (+1) and ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
-//! | Collect (×3) | `p+1` | pure convergecast, ascend `<= p` |
-//! | Accept (×3) | `2p+2` | the Accept walk descends `<= p` and crosses (+1), `MatchedUp` ascends `<= p`; alongside, the Status walk descends `<= p` and crosses (+1), landing by offset `p+1` |
+//! | Exchange × L | `2p+2` | `ColorDown` descends `<= p`, `ColorUp` crosses (+1) and ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
+//! | Collect (×6) | `p+1` | pure convergecast, ascend `<= p` |
+//! | Accept (×6) | `2p+2` | the Accept walk descends `<= p` and crosses (+1), `MatchedUp` ascends `<= p`; alongside, the Status walk descends `<= p` and crosses (+1), landing by offset `p+1` |
 //! | MergeGo | `p+2` | the Merge walk descends `<= p` and crosses (+1) |
 //! | MergeFlood | `5p+5` | flood depth `<= 5p+4`: initiator fragment `<= p`, cross (+1), partner entered anywhere so `<= 2p` internally, cross to a pendant (+1), pendant `<= 2p` |
 //!
-//! `X = steps_to_six(n) + 6` Cole–Vishkin iterations. Summed, a phase
-//! lasts `(2X+18)p + (2X+20)` rounds.
+//! `L = max(steps_to_six(n), 1)` Cole–Vishkin bit-ladder steps leave six
+//! color classes, and Collect/Accept run once per class, for classes
+//! 5, 4, …, 0 in that order. Summed, a phase lasts `(2L+27)p + (2L+29)`
+//! rounds.
 //!
 //! Every phase ends on its schedule: the merge flood sleeps out its
 //! worst-case window, so the whole Stage B timeline is a pure function of
@@ -133,7 +135,7 @@ pub enum Window {
     Probe,
     /// Argmin downcast and cross-edge connect.
     Connect,
-    /// One Cole–Vishkin exchange; see [`ExchangeKind`].
+    /// One Cole–Vishkin bit-ladder exchange ([`crate::cv::cv_step`]).
     Exchange(u32),
     /// Matching: collect unmatched children (for color class `c`).
     MatchCollect(u8),
@@ -144,17 +146,6 @@ pub enum Window {
     MergeGo,
     /// New-fragment flood: ids + re-orientation.
     MergeFlood,
-}
-
-/// Semantic classification of an exchange index within the CV reduction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExchangeKind {
-    /// Bit-ladder step ([`crate::cv::cv_step`]).
-    Ladder,
-    /// Shift-down preceding the recoloring of `class`.
-    ShiftDown(u64),
-    /// Recoloring of color `class` into `{0, 1, 2}`.
-    Recolor(u64),
 }
 
 /// Where a round falls inside the Stage B schedule.
@@ -202,7 +193,9 @@ impl Schedule {
         let mut s = Self {
             params: *params,
             num_phases,
-            exchanges: steps_to_six(params.n) + 6,
+            // At least one: the first `ColorDown` tells a fragment's
+            // non-root vertices that it participates.
+            exchanges: steps_to_six(params.n).max(1),
             table: Vec::new(),
         };
         let mut start = params.t0;
@@ -252,14 +245,14 @@ impl Schedule {
     /// table.
     fn layout(&self, phase: u32) -> Vec<(Window, u64)> {
         let p = self.radius(phase);
-        let mut v = Vec::with_capacity(5 + self.exchanges as usize + 6);
+        let mut v = Vec::with_capacity(5 + self.exchanges as usize + 12);
         v.push((Window::Announce, 1));
         v.push((Window::Probe, 2 * p + 1));
         v.push((Window::Connect, p + 2));
         for x in 0..self.exchanges {
             v.push((Window::Exchange(x), 2 * p + 2));
         }
-        for c in 0..3u8 {
+        for c in (0..6u8).rev() {
             v.push((Window::MatchCollect(c), p + 1));
             v.push((Window::MatchAccept(c), 2 * p + 2));
         }
@@ -278,22 +271,6 @@ impl Schedule {
     /// its windows.
     pub fn phase_len(&self, phase: u32) -> u64 {
         self.phase_spans(phase).iter().map(|s| s.len).sum()
-    }
-
-    /// Classifies exchange window `x` as ladder / shift-down / recolor.
-    pub fn exchange_kind(&self, x: u32) -> ExchangeKind {
-        let ladder = self.exchanges - 6;
-        if x < ladder {
-            ExchangeKind::Ladder
-        } else {
-            let r = x - ladder;
-            let class = 3 + u64::from(r / 2);
-            if r.is_multiple_of(2) {
-                ExchangeKind::ShiftDown(class)
-            } else {
-                ExchangeKind::Recolor(class)
-            }
-        }
     }
 
     /// The window containing `round`, which must lie in `[t0, end)`.
@@ -384,11 +361,22 @@ mod tests {
     fn table_matches_a_walk_of_the_layouts() {
         // Every round of [t0 - 2, end + 10): the table's answers equal a
         // linear walk of the per-phase layouts laid end to end from t0.
-        // Each phase opens with its one-round Announce and closes with its
-        // merge flood, and past Stage B every round is its own successor.
-        for (k, n) in [1, 2, 3, 8, 64].into_iter().flat_map(|k| [2, 64, 16384].map(|n| (k, n))) {
+        // Each phase runs its windows in the module table's order, the six
+        // color classes' Collect/Accept pairs from class 5 down to 0, and
+        // past Stage B every round is its own successor. `(n, L)`: below
+        // seven vertices the ladder has nothing to reduce, yet one exchange
+        // still runs, since its `ColorDown` carries participation.
+        let sizes = [(2, 1), (6, 1), (64, 3), (16384, 4)];
+        for (k, (n, ladder)) in [1, 2, 3, 8, 64].into_iter().flat_map(|k| sizes.map(|s| (k, s))) {
             let s = Schedule::new(&params(n, k));
             let case = format!("k={k}/n={n}");
+            assert_eq!(s.exchanges(), ladder, "{case}");
+            let mut order = vec![Window::Announce, Window::Probe, Window::Connect];
+            order.extend((0..s.exchanges()).map(Window::Exchange));
+            for c in (0..6).rev() {
+                order.extend([Window::MatchCollect(c), Window::MatchAccept(c)]);
+            }
+            order.extend([Window::MergeGo, Window::MergeFlood]);
             let at = |r: u64| (s.locate(r), s.next_boundary(r));
             for r in s.start() - 2..s.start() {
                 assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
@@ -397,7 +385,7 @@ mod tests {
             for phase in 0..s.num_phases() {
                 let layout = s.layout(phase);
                 assert_eq!(layout.first(), Some(&(Window::Announce, 1)), "{case}");
-                assert_eq!(layout.last().map(|w| w.0), Some(Window::MergeFlood), "{case}");
+                assert!(layout.iter().map(|w| w.0).eq(order.iter().copied()), "{case}");
                 for (window, len) in layout {
                     let last = start + len - 1;
                     for r in start..=last {
@@ -416,27 +404,16 @@ mod tests {
     }
 
     #[test]
-    fn exchange_kinds_partition() {
-        let s = Schedule::new(&params(1 << 20, 4));
-        let ladder = s.exchanges() - 6;
-        assert!(matches!(s.exchange_kind(0), ExchangeKind::Ladder));
-        assert_eq!(s.exchange_kind(ladder), ExchangeKind::ShiftDown(3));
-        assert_eq!(s.exchange_kind(ladder + 1), ExchangeKind::Recolor(3));
-        assert_eq!(s.exchange_kind(ladder + 4), ExchangeKind::ShiftDown(5));
-        assert_eq!(s.exchange_kind(ladder + 5), ExchangeKind::Recolor(5));
-    }
-
-    #[test]
     fn phase_lengths_follow_the_closed_forms() {
-        // Every phase of k = 64 (p = 2^i, X CV exchanges): the sums of the
+        // Every phase of k = 64 (p = 2^i, L CV exchanges): the sums of the
         // module table's lengths.
-        for n in [2, 64, 16384] {
+        for n in [2, 6, 64, 16384] {
             let s = Schedule::new(&params(n, 64));
-            let x = u64::from(s.exchanges());
+            let l = u64::from(s.exchanges());
             assert_eq!(s.num_phases(), 6);
             for i in 0..s.num_phases() {
                 let p = s.radius(i);
-                let want = (2 * x + 18) * p + 2 * x + 20;
+                let want = (2 * l + 27) * p + 2 * l + 29;
                 assert_eq!(s.phase_len(i), want, "n={n}: phase {i}");
             }
         }

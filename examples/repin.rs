@@ -1,11 +1,10 @@
-//! Re-pin helper: prints the exact `(rounds, messages)` golden counts for
-//! every workload pinned in `tests/round_pins.rs`, in pin order — plus the
-//! total encoded wire words of each run, the golden that the wallclock and
-//! T1-smoke wire gates pin — so a conscious protocol change can ratchet
-//! the budgets in one run:
+//! Re-pin helper: prints every exact pin of `tests/round_pins.rs`, in pin
+//! order, as the `CountPin::new(rounds, messages, wire words)` row that
+//! file holds, so a conscious protocol change can re-pin every row from
+//! one run:
 //!
 //! ```text
-//! cargo run --release --example repin            # the n = 256 trio pins
+//! cargo run --release --example repin            # the round_pins rows
 //! cargo run --release --example repin -- --large # + the n = 2304 cliquepath
 //!                                                #   and the two n = 16384
 //!                                                #   `wallclock -- --gate` runs,
@@ -16,41 +15,40 @@
 //! machines and build profiles.
 
 use dmst::core::{run_mst, ElkinConfig};
-use dmst::graphs::generators as gen;
+use dmst::graphs::{generators as gen, WeightedGraph};
 use dmst::testkit::Algorithm;
 use dmst_bench::{paper_k, standard_trio};
 
-fn print_stats(algo: &Algorithm, g: &dmst::graphs::WeightedGraph, label: &str) {
+fn print_pin(algo: &Algorithm, g: &WeightedGraph, label: &str) {
     let (_, _, stats) = algo.run_stats(g).unwrap_or_else(|e| panic!("{label}: {e}"));
-    println!(
-        "{label:<24} {:<16} RoundBudget::new({}, {}),  // wire words: {}",
-        algo.name(),
-        stats.rounds,
-        stats.messages,
-        stats.wire_words
-    );
+    println!("        CountPin::new({}, {}, {}),", stats.rounds, stats.messages, stats.wire_words);
 }
 
 fn main() {
     let large = std::env::args().any(|a| a == "--large");
 
-    println!("# tests/round_pins.rs golden counts (pin order)\n");
     let trio: Vec<_> = standard_trio(256, 0x51).into_iter().map(|w| (w.name, w.graph)).collect();
-    println!("# Eq. (1) k via k_override");
+    let rows: Vec<&str> = trio.iter().map(|(label, _)| label.as_str()).collect();
+    println!("# tests/round_pins.rs exact pins, in pin order; trio rows: {}", rows.join(", "));
+    println!("\n# elkin_paper_k_t1_trio_pins (Eq. (1) k via k_override)");
     for (label, g) in &trio {
-        print_stats(&Algorithm::Elkin(ElkinConfig::with_k(paper_k(g, 1))), g, label);
+        print_pin(&Algorithm::Elkin(ElkinConfig::with_k(paper_k(g, 1))), g, label);
     }
-    println!();
-    for algo in [Algorithm::Elkin(ElkinConfig::default()), Algorithm::Ghs, Algorithm::Pipeline] {
+    for (test, algo) in [
+        ("elkin_adaptive_t1_trio_pins", Algorithm::Elkin(ElkinConfig::default())),
+        ("baseline_t1_trio_pins: ghs_pins", Algorithm::Ghs),
+        ("baseline_t1_trio_pins: pipe_pins", Algorithm::Pipeline),
+    ] {
+        println!("\n# {test}");
         for (label, g) in &trio {
-            print_stats(&algo, g, label);
+            print_pin(&algo, g, label);
         }
-        println!();
     }
 
+    println!("\n# elkin_adaptive_cliquepath_1024_pin");
     let r = &mut gen::WeightRng::new(0x51);
     let g1024 = gen::path_of_cliques(128, 8, r);
-    print_stats(&Algorithm::Elkin(ElkinConfig::default()), &g1024, "cliquepath 128x8");
+    print_pin(&Algorithm::Elkin(ElkinConfig::default()), &g1024, "cliquepath 128x8");
 
     if large {
         let g2304 = standard_trio(2304, 0x51)

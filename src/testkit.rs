@@ -71,7 +71,7 @@ impl Algorithm {
     }
 
     /// Like [`Algorithm::run`], but also returns the simulator's
-    /// [`RunStats`] — the raw material for round/message budget pins.
+    /// [`RunStats`] — the raw material for exact count pins.
     ///
     /// # Errors
     ///
@@ -91,62 +91,48 @@ impl Algorithm {
     }
 }
 
-/// A pinned complexity budget for one `(algorithm, workload)` pair: golden
-/// round/message counts from a healthy run, plus a stated multiplicative
-/// slack. [`assert_round_budget`] turns the pin into a regression test that
-/// fails `cargo test` instead of silently drifting in EXPERIMENTS.md
-/// tables.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RoundBudget {
+/// The exact golden counts of one `(algorithm, workload)` pair: rounds,
+/// messages and wire words of a healthy run. [`assert_count_pin`] turns the
+/// pin into a regression test that fails `cargo test` instead of silently
+/// drifting in EXPERIMENTS.md tables.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CountPin {
     /// Golden number of rounds.
     pub rounds: u64,
     /// Golden number of messages.
     pub messages: u64,
-    /// Multiplicative headroom (e.g. `1.10` = 10%). Measured counts above
-    /// `golden * slack` fail; counts below `golden / (2 * slack)` also
-    /// fail, flagging a stale pin that should be re-measured.
-    pub slack: f64,
+    /// Golden number of encoded wire words.
+    pub wire_words: u64,
 }
 
-impl RoundBudget {
-    /// A budget with the suite's standard 10% slack.
-    pub fn new(rounds: u64, messages: u64) -> Self {
-        Self { rounds, messages, slack: 1.10 }
+impl CountPin {
+    /// A pin of these three counts.
+    pub fn new(rounds: u64, messages: u64, wire_words: u64) -> Self {
+        Self { rounds, messages, wire_words }
+    }
+
+    /// The counts a run measured.
+    pub fn of(stats: &RunStats) -> Self {
+        Self::new(stats.rounds, stats.messages, stats.wire_words)
     }
 }
 
 /// Runs `algo` on `g`, asserts the MST matches the Kruskal oracle, and
-/// asserts rounds and messages stay inside `budget` (both directions; see
-/// [`RoundBudget::slack`]). The simulator is fully deterministic, so equal
-/// inputs give bit-equal counts and the slack only absorbs intentional
-/// algorithm changes — anything larger must re-pin consciously.
+/// asserts the run's rounds, messages and wire words equal `pin` exactly.
+/// The simulator is fully deterministic, so equal inputs give bit-equal
+/// counts: any change, up or down, must re-pin deliberately
+/// (`cargo run --release --example repin` prints every pin).
 ///
 /// # Panics
 ///
 /// Panics with `label`, the algorithm name, and the measured-vs-pinned
 /// counts on any violation.
-pub fn assert_round_budget(algo: &Algorithm, g: &WeightedGraph, label: &str, budget: &RoundBudget) {
+pub fn assert_count_pin(algo: &Algorithm, g: &WeightedGraph, label: &str, pin: CountPin) {
     let truth = mst::kruskal(g);
     let (edges, _, stats) =
         algo.run_stats(g).unwrap_or_else(|e| panic!("{} failed on {label}: {e}", algo.name()));
     assert_eq!(edges, truth.edges, "{} produced a wrong MST on {label}", algo.name());
-    let check = |what: &str, measured: u64, pinned: u64| {
-        let hi = (pinned as f64 * budget.slack).ceil() as u64;
-        let lo = (pinned as f64 / (2.0 * budget.slack)).floor() as u64;
-        assert!(
-            measured <= hi,
-            "{} {what} regression on {label}: measured {measured} > pinned {pinned} (+{:.0}% slack)",
-            algo.name(),
-            (budget.slack - 1.0) * 100.0
-        );
-        assert!(
-            measured >= lo,
-            "{} {what} pin stale on {label}: measured {measured} << pinned {pinned} — re-pin the budget",
-            algo.name()
-        );
-    };
-    check("rounds", stats.rounds, budget.rounds);
-    check("messages", stats.messages, budget.messages);
+    assert_eq!(CountPin::of(&stats), pin, "{} counts moved on {label}; re-pin", algo.name());
 }
 
 /// Runs `algo` on `g` and asserts its output equals the golden Kruskal MST
@@ -342,33 +328,54 @@ mod tests {
     }
 
     #[test]
-    fn round_budget_accepts_exact_and_slack() {
+    fn count_pin_accepts_the_exact_counts() {
         let g = gen::path(12, &mut gen::WeightRng::new(3));
         let algo = Algorithm::Ghs;
         let (_, _, stats) = algo.run_stats(&g).unwrap();
-        let budget = RoundBudget::new(stats.rounds, stats.messages);
-        assert_round_budget(&algo, &g, "self-pin", &budget);
+        assert_count_pin(&algo, &g, "self-pin", CountPin::of(&stats));
     }
 
     #[test]
-    #[should_panic(expected = "rounds regression")]
+    fn count_pin_rejects_any_count_off_by_one() {
+        let g = gen::path(12, &mut gen::WeightRng::new(3));
+        let algo = Algorithm::Ghs;
+        let (_, _, stats) = algo.run_stats(&g).unwrap();
+        let exact = CountPin::of(&stats);
+        for delta in [-1i64, 1] {
+            let off = |count: u64| count.checked_add_signed(delta).unwrap();
+            let pins = [
+                CountPin { rounds: off(exact.rounds), ..exact },
+                CountPin { messages: off(exact.messages), ..exact },
+                CountPin { wire_words: off(exact.wire_words), ..exact },
+            ];
+            for pin in pins {
+                let check = || assert_count_pin(&algo, &g, "off-by-one", pin);
+                let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err();
+                assert!(failed, "{pin:?} passed against {exact:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "counts moved on too-tight-pin")]
     fn round_budget_rejects_regression() {
         let g = gen::path(12, &mut gen::WeightRng::new(3));
         let algo = Algorithm::Ghs;
         let (_, _, stats) = algo.run_stats(&g).unwrap();
-        // Pin far below the measured counts: the run must trip the bound.
-        let budget = RoundBudget::new(stats.rounds / 2, stats.messages);
-        assert_round_budget(&algo, &g, "too-tight-pin", &budget);
+        // Pin one round below the measured counts: the run must trip the pin.
+        let pin = CountPin { rounds: stats.rounds - 1, ..CountPin::of(&stats) };
+        assert_count_pin(&algo, &g, "too-tight-pin", pin);
     }
 
     #[test]
-    #[should_panic(expected = "pin stale")]
+    #[should_panic(expected = "counts moved on stale-pin")]
     fn round_budget_rejects_stale_pin() {
         let g = gen::path(12, &mut gen::WeightRng::new(3));
         let algo = Algorithm::Ghs;
         let (_, _, stats) = algo.run_stats(&g).unwrap();
-        let budget = RoundBudget::new(stats.rounds * 4, stats.messages);
-        assert_round_budget(&algo, &g, "stale-pin", &budget);
+        // Pin one message above the measured counts: a run that got cheaper must re-pin.
+        let pin = CountPin { messages: stats.messages + 1, ..CountPin::of(&stats) };
+        assert_count_pin(&algo, &g, "stale-pin", pin);
     }
 
     #[test]

@@ -83,18 +83,18 @@ proptest! {
         prop_assert!(report.max_diameter <= 24 * k);
     }
 
-    /// Cole–Vishkin three-colors arbitrary rooted forests properly.
+    /// The Cole–Vishkin ladder six-colors arbitrary rooted forests properly.
     #[test]
-    fn cv_three_colors_forests(parents in proptest::collection::vec(0usize..20, 1..60)) {
+    fn cv_six_colors_forests(parents in proptest::collection::vec(0usize..20, 1..60)) {
         // parent[v] = some earlier vertex (or MAX for roots).
         let parent: Vec<usize> = parents
             .iter()
             .enumerate()
             .map(|(v, &p)| if v == 0 || p >= v { usize::MAX } else { p })
             .collect();
-        let colors = dmst::core::cv::three_color_forest(&parent);
+        let colors = dmst::core::cv::six_color_forest(&parent);
         for (v, &p) in parent.iter().enumerate() {
-            prop_assert!(colors[v] < 3);
+            prop_assert!(colors[v] < 6);
             if p != usize::MAX {
                 prop_assert_ne!(colors[v], colors[p]);
             }

@@ -1,13 +1,13 @@
-//! Pinned round/message budgets for the T1 comparison topologies: perf
-//! regressions now fail `cargo test` instead of silently drifting in the
-//! EXPERIMENTS.md tables.
+//! Exact round, message and wire-word pins for the T1 comparison
+//! topologies: a count that moves fails `cargo test` instead of silently
+//! drifting in the EXPERIMENTS.md tables.
 //!
-//! Every pin is a golden count from a healthy release run (the simulator
-//! is deterministic, so debug/release measure identically) with the
-//! standard 10% slack of [`dmst::testkit::RoundBudget`]. A measured count
-//! above `pin * 1.10` is a regression; far below `pin / 2.2` the pin is
-//! stale and must be consciously re-measured (see EXPERIMENTS.md for the
-//! snapshot these numbers come from). The n = 2304 cliquepath goldens are
+//! Every pin is the golden count of a healthy release run (the simulator
+//! is deterministic, so debug/release measure identically), compared
+//! exactly by [`dmst::testkit::assert_count_pin`]: a count that moves by
+//! one, either way, fails until it is deliberately re-pinned.
+//! `cargo run --release --example repin` prints every row below as the
+//! literal this file holds. The n = 2304 cliquepath goldens are
 //! `dmst_bench` constants, which `tests/large_scale.rs` and the T1 smoke
 //! (`cargo bench --bench exp_t1_comparison -- --smoke`) both read.
 
@@ -16,7 +16,7 @@ use std::iter::successors;
 use dmst::core::util::isqrt;
 use dmst::core::{run_mst, ElkinConfig, Params, Schedule};
 use dmst::graphs::{generators as gen, WeightedGraph};
-use dmst::testkit::{assert_round_budget, Algorithm, RoundBudget};
+use dmst::testkit::{assert_count_pin, Algorithm, CountPin};
 use dmst_bench::{paper_k, standard_trio};
 
 /// The T1 workload trio at n = 256 — the very graphs the
@@ -33,28 +33,28 @@ fn trio_256() -> Vec<(String, WeightedGraph)> {
 #[test]
 fn elkin_paper_k_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(867, 17199),
-        RoundBudget::new(775, 22923),
-        RoundBudget::new(2853, 23532),
-        RoundBudget::new(796, 17817),
+        CountPin::new(792, 13514, 18962),
+        CountPin::new(726, 19388, 24152),
+        CountPin::new(2630, 20014, 25354),
+        CountPin::new(755, 14621, 19043),
     ];
-    for ((label, g), pin) in trio_256().iter().zip(&pins) {
+    for ((label, g), pin) in trio_256().iter().zip(pins) {
         let algo = Algorithm::Elkin(ElkinConfig::with_k(paper_k(g, 1)));
-        assert_round_budget(&algo, g, label, pin);
+        assert_count_pin(&algo, g, label, pin);
     }
 }
 
 #[test]
 fn elkin_adaptive_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(264, 12023),
-        RoundBudget::new(167, 13517),
-        RoundBudget::new(849, 16893),
-        RoundBudget::new(199, 8147),
+        CountPin::new(256, 10913, 25122),
+        CountPin::new(163, 12356, 19248),
+        CountPin::new(819, 13901, 21589),
+        CountPin::new(194, 6653, 14282),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::default());
-    for ((label, g), pin) in trio_256().iter().zip(&pins) {
-        assert_round_budget(&algo, g, label, pin);
+    for ((label, g), pin) in trio_256().iter().zip(pins) {
+        assert_count_pin(&algo, g, label, pin);
     }
 }
 
@@ -127,22 +127,22 @@ fn stage_b_lasts_exactly_its_schedule() {
 #[test]
 fn baseline_t1_trio_pins() {
     let ghs_pins = [
-        RoundBudget::new(406, 10921),
-        RoundBudget::new(228, 15237),
-        RoundBudget::new(1319, 14921),
-        RoundBudget::new(1064, 5884),
+        CountPin::new(406, 10921, 12763),
+        CountPin::new(228, 15237, 17135),
+        CountPin::new(1319, 14921, 17265),
+        CountPin::new(1064, 5884, 6394),
     ];
     // The Pipeline baseline's phase 1 reuses `run_forest` at k = isqrt(n),
     // so it rides the same Stage B schedule.
     let pipe_pins = [
-        RoundBudget::new(795, 18942),
-        RoundBudget::new(731, 23237),
-        RoundBudget::new(1027, 20416),
-        RoundBudget::new(804, 22363),
+        CountPin::new(738, 15211, 25624),
+        CountPin::new(670, 19184, 28116),
+        CountPin::new(972, 17386, 27382),
+        CountPin::new(746, 18583, 31986),
     ];
-    for ((label, g), (ghs, pipe)) in trio_256().iter().zip(ghs_pins.iter().zip(&pipe_pins)) {
-        assert_round_budget(&Algorithm::Ghs, g, label, ghs);
-        assert_round_budget(&Algorithm::Pipeline, g, label, pipe);
+    for ((label, g), (ghs, pipe)) in trio_256().iter().zip(ghs_pins.into_iter().zip(pipe_pins)) {
+        assert_count_pin(&Algorithm::Ghs, g, label, ghs);
+        assert_count_pin(&Algorithm::Pipeline, g, label, pipe);
     }
 }
 
@@ -152,10 +152,10 @@ fn baseline_t1_trio_pins() {
 fn elkin_adaptive_cliquepath_1024_pin() {
     let r = &mut gen::WeightRng::new(0x51);
     let g = gen::path_of_cliques(128, 8, r);
-    assert_round_budget(
+    assert_count_pin(
         &Algorithm::Elkin(ElkinConfig::default()),
         &g,
         "cliquepath 128x8",
-        &RoundBudget::new(3268, 98_979),
+        CountPin::new(3161, 80723, 113895),
     );
 }
