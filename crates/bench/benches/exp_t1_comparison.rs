@@ -11,25 +11,25 @@
 //! Elkin is close to Pipeline's speed at near-GHS message volume.
 //!
 //! Pass `--smoke` to run only the CI guard: the n = 2304 cliquepath
-//! (asserting the oracle MST, the total and Stage D round budgets and a
-//! total-wire-word ceiling at measured x 1.1) plus one low-diameter
-//! sanity point with its own wire-word ceiling.
+//! (asserting the oracle MST and its exact total rounds, Stage D rounds
+//! and wire words) plus one low-diameter sanity point with its exact wire
+//! words.
 
 use dmst_baselines::{run_ghs, run_pipeline};
 use dmst_bench::{
-    banner, budget, header, row, standard_trio, Workload, CLIQUEPATH_2304_ROUNDS,
-    CLIQUEPATH_2304_STAGE_D_CEILING, CLIQUEPATH_2304_WIRE_WORDS, TORUS_256_WIRE_WORDS,
+    banner, header, row, standard_trio, Workload, CLIQUEPATH_2304_ROUNDS,
+    CLIQUEPATH_2304_STAGE_D_ROUNDS, CLIQUEPATH_2304_WIRE_WORDS, TORUS_256_WIRE_WORDS,
 };
 use dmst_core::{run_mst, ElkinConfig};
 use dmst_graphs::mst;
 
 fn smoke() {
     let claim = format!(
-        "cliquepath n=2304: total <= {}, Stage D <= {CLIQUEPATH_2304_STAGE_D_CEILING}; \
-         wire words <= golden x 1.1; oracle MST",
-        budget(CLIQUEPATH_2304_ROUNDS)
+        "cliquepath n=2304: {CLIQUEPATH_2304_ROUNDS} rounds, Stage D \
+         {CLIQUEPATH_2304_STAGE_D_ROUNDS}, {CLIQUEPATH_2304_WIRE_WORDS} wire words; \
+         torus 16x16: {TORUS_256_WIRE_WORDS} wire words; oracle MST"
     );
-    banner("T1 (smoke): round and wire-word budget guard", &claim);
+    banner("T1 (smoke): exact round and wire-word pins", &claim);
     header(&["workload", "rounds", "stage D", "messages", "wire words"]);
     let cliquepath = standard_trio(2304, 0x51)
         .into_iter()
@@ -49,36 +49,26 @@ fn smoke() {
         run
     };
     let (cp, tor) = (solve(&cliquepath), solve(&torus));
-    // Stage D gates: the golden total rounds (+10% slack), and the fixed
-    // Stage D ceiling, so Stage D cannot quietly become the bottleneck
-    // again (the goldens live in `dmst_bench`).
-    let cap = budget(CLIQUEPATH_2304_ROUNDS);
-    assert!(
-        cp.stats.rounds <= cap,
-        "cliquepath total {} exceeds {cap}, the {CLIQUEPATH_2304_ROUNDS}-round golden (+10%)",
-        cp.stats.rounds
-    );
-    assert!(
-        cp.stats.rounds_in_stage("d") <= CLIQUEPATH_2304_STAGE_D_CEILING,
-        "cliquepath Stage D {} exceeds the {CLIQUEPATH_2304_STAGE_D_CEILING}-round ceiling",
-        cp.stats.rounds_in_stage("d")
-    );
-    // Total-wire-words gate, one ceiling per smoke row: the golden
-    // encoded volume of each run + 10% slack. `wire_words` counts the
-    // words `Message::encode` wrote into the rings, the same length the
-    // capacity check charges, so a protocol change that bloats the
-    // encoding trips this even when rounds and messages stay flat.
-    let rows = [
-        ("cliquepath", &cp, budget(CLIQUEPATH_2304_WIRE_WORDS)),
-        ("torus", &tor, budget(TORUS_256_WIRE_WORDS)),
+    // Exact pins (the goldens live in `dmst_bench`): any moved count fails,
+    // so a deliberate protocol change re-pins them from `repin -- --large`.
+    // Stage D has its own pin, so it cannot quietly become the bottleneck
+    // again behind a faster Stage B. `wire_words` counts the words
+    // `Message::encode` wrote into the rings, the same length the capacity
+    // check charges, so a change that bloats the encoding fails even when
+    // rounds and messages stay flat.
+    let pins = [
+        ("cliquepath rounds", cp.stats.rounds, CLIQUEPATH_2304_ROUNDS),
+        (
+            "cliquepath Stage D rounds",
+            cp.stats.rounds_in_stage("d"),
+            CLIQUEPATH_2304_STAGE_D_ROUNDS,
+        ),
+        ("cliquepath wire words", cp.stats.wire_words, CLIQUEPATH_2304_WIRE_WORDS),
+        ("torus wire words", tor.stats.wire_words, TORUS_256_WIRE_WORDS),
     ];
-    for (label, run, ceiling) in rows {
-        println!("wire gate: {label:<22} {:>9} (ceiling {ceiling})", run.stats.wire_words);
-        assert!(
-            run.stats.wire_words <= ceiling,
-            "{label}: total wire words {} exceed the golden-x-1.1 ceiling {ceiling}",
-            run.stats.wire_words
-        );
+    for (label, got, golden) in pins {
+        println!("pin: {label:<26} {got:>9} (golden {golden})");
+        assert_eq!(got, golden, "{label} moved off the golden");
     }
     println!("\nsmoke ok");
 }

@@ -56,27 +56,19 @@ pub fn standard_trio(n: usize, seed: u64) -> Vec<Workload> {
 /// Golden total rounds of the T1 cliquepath at n = 2304 (the cliquepath row
 /// of `standard_trio(2304, 0x51)`), as `repin -- --large` prints them. The
 /// T1 smoke (`exp_t1_comparison -- --smoke`) and
-/// `large_scale::cliquepath_2304_adaptive_within_budget` both check the run
-/// against [`budget`] of it.
+/// `large_scale::cliquepath_2304_adaptive_pin` both check the run against
+/// it and the other n = 2304 goldens exactly.
 pub const CLIQUEPATH_2304_ROUNDS: u64 = 6590;
+
+/// Golden Stage D rounds of the same run (the `d` of its a/b/d profile).
+pub const CLIQUEPATH_2304_STAGE_D_ROUNDS: u64 = 2434;
 
 /// Golden total wire words of the same run.
 pub const CLIQUEPATH_2304_WIRE_WORDS: u64 = 293_740;
 
-/// Fixed ceiling on the same run's Stage D rounds (golden: 2434). It is a
-/// bound, not a share of the total, so a faster Stage B cannot fail it, and
-/// it carries no slack: Stage D must not quietly grow back.
-pub const CLIQUEPATH_2304_STAGE_D_CEILING: u64 = 2590;
-
 /// Golden total wire words of the T1 torus 16x16 (`standard_trio(256,
 /// 0x51)`'s first row), the T1 smoke's low-diameter sanity point.
 pub const TORUS_256_WIRE_WORDS: u64 = 25_122;
-
-/// The most a budgeted run may spend against a `golden` count: the golden
-/// plus the standard 10% slack, rounded up.
-pub fn budget(golden: u64) -> u64 {
-    golden + golden.div_ceil(10)
-}
 
 /// The paper's Eq. (1) `k = max(sqrt(n/b), H)` for `g` at bandwidth `b`,
 /// with `H` the eccentricity of vertex 0: the BFS height Stage A measures
@@ -139,14 +131,6 @@ pub fn banner(id: &str, claim: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_adds_ten_percent_rounded_up() {
-        assert_eq!(budget(6898), 7588);
-        assert_eq!(budget(356_316), 391_948);
-        assert_eq!(budget(26_269), 28_896);
-        assert_eq!(budget(0), 0);
-    }
 
     #[test]
     fn bounds_are_monotone() {

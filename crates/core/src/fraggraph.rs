@@ -8,78 +8,60 @@
 //! BFS tree, the root orders a *finish* instead ([`orders_finish`]): one
 //! Kruskal pipelined up the BFS tree, each vertex forwarding only the
 //! candidates that close no cycle ([`CycleFilter`], Kutten–Peleg's filter,
-//! which the Pipeline baseline runs too). This module is the *pure*
-//! version of those computations, unit-tested independently of the
-//! message machinery in `node::stage_cd`.
+//! which the Pipeline baseline runs too). Both merges are one Kruskal over
+//! a [`CycleFilter`]. This module is the *pure* version of those
+//! computations, unit-tested independently of the message machinery in
+//! `node::stage_cd`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use dmst_graphs::UnionFind;
+use std::collections::BTreeMap;
 
 use crate::candidate::{CandKey, Candidate};
 use crate::util::isqrt;
 
-/// Outcome of one root-local Borůvka merge.
+/// Outcome of one root-local merge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeOutcome {
+    /// The candidates chosen as MST edges, in key order.
+    pub chosen: Vec<Candidate>,
     /// New coarse id for every old coarse id (new id = minimum old id in
     /// the merged component).
     pub new_id: BTreeMap<u64, u64>,
-    /// Slots (base-fragment addresses) whose candidate edge was chosen as
-    /// an MST edge this phase.
-    pub chosen_slots: BTreeSet<u64>,
     /// Number of coarse fragments the merge leaves.
     pub remaining: usize,
     /// Whether a single coarse fragment remains (global termination).
     pub done: bool,
 }
 
-/// Merges the fragment graph: `coarse_ids` are the current coarse ids,
-/// `best` maps a coarse id to its minimum-weight outgoing candidate.
+/// Merges the fragment graph over the coarse ids `coarse_ids`: Kruskal
+/// ([`CycleFilter::kruskal`]) over the candidates queued in `filter`.
+///
+/// In a regular phase `filter` is a fresh one, offered each coarse
+/// fragment's MWOE in ascending source order. With unique tie-broken keys
+/// those edges form a forest except for mutual pairs, two records of one
+/// physical edge; the filter keeps the first offered, the lower source's.
+/// In a finish it is the BFS root's own filter.
 ///
 /// Properties (unit-tested below):
 ///
 /// * every component's new id is the minimum old id it contains;
-/// * exactly `#old - #new` candidates are chosen (the merge edges form a
-///   forest over the coarse ids — mutual-MWOE duplicates are skipped);
+/// * exactly `#old - #new` candidates are chosen (a forest over the coarse
+///   ids);
 /// * `done` iff one component remains.
 ///
 /// # Panics
 ///
-/// Panics if a candidate references a coarse id not in `coarse_ids`.
-pub fn merge_fragment_graph(coarse_ids: &[u64], best: &BTreeMap<u64, Candidate>) -> MergeOutcome {
-    let mut ids: Vec<u64> = coarse_ids.to_vec();
-    ids.sort_unstable();
-    ids.dedup();
-    let index: BTreeMap<u64, usize> = ids.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut uf = UnionFind::new(ids.len());
-
-    let mut chosen_slots = BTreeSet::new();
-    for &c in &ids {
-        if let Some(rec) = best.get(&c) {
-            let a = index[&c];
-            let b = *index.get(&rec.dst_coarse).unwrap_or_else(|| {
-                panic!("candidate points at unknown coarse id {}", rec.dst_coarse)
-            });
-            // With unique tie-broken keys, the MWOE edge set is acyclic
-            // except for mutual pairs, which reference the same physical
-            // edge; the union check drops the duplicate.
-            if uf.union(a, b) {
-                chosen_slots.insert(rec.src_slot);
-            }
+/// Panics if a chosen candidate references a coarse id not in
+/// `coarse_ids`.
+pub fn merge_fragment_graph(coarse_ids: &[u64], filter: &mut CycleFilter) -> MergeOutcome {
+    let chosen = filter.kruskal();
+    let new_id: BTreeMap<u64, u64> = coarse_ids.iter().map(|&c| (c, filter.label(c))).collect();
+    for rec in &chosen {
+        for c in [rec.src_coarse, rec.dst_coarse] {
+            assert!(new_id.contains_key(&c), "candidate points at unknown coarse id {c}");
         }
     }
-
-    let mut rep_min: Vec<u64> = vec![u64::MAX; ids.len()];
-    for (i, &c) in ids.iter().enumerate() {
-        let r = uf.find(i);
-        rep_min[r] = rep_min[r].min(c);
-    }
-    let new_id: BTreeMap<u64, u64> =
-        ids.iter().enumerate().map(|(i, &c)| (c, rep_min[uf.find(i)])).collect();
-    let remaining = uf.num_sets();
-
-    MergeOutcome { new_id, chosen_slots, remaining, done: remaining <= 1 }
+    let remaining = new_id.iter().filter(|(c, id)| c == id).count();
+    MergeOutcome { chosen, new_id, remaining, done: remaining <= 1 }
 }
 
 /// Whether the BFS root orders a finish for phase `j`, after a merge that
@@ -114,7 +96,8 @@ impl LabelUf {
         r
     }
 
-    /// Returns `true` if the labels were in different sets.
+    /// Returns `true` if the labels were in different sets. The smaller
+    /// root becomes the root, so every root is its component's minimum.
     fn union(&mut self, a: u64, b: u64) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
@@ -233,12 +216,18 @@ impl CycleFilter {
     }
 
     /// Kruskal over the queue, at a vertex whose children have all closed
-    /// (the BFS root of a finish): every queued candidate in key order,
-    /// kept iff it joins two components. Over a connected fragment graph
-    /// with `F` labels it keeps exactly `F - 1`.
+    /// (the BFS root): every queued candidate in key order, kept iff it
+    /// joins two components. Over a connected fragment graph with `F`
+    /// labels it keeps exactly `F - 1`.
     pub fn kruskal(&mut self) -> Vec<Candidate> {
         debug_assert!(self.closed.iter().all(|&c| c), "Kruskal before every child closed");
         std::iter::from_fn(|| self.peek().map(|_| self.release())).collect()
+    }
+
+    /// The smallest label in `label`'s component over the released
+    /// candidates; a label no release touched is its own.
+    pub fn label(&mut self, label: u64) -> u64 {
+        self.uf.find(label)
     }
 }
 
@@ -247,86 +236,97 @@ mod tests {
     use super::*;
     use crate::candidate::CandKey;
 
-    fn cand(src: u64, dst: u64, w: u64, slot: u64) -> (u64, Candidate) {
-        (
-            src,
-            Candidate {
-                key: CandKey::new(w, src, dst),
-                src_coarse: src,
-                dst_coarse: dst,
-                src_slot: slot,
-            },
-        )
+    fn cand(src: u64, dst: u64, w: u64, slot: u64) -> Candidate {
+        Candidate {
+            key: CandKey::new(w, src, dst),
+            src_coarse: src,
+            dst_coarse: dst,
+            src_slot: slot,
+        }
+    }
+
+    /// A regular phase's merge: the MWOEs `best` offered to a fresh filter
+    /// in the given order (the root offers them in ascending source order).
+    fn merge(ids: &[u64], best: &[Candidate]) -> MergeOutcome {
+        let mut filter = CycleFilter::new(0);
+        for &rec in best {
+            filter.offer(rec);
+        }
+        merge_fragment_graph(ids, &mut filter)
+    }
+
+    fn slots(out: &MergeOutcome) -> Vec<u64> {
+        out.chosen.iter().map(|r| r.src_slot).collect()
     }
 
     #[test]
     fn chain_merges_to_one() {
         // 0 -> 1 -> 2 -> 3, each via its own edge.
         let ids = [0u64, 1, 2, 3];
-        let best: BTreeMap<u64, Candidate> =
-            [cand(0, 1, 5, 10), cand(1, 2, 3, 11), cand(2, 3, 4, 12), cand(3, 2, 4, 13)]
-                .into_iter()
-                .collect();
-        let out = merge_fragment_graph(&ids, &best);
+        let best = [cand(0, 1, 5, 10), cand(1, 2, 3, 11), cand(2, 3, 4, 12), cand(3, 2, 4, 13)];
+        let out = merge(&ids, &best);
         assert!(out.done);
         assert!(ids.iter().all(|c| out.new_id[c] == 0));
-        // 3 -> 2 is the mutual twin of 2 -> 3 (same key): only one chosen.
-        assert_eq!(out.chosen_slots.len(), 3);
-        assert!(out.chosen_slots.contains(&10));
-        assert!(out.chosen_slots.contains(&11));
-        // Exactly one of the mutual pair's slots is chosen.
-        assert_eq!(
-            out.chosen_slots.contains(&12) as u32 + out.chosen_slots.contains(&13) as u32,
-            1
-        );
+        // 3 -> 2 is the mutual twin of 2 -> 3 (same key): the first
+        // offered, the lower source's, is chosen.
+        assert_eq!(slots(&out), [11, 12, 10], "in key order");
     }
 
     #[test]
     fn two_components_not_done() {
-        let ids = [0u64, 1, 7, 9];
-        let best: BTreeMap<u64, Candidate> = [
+        let best = [
             cand(0, 1, 1, 20),
             cand(1, 0, 1, 21), // mutual with the above
             cand(7, 9, 2, 22),
             cand(9, 7, 2, 23), // mutual
-        ]
-        .into_iter()
-        .collect();
-        let out = merge_fragment_graph(&ids, &best);
+        ];
+        let out = merge(&[0, 1, 7, 9], &best);
         assert!(!out.done);
+        assert_eq!(out.remaining, 2);
         assert_eq!(out.new_id[&0], 0);
         assert_eq!(out.new_id[&1], 0);
         assert_eq!(out.new_id[&7], 7);
         assert_eq!(out.new_id[&9], 7);
-        assert_eq!(out.chosen_slots.len(), 2);
+        assert_eq!(slots(&out), [20, 22]);
     }
 
     #[test]
     fn missing_candidates_leave_singletons() {
         // Fragment 5 has no outgoing candidate (possible only when it is
         // alone, but the pure function tolerates it).
-        let out = merge_fragment_graph(&[5], &BTreeMap::new());
+        let out = merge(&[5], &[]);
         assert!(out.done);
         assert_eq!(out.new_id[&5], 5);
-        assert!(out.chosen_slots.is_empty());
+        assert!(out.chosen.is_empty());
     }
 
     #[test]
     fn star_merge_picks_min_id() {
         // 3, 8, 12 all point at 2.
         let ids = [2u64, 3, 8, 12];
-        let best: BTreeMap<u64, Candidate> = [
+        let best = [
+            cand(2, 3, 1, 33), // mutual with 3 -> 2
             cand(3, 2, 1, 30),
             cand(8, 2, 2, 31),
             cand(12, 2, 3, 32),
-            cand(2, 3, 1, 33), // mutual with 3 -> 2
-        ]
-        .into_iter()
-        .collect();
-        let out = merge_fragment_graph(&ids, &best);
+        ];
+        let out = merge(&ids, &best);
         assert!(out.done);
         assert!(ids.iter().all(|c| out.new_id[c] == 2));
-        assert_eq!(out.chosen_slots.len(), 3, "three physical edges used");
+        assert_eq!(slots(&out), [33, 31, 32], "three physical edges used");
+    }
+
+    #[test]
+    fn label_is_the_component_minimum() {
+        let mut f = CycleFilter::new(0);
+        for rec in [cand(9, 4, 1, 0), cand(4, 7, 2, 0), cand(3, 5, 3, 0)] {
+            f.offer(rec);
+        }
+        assert_eq!(f.label(9), 9, "nothing released yet");
+        assert_eq!(f.kruskal().len(), 3);
+        assert_eq!([9, 7, 4].map(|c| f.label(c)), [4, 4, 4]);
+        assert_eq!([5, 3].map(|c| f.label(c)), [3, 3]);
+        assert_eq!(f.label(1), 1, "a label never offered is its own");
     }
 
     #[test]
@@ -425,7 +425,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown coarse id")]
     fn foreign_destination_rejected() {
-        let best: BTreeMap<u64, Candidate> = [cand(0, 99, 1, 0)].into_iter().collect();
-        let _ = merge_fragment_graph(&[0], &best);
+        let _ = merge(&[0], &[cand(0, 99, 1, 0)]);
     }
 }

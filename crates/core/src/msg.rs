@@ -200,9 +200,9 @@ pub enum Msg {
     /// Receipt closes the answered phase and opens the next one, so
     /// fragments re-announce immediately.
     ///
-    /// A finish answers twice over: each chosen edge's endpoint gets one
-    /// with `chosen` set and the coarse id across that edge in
-    /// `new_coarse`, then every base fragment gets one with `done` set.
+    /// A finish answers twice over: every base fragment gets one with
+    /// `done` set, then each chosen edge's endpoint gets one with `chosen`
+    /// set and the coarse id across that edge in `new_coarse`.
     Assign {
         /// Destination slot (the base fragment root's interval start, or
         /// in a finish a chosen edge's endpoint's slot).

@@ -57,17 +57,15 @@ mod lane {
     /// Neighbor coarse id for the current Borůvka phase (stale once the
     /// port is retired).
     pub const NBR_COARSE: usize = 3;
-    /// Neighbor coarse id announced one phase early (fused-phase skew).
-    pub const NBR_COARSE_NEXT: usize = 4;
     /// Total `CoarseAnnounce`s received on this port (its value *is* the
     /// phase of the next announce, by the once-per-phase send discipline).
-    pub const ANN_COUNT: usize = 5;
+    pub const ANN_COUNT: usize = 4;
     /// Total `UpDone`s received on this port.
-    pub const UPDONE_COUNT: usize = 6;
+    pub const UPDONE_COUNT: usize = 5;
     /// Per-port flag bits, see [`flag`](super::flag).
-    pub const FLAGS: usize = 7;
+    pub const FLAGS: usize = 6;
     /// Number of lanes.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 }
 
 /// Bits of the [`lane::FLAGS`] lane.
@@ -99,7 +97,7 @@ impl PortArena {
         for (q, w) in weights.enumerate() {
             buf[lane::WEIGHT * deg + q] = w;
         }
-        for l in [lane::NBR_ID, lane::NBR_FRAG, lane::NBR_COARSE, lane::NBR_COARSE_NEXT] {
+        for l in [lane::NBR_ID, lane::NBR_FRAG, lane::NBR_COARSE] {
             buf[l * deg..(l + 1) * deg].fill(UNKNOWN);
         }
         Self { deg, buf }
@@ -159,17 +157,6 @@ impl PortArena {
     #[inline]
     pub(crate) fn set_nbr_coarse(&mut self, q: usize, v: u64) {
         self.set(lane::NBR_COARSE, q, v);
-    }
-
-    /// Neighbor coarse id announced one phase early (`UNKNOWN` if none).
-    #[inline]
-    pub(crate) fn nbr_coarse_next(&self, q: usize) -> u64 {
-        self.get(lane::NBR_COARSE_NEXT, q)
-    }
-
-    #[inline]
-    pub(crate) fn set_nbr_coarse_next(&mut self, q: usize, v: u64) {
-        self.set(lane::NBR_COARSE_NEXT, q, v);
     }
 
     /// Consumes one `CoarseAnnounce` on port `q`: returns the phase it
@@ -322,10 +309,9 @@ pub(crate) struct BScratch {
 
 /// Per-phase Stage D scratch, replaced wholesale when the phase rolls
 /// (`ElkinNode::cd_roll_phase`, triggered by the `Assign`/`NewCoarse`
-/// answer path). Messages of the *next* phase that arrive early are held
-/// in the node-level skew buffers (`ann_recv_next` & co.) and folded in at
-/// the roll — under the fused-phase protocol neighboring vertices are
-/// never more than one phase apart.
+/// answer path). Messages of the *next* phase that arrive early park in
+/// `ElkinNode::early` and replay at the roll — under the fused-phase
+/// protocol neighboring vertices are never more than one phase apart.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DScratch {
     /// The phase this scratch belongs to.
@@ -343,10 +329,10 @@ pub(crate) struct DScratch {
     /// Mark walk descends. The source coarse id is this vertex's own
     /// `coarse`.
     pub mwoe: Argmin<(CandKey, u64)>,
-    /// `FragMwoeUp` sent up (or, at fragment roots, the aggregate turned
-    /// into a pipelined record — see `injected`).
+    /// My fragment subtree's aggregate is done: `FragMwoeUp` sent up, or
+    /// at a fragment root turned into a pipelined record (in a finish, my
+    /// own candidates queued).
     pub responded: bool,
-    pub injected: bool,
     /// Best known candidate per source coarse id (also the BFS root's
     /// collection).
     pub up_best: BTreeMap<u64, Candidate>,
@@ -429,19 +415,15 @@ pub struct ElkinNode {
     pub(crate) coarse: u64,
     pub(crate) d: DScratch,
 
-    // Fused-phase skew buffers (survive the per-phase scratch roll).
-    // Per-edge FIFO delivery plus once-per-phase send discipline let the
-    // receiver infer the phase of `CoarseAnnounce`/`Candidate`/`UpDone`
-    // from the cumulative per-port counts in `ports` (the `ANN_COUNT` /
-    // `UPDONE_COUNT` / `NBR_COARSE_NEXT` lanes); anything one phase ahead
-    // of the local scratch parks here until `cd_roll_phase`.
-    /// Number of phase-`d.phase + 1` announcements already received.
-    pub(crate) ann_recv_next: usize,
-    /// `UpDone`s of phase `d.phase + 1` already received from BFS children.
-    pub(crate) updone_next: usize,
-    /// Candidate records of phase `d.phase + 1` received early, with the
-    /// port each came in on (a finish's filter tracks each BFS child).
-    pub(crate) cand_next: Vec<(PortId, Candidate)>,
+    /// The fused phases' skew buffer, which survives the per-phase
+    /// scratch roll: the `CoarseAnnounce`s, `Candidate`s and `UpDone`s of
+    /// phase `d.phase + 1` that arrived early, with their ports, in arrival
+    /// order. Per-edge FIFO delivery and the once-per-phase send
+    /// discipline let the receiver infer each one's phase from the
+    /// cumulative per-port counts in `ports` (the `ANN_COUNT` and
+    /// `UPDONE_COUNT` lanes); `cd_roll_phase` replays them through
+    /// `cd_take`, the path a current-phase message takes.
+    pub(crate) early: Vec<(PortId, Msg)>,
     /// Pipelined downcast queues, one per BFS child (parallel to
     /// `bfs_children`).
     pub(crate) down: Vec<VecDeque<Msg>>,
@@ -505,9 +487,7 @@ impl ElkinNode {
             child_ivs: Vec::new(),
             coarse: 0,
             d: DScratch::default(),
-            ann_recv_next: 0,
-            updone_next: 0,
-            cand_next: Vec::new(),
+            early: Vec::new(),
             down: Vec::new(),
             root: None,
             finish: None,

@@ -39,7 +39,8 @@
 //!    serialization — it is what the root merge needs anyway, and it
 //!    bounds the phase skew between any two vertices to one.
 //! 4. The BFS root merges the fragment graph locally (exactly the
-//!    computation the paper assigns to `rt`) and answers every base
+//!    computation the paper assigns to `rt`), by Kruskal over the phase's
+//!    MWOEs, and answers every base
 //!    fragment with an interval-routed, pipelined `Assign`: receipt closes
 //!    phase `j` and opens `j + 1` in one event, so fragments re-announce
 //!    immediately. The root learns the base fragments themselves from
@@ -58,8 +59,11 @@
 //!    whose upcast that fragment root never completes, never merges.
 //!
 //! Messages of phase `j + 1` can arrive while a vertex still works on `j`
-//! (its own answer may be stuck in the pipelined downcast); they park in
-//! the node-level skew buffers and fold in when the phase rolls. Skew
+//! (its own answer may be stuck in the pipelined downcast). The per-port
+//! `CoarseAnnounce` and `UpDone` counts give each upcast message its phase;
+//! one of phase `j + 1` parks, as received, in one buffer
+//! (`ElkinNode::early`), and the roll replays the buffer in arrival order
+//! through the same take path a current-phase message goes through. Skew
 //! beyond one phase is impossible: the root cannot merge `j + 1` before
 //! every vertex contributed `UpDone` for it, which requires that vertex to
 //! have finished `j`.
@@ -81,25 +85,26 @@
 //!    child's watermark has passed, and only the candidates that close no
 //!    cycle over coarse ids (Kutten–Peleg's filter). At most `F_j - 1`
 //!    candidates cross each BFS edge, and `UpDone` follows the last.
-//! 3. The BFS root runs Kruskal over what reached it: `F_j - 1` edges. It
-//!    answers every base fragment with `done`, as after a last regular
-//!    phase, then each chosen edge's endpoint by its slot; the endpoint
-//!    marks the edge and sends `Cross(Mark)`.
+//! 3. The BFS root merges as in a regular phase, by Kruskal, over what
+//!    reached its own filter: `F_j - 1` edges. It answers every base
+//!    fragment with `done`, as after a last regular phase, then each
+//!    chosen edge's endpoint by its slot; the endpoint marks the edge and
+//!    sends `Cross(Mark)`.
 //!
 //! A vertex may get its fragment's `done` before its own mark answer,
 //! which takes another route. Neither the finish filter nor the phase's
 //! `nbr_coarse` lane is dropped at `done`, so the late mark still finds its
 //! edge, and a vertex with answers left to pass on is not finished.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use congest_sim::{PortId, RoundCtx};
 
 use crate::candidate::{CandKey, Candidate};
-use crate::fraggraph::{orders_finish, CycleFilter};
+use crate::fraggraph::{merge_fragment_graph, orders_finish, CycleFilter};
 use crate::msg::{Msg, Walk};
 
-use super::{lane, DScratch, ElkinNode, Sel, UNKNOWN};
+use super::{lane, DScratch, ElkinNode, Sel};
 
 /// Index of the BFS child behind `port`.
 fn child_index(children: &[PortId], port: PortId) -> usize {
@@ -127,25 +132,13 @@ impl ElkinNode {
     pub(crate) fn cd_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
-                Msg::CoarseAnnounce { coarse } => {
+                Msg::CoarseAnnounce { .. } => {
                     assert!(!self.ports.retired(port), "CoarseAnnounce over a retired port");
                     // The sender announces once per phase in phase order
                     // while the port is live, so the per-port count *is*
                     // the announce's phase.
                     let ph = self.ports.bump_ann_count(port);
-                    if ph == self.d.phase {
-                        self.ports.set_nbr_coarse(port, coarse);
-                        self.d.ann_recv += 1;
-                    } else {
-                        debug_assert_eq!(
-                            ph,
-                            self.d.phase + 1,
-                            "announce phase skew > 1 at vertex {}",
-                            self.id
-                        );
-                        self.ports.set_nbr_coarse_next(port, coarse);
-                        self.ann_recv_next += 1;
-                    }
+                    self.cd_take_or_park(ph, port, msg);
                 }
                 Msg::FragMwoeUp { cand } => {
                     // A fragment subtree cannot outrun its own root, so
@@ -161,54 +154,17 @@ impl ElkinNode {
                     }
                     self.d.frag_up_recv += 1;
                 }
-                Msg::Candidate { rec } => {
+                Msg::Candidate { .. } => {
                     // Candidates from a port belong to the phase after the
                     // last `UpDone` seen on it (per-edge FIFO).
                     let ph = self.ports.updone_count(port);
-                    if ph == self.d.phase {
-                        self.cd_take(port, rec);
-                    } else {
-                        debug_assert_eq!(
-                            ph,
-                            self.d.phase + 1,
-                            "candidate phase skew > 1 at vertex {}",
-                            self.id
-                        );
-                        self.cand_next.push((port, rec));
-                    }
+                    self.cd_take_or_park(ph, port, msg);
                 }
                 Msg::UpDone => {
                     let ph = self.ports.bump_updone_count(port);
-                    if ph == self.d.phase {
-                        self.d.updone_children += 1;
-                        if let Some(filter) = self.finish.as_deref_mut() {
-                            filter.close(child_index(&self.bfs_children, port));
-                        }
-                    } else {
-                        debug_assert_eq!(
-                            ph,
-                            self.d.phase + 1,
-                            "UpDone phase skew > 1 at vertex {}",
-                            self.id
-                        );
-                        self.updone_next += 1;
-                    }
+                    self.cd_take_or_park(ph, port, msg);
                 }
-                Msg::Assign { dest_slot, new_coarse, chosen, done, finish } => {
-                    if dest_slot != self.slot {
-                        let idx = self.cd_route(dest_slot);
-                        self.down[idx].push_back(msg.clone());
-                        // Answers to pass on: not finished until they are.
-                        self.finished = false;
-                    } else if self.finish.is_none() {
-                        self.cd_consume_assign(ctx, new_coarse, chosen, done, finish);
-                    } else if chosen {
-                        self.cd_finish_mark(ctx, new_coarse);
-                    } else {
-                        debug_assert!(done, "a finish answers only marks and done");
-                        self.cd_apply_new_coarse(ctx, new_coarse, done, finish);
-                    }
-                }
+                Msg::Assign { .. } => self.cd_answer(ctx, msg.clone()),
                 Msg::NewCoarse { id, done, finish } => {
                     self.cd_apply_new_coarse(ctx, id, done, finish);
                 }
@@ -220,6 +176,41 @@ impl ElkinNode {
                 Msg::Cross(Walk::Mark) => self.ports.mark_mst(port),
                 ref other => unreachable!("stage D received {other:?}"),
             }
+        }
+    }
+
+    /// Takes an upcast message of phase `ph` (a `CoarseAnnounce`,
+    /// `Candidate` or `UpDone` from `port`) now if `ph` is the current
+    /// phase, else parks it until the roll.
+    fn cd_take_or_park(&mut self, ph: u64, port: PortId, msg: &Msg) {
+        if ph == self.d.phase {
+            self.cd_take(port, msg);
+        } else {
+            debug_assert_eq!(ph, self.d.phase + 1, "phase skew > 1 at vertex {}", self.id);
+            self.early.push((port, msg.clone()));
+        }
+    }
+
+    /// A current-phase `CoarseAnnounce`, `Candidate` or `UpDone` from
+    /// `port`. A candidate goes to the finish's filter, or to a regular
+    /// phase's per-coarse-id buffer.
+    fn cd_take(&mut self, port: PortId, msg: &Msg) {
+        match *msg {
+            Msg::CoarseAnnounce { coarse } => {
+                self.ports.set_nbr_coarse(port, coarse);
+                self.d.ann_recv += 1;
+            }
+            Msg::Candidate { rec } => match self.finish.as_deref_mut() {
+                Some(filter) => filter.receive(child_index(&self.bfs_children, port), rec),
+                None => self.cd_offer(rec),
+            },
+            Msg::UpDone => {
+                self.d.updone_children += 1;
+                if let Some(filter) = self.finish.as_deref_mut() {
+                    filter.close(child_index(&self.bfs_children, port));
+                }
+            }
+            ref other => unreachable!("{other:?} is not per-phase upcast traffic"),
         }
     }
 
@@ -291,11 +282,7 @@ impl ElkinNode {
                 }
             } else {
                 self.d.updone_sent = true;
-                if self.finish.is_some() {
-                    self.cd_finish_merge(ctx);
-                } else {
-                    self.cd_root_merge(ctx);
-                }
+                self.cd_root_merge(ctx);
             }
         }
 
@@ -314,7 +301,7 @@ impl ElkinNode {
 
         // Quiesce only when everything queued has been flushed.
         if self.cd_quiesce_ready() {
-            debug_assert!(self.cand_next.is_empty(), "buffered candidates past termination");
+            debug_assert!(self.early.is_empty(), "next-phase traffic past termination");
             self.finished = true;
         }
     }
@@ -386,7 +373,7 @@ impl ElkinNode {
     fn cd_updone_ready(&self) -> bool {
         let flushed = match self.finish.as_deref() {
             Some(filter) => self.d.responded && (self.bfs_parent.is_none() || filter.exhausted()),
-            None => (!self.is_frag_root() || self.d.injected) && self.d.up_pending.is_empty(),
+            None => (!self.is_frag_root() || self.d.responded) && self.d.up_pending.is_empty(),
         };
         !self.done_seen
             && !self.d.updone_sent
@@ -427,21 +414,9 @@ impl ElkinNode {
     /// vertex of the base fragment holds the same coarse id, so the
     /// source side is the root's own.
     fn cd_inject(&mut self) {
-        debug_assert!(!self.d.injected);
-        self.d.injected = true;
         if let Some((key, dc)) = self.d.mwoe.best {
             let src_coarse = self.coarse;
             let rec = Candidate { key, src_coarse, dst_coarse: dc, src_slot: self.slot };
-            self.cd_offer(rec);
-        }
-    }
-
-    /// A current-phase candidate from the BFS child behind `port`: the
-    /// finish's filter takes it, or a regular phase's per-coarse-id buffer.
-    fn cd_take(&mut self, port: PortId, rec: Candidate) {
-        if let Some(filter) = self.finish.as_deref_mut() {
-            filter.receive(child_index(&self.bfs_children, port), rec);
-        } else {
             self.cd_offer(rec);
         }
     }
@@ -462,13 +437,20 @@ impl ElkinNode {
         }
     }
 
-    /// BFS-root-local Borůvka merge of the fragment graph (paper §3: `rt`
+    /// BFS-root-local merge of the fragment graph (paper §3: `rt`
     /// computes the MWOEs, merges fragments, and answers every base
-    /// fragment). Under the fused protocol the answers are also the next
-    /// phase's start signal: a fragment re-announces the moment its
-    /// `Assign` lands — the `PhaseDone`/`StartPhase` barrier pair this
-    /// replaces is gone. The pure computation lives in
-    /// [`merge_fragment_graph`](crate::fraggraph::merge_fragment_graph).
+    /// fragment): Kruskal over this phase's MWOEs, or in a finish over
+    /// what reached the root's filter
+    /// ([`merge_fragment_graph`](crate::fraggraph::merge_fragment_graph)).
+    /// Under the fused protocol the answers are also the next phase's
+    /// start signal: a fragment re-announces the moment its `Assign` lands
+    /// — the `PhaseDone`/`StartPhase` barrier pair this replaces is gone.
+    ///
+    /// A regular phase tells a base fragment in its answer whether its
+    /// record was chosen. A finish ends the run: every base fragment gets
+    /// `done`, then each chosen edge's endpoint is answered by its own
+    /// slot. The marks queue behind the `done`s, whose fragment floods are
+    /// the longer tail.
     fn cd_root_merge(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         let mut root = self.root.take().expect("only the BFS root merges");
         if self.d.phase == 0 {
@@ -479,101 +461,72 @@ impl ElkinNode {
         }
 
         let coarse_ids: Vec<u64> = root.slot_coarse.values().copied().collect();
-        let outcome = crate::fraggraph::merge_fragment_graph(&coarse_ids, &self.d.up_best);
-        let done = outcome.done;
+        let finishing = self.finish.is_some();
+        let outcome = match self.finish.as_deref_mut() {
+            Some(filter) => merge_fragment_graph(&coarse_ids, filter),
+            None => {
+                // Ascending source order: a mutual MWOE keeps the record of
+                // its lower side.
+                let mut filter = CycleFilter::new(0);
+                self.d.up_best.values().for_each(|&rec| filter.offer(rec));
+                merge_fragment_graph(&coarse_ids, &mut filter)
+            }
+        };
         let h = self.params.expect("Stage A agreed on the parameters").h;
         let finish = orders_finish(self.d.phase + 1, outcome.remaining, h);
         if finish {
             root.finish = Some((self.d.phase + 1, outcome.remaining));
         }
+        let (marks, chosen_slots) = if finishing {
+            (outcome.chosen, BTreeSet::new())
+        } else {
+            (Vec::new(), outcome.chosen.iter().map(|rec| rec.src_slot).collect())
+        };
 
-        // Answer every base fragment with its new coarse id.
+        let done = outcome.done;
         for (&slot, coarse) in &mut root.slot_coarse {
-            let nc = outcome.new_id[coarse];
-            *coarse = nc;
-            let chosen = outcome.chosen_slots.contains(&slot);
-            if slot == self.slot {
-                self.cd_consume_assign(ctx, nc, chosen, done, finish);
-            } else {
-                let answer = Msg::Assign { dest_slot: slot, new_coarse: nc, chosen, done, finish };
-                self.cd_send_down(slot, answer);
-            }
+            *coarse = outcome.new_id[coarse];
+            let (new_coarse, chosen) = (*coarse, chosen_slots.contains(&slot));
+            self.cd_answer(ctx, Msg::Assign { dest_slot: slot, new_coarse, chosen, done, finish });
         }
         self.root = Some(root);
+        for rec in marks {
+            let (dest_slot, new_coarse) = (rec.src_slot, rec.dst_coarse);
+            let mark =
+                Msg::Assign { dest_slot, new_coarse, chosen: true, done: false, finish: false };
+            self.cd_answer(ctx, mark);
+        }
     }
 
-    /// BFS root, end of a finish: Kruskal over the candidates that reached
-    /// it, then the answers. Every base fragment gets `done`, as after a
-    /// last regular phase; then each chosen edge's endpoint is answered by
-    /// its own slot. The marks queue behind the `done`s, whose fragment
-    /// floods are the longer tail.
-    fn cd_finish_merge(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let chosen = self.finish.as_deref_mut().expect("the root is finishing").kruskal();
-        let mut root = self.root.take().expect("only the BFS root merges");
-        let id = root.slot_coarse.values().copied().min().expect("a finish has base fragments");
-        for (&slot, coarse) in &mut root.slot_coarse {
-            *coarse = id;
-            if slot == self.slot {
-                self.cd_apply_new_coarse(ctx, id, true, false);
-            } else {
-                let done = Msg::Assign {
-                    dest_slot: slot,
-                    new_coarse: id,
-                    chosen: false,
-                    done: true,
-                    finish: false,
-                };
-                self.cd_send_down(slot, done);
+    /// An `Assign` answer, at the BFS root as it merges or anywhere on its
+    /// way down: queued on the BFS child whose interval holds its slot, or
+    /// consumed here if the slot is mine.
+    fn cd_answer(&mut self, ctx: &mut RoundCtx<'_, Msg>, answer: Msg) {
+        let Msg::Assign { dest_slot, new_coarse, chosen, done, finish } = answer else {
+            unreachable!("{answer:?} is not an answer");
+        };
+        if dest_slot != self.slot {
+            let idx = crate::intervals::route(&self.child_ivs, dest_slot).unwrap_or_else(|| {
+                panic!("slot {dest_slot} not in any child interval of {}", self.id)
+            });
+            self.down[idx].push_back(answer);
+            // Answers to pass on: not finished until they are.
+            self.finished = false;
+        } else if self.finish.is_none() {
+            // A base-fragment root's phase answer: walk to the chosen edge
+            // and mark it before `NewCoarse`, so FIFO protects every hop's
+            // `Sel`.
+            debug_assert!(self.is_frag_root());
+            if chosen {
+                self.walk(ctx, Walk::Mark);
             }
+            self.cd_apply_new_coarse(ctx, new_coarse, done, finish);
+        } else if chosen {
+            self.cd_finish_mark(ctx, new_coarse);
+        } else {
+            debug_assert!(done, "a finish answers only marks and done");
+            self.cd_apply_new_coarse(ctx, new_coarse, done, finish);
         }
-        self.root = Some(root);
-        for rec in chosen {
-            let (slot, far) = (rec.src_slot, rec.dst_coarse);
-            if slot == self.slot {
-                self.cd_finish_mark(ctx, far);
-            } else {
-                let mark = Msg::Assign {
-                    dest_slot: slot,
-                    new_coarse: far,
-                    chosen: true,
-                    done: false,
-                    finish: false,
-                };
-                self.cd_send_down(slot, mark);
-            }
-        }
-    }
-
-    /// Queues the root's `answer` to `slot` on the BFS child whose interval
-    /// holds it.
-    fn cd_send_down(&mut self, slot: u64, answer: Msg) {
-        let idx = self.cd_route(slot);
-        self.down[idx].push_back(answer);
-    }
-
-    /// Which BFS child's interval contains `dest`?
-    fn cd_route(&self, dest: u64) -> usize {
-        crate::intervals::route(&self.child_ivs, dest)
-            .unwrap_or_else(|| panic!("slot {dest} not in any child interval of {}", self.id))
-    }
-
-    /// A base-fragment root received its phase answer: walk to the chosen
-    /// edge and mark it (before `NewCoarse`, so FIFO protects every hop's
-    /// `Sel`), broadcast the new coarse id, and roll into the next phase
-    /// myself.
-    fn cd_consume_assign(
-        &mut self,
-        ctx: &mut RoundCtx<'_, Msg>,
-        nc: u64,
-        chosen: bool,
-        done: bool,
-        finish: bool,
-    ) {
-        debug_assert!(self.is_frag_root());
-        if chosen {
-            self.walk(ctx, Walk::Mark);
-        }
-        self.cd_apply_new_coarse(ctx, nc, done, finish);
     }
 
     /// The one phase-roll call site: pass the new coarse id (and the
@@ -599,32 +552,16 @@ impl ElkinNode {
     }
 
     /// Replace the per-phase scratch with a fresh one for `d.phase + 1`,
-    /// opening the finish's filter if the new phase is one, and fold in
-    /// whatever next-phase traffic arrived early (the skew buffers; see
-    /// `DScratch`).
+    /// opening the finish's filter if the new phase is one, and replay the
+    /// next-phase traffic that arrived early (`ElkinNode::early`) in
+    /// arrival order.
     fn cd_roll_phase(&mut self, finish: bool) {
         self.d = DScratch { phase: self.d.phase + 1, ..DScratch::default() };
-        self.d.ann_recv = std::mem::take(&mut self.ann_recv_next);
-        self.d.updone_children = std::mem::take(&mut self.updone_next);
-        for q in 0..self.ports.deg() {
-            let next = self.ports.nbr_coarse_next(q);
-            if next != UNKNOWN {
-                self.ports.set_nbr_coarse(q, next);
-                self.ports.set_nbr_coarse_next(q, UNKNOWN);
-            }
-        }
         if finish {
-            let mut filter = CycleFilter::new(self.bfs_children.len());
-            for (i, &c) in self.bfs_children.iter().enumerate() {
-                // This phase's `UpDone` from `c` already landed.
-                if self.ports.updone_count(c) > self.d.phase {
-                    filter.close(i);
-                }
-            }
-            self.finish = Some(Box::new(filter));
+            self.finish = Some(Box::new(CycleFilter::new(self.bfs_children.len())));
         }
-        for (port, rec) in std::mem::take(&mut self.cand_next) {
-            self.cd_take(port, rec);
+        for (port, msg) in std::mem::take(&mut self.early) {
+            self.cd_take(port, &msg);
         }
     }
 

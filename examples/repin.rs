@@ -50,6 +50,10 @@ fn main() {
     let g1024 = gen::path_of_cliques(128, 8, r);
     print_pin(&Algorithm::Elkin(ElkinConfig::default()), &g1024, "cliquepath 128x8");
 
+    println!("\n# elkin_adaptive_random_1024_pin");
+    let random1024 = gen::random_connected(1024, 3072, &mut gen::WeightRng::new(0));
+    print_pin(&Algorithm::Elkin(ElkinConfig::default()), &random1024, "random n=1024 m=3072");
+
     if large {
         let g2304 = standard_trio(2304, 0x51)
             .into_iter()

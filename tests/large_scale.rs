@@ -10,12 +10,11 @@ use dmst::core::{run_mst, ElkinConfig};
 use dmst::graphs::{generators as gen, mst};
 
 /// Promoted from the `#[ignore]`d set: the T1 cliquepath at n = 2304 runs
-/// in the default suite, against the same budget as the T1 smoke
-/// (`exp_t1_comparison -- --smoke`): the golden total rounds with the
-/// standard 10% slack and the fixed Stage D ceiling, both kept in
-/// `dmst_bench`.
+/// in the default suite, against the same exact goldens as the T1 smoke
+/// (`exp_t1_comparison -- --smoke`): total rounds, Stage D rounds and wire
+/// words, kept in `dmst_bench`.
 #[test]
-fn cliquepath_2304_adaptive_within_budget() {
+fn cliquepath_2304_adaptive_pin() {
     let g = dmst_bench::standard_trio(2304, 0x51)
         .into_iter()
         .find(|w| w.name.starts_with("cliquepath"))
@@ -24,17 +23,16 @@ fn cliquepath_2304_adaptive_within_budget() {
     let truth = mst::kruskal(&g);
     let run = run_mst(&g, &ElkinConfig::default()).expect("run");
     assert_eq!(run.edges, truth.edges);
-    let (golden, ceiling) =
-        (dmst_bench::CLIQUEPATH_2304_ROUNDS, dmst_bench::CLIQUEPATH_2304_STAGE_D_CEILING);
-    assert!(
-        run.stats.rounds <= dmst_bench::budget(golden),
-        "cliquepath rounds {} exceed the {golden}-round golden (+10%)",
-        run.stats.rounds
+    assert_eq!(run.stats.rounds, dmst_bench::CLIQUEPATH_2304_ROUNDS, "cliquepath rounds");
+    assert_eq!(
+        run.stats.rounds_in_stage("d"),
+        dmst_bench::CLIQUEPATH_2304_STAGE_D_ROUNDS,
+        "cliquepath Stage D rounds"
     );
-    assert!(
-        run.stats.rounds_in_stage("d") <= ceiling,
-        "cliquepath Stage D rounds {} exceed the {ceiling}-round ceiling",
-        run.stats.rounds_in_stage("d")
+    assert_eq!(
+        run.stats.wire_words,
+        dmst_bench::CLIQUEPATH_2304_WIRE_WORDS,
+        "cliquepath wire words"
     );
 }
 

@@ -147,7 +147,7 @@ fn baseline_t1_trio_pins() {
 }
 
 /// A mid-size pin on the high-diameter cliquepath (n = 1024), between the
-/// n = 256 trio and the n = 2304 budgets.
+/// n = 256 trio and the n = 2304 goldens.
 #[test]
 fn elkin_adaptive_cliquepath_1024_pin() {
     let r = &mut gen::WeightRng::new(0x51);
@@ -157,5 +157,20 @@ fn elkin_adaptive_cliquepath_1024_pin() {
         &g,
         "cliquepath 128x8",
         CountPin::new(3161, 80723, 113895),
+    );
+}
+
+/// A mid-size pin on a random graph (n = 1024, m = 3072): the row whose
+/// Stage D receives `Candidate`s one phase early, which the receiver
+/// parks until its own phase rolls. Without it no tier-1 row takes that
+/// path.
+#[test]
+fn elkin_adaptive_random_1024_pin() {
+    let g = gen::random_connected(1024, 3072, &mut gen::WeightRng::new(0));
+    assert_count_pin(
+        &Algorithm::Elkin(ElkinConfig::default()),
+        &g,
+        "random n=1024 m=3072",
+        CountPin::new(314, 61786, 100525),
     );
 }
