@@ -412,7 +412,8 @@ struct Shard<'a, P: NodeProgram> {
     /// next round) live here; the overwhelmingly common "step me again next
     /// round" hint takes the O(1) [`Self::due`] path instead. Nodes that
     /// sleep to the same round (every Stage B vertex to the next window
-    /// edge) share one entry, so a wake costs a push onto its round's list.
+    /// opening) share one entry, so a wake costs a push onto its round's
+    /// list.
     wake: BTreeMap<u64, Vec<NodeId>>,
     /// Nodes due at the next executed round, whatever its number (a wake
     /// for round + 1 stays valid across a fast-forward: firing at a later

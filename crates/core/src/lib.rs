@@ -56,4 +56,4 @@ pub use forest::{analyze_forest, ForestReport};
 pub use msg::{Msg, Walk};
 pub use node::ElkinNode;
 pub use runner::{marked_mst_edges, run_forest, run_mst, ForestRun, MstRun, RunError};
-pub use schedule::{choose_k, choose_k_cost, Params, Schedule, Slot, Window};
+pub use schedule::{choose_k, choose_k_cost, Params, Schedule, Window};

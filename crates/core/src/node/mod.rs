@@ -28,7 +28,6 @@ mod stage_cd;
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
 
 use congest_sim::{NodeInfo, NodeProgram, PortId, RoundCtx};
 
@@ -36,7 +35,7 @@ use crate::candidate::{CandKey, Candidate};
 use crate::config::ElkinConfig;
 use crate::fraggraph::CycleFilter;
 use crate::msg::{Msg, Walk};
-use crate::schedule::{Params, Schedule};
+use crate::schedule::Schedule;
 
 /// Marker for "unknown neighbor data" in port-indexed tables.
 pub(crate) const UNKNOWN: u64 = u64::MAX;
@@ -298,6 +297,9 @@ pub(crate) struct BScratch {
     pub parent_color: Option<u64>,
     /// Set at a matched fragment's root: the partner fragment's id.
     pub partner: Option<u64>,
+    /// Set at a participating root when it starts an exchange: the next
+    /// opening takes that exchange's Cole–Vishkin step.
+    pub cv_due: bool,
     pub col_pending: usize,
     /// A Collect window's convergecast: my subtree's smallest unmatched
     /// foreign-child fragment id, which the Accept walk descends.
@@ -384,13 +386,9 @@ pub struct ElkinNode {
     pub(crate) done_seen: bool,
 
     pub(crate) a: AState,
-    pub(crate) params: Option<Params>,
-    /// The Stage B timeline. `run_mst` hands every vertex of a run the same
-    /// cell; the first vertex to adopt the broadcast [`Params`] fills it and
-    /// every other vertex checks it against its own. A bare
-    /// [`ElkinNode::new`] node has no cell until it adopts, then makes a
-    /// private one.
-    pub(crate) sched: Option<Arc<OnceLock<Schedule>>>,
+    /// The Stage B schedule, derived from the broadcast parameters when
+    /// this vertex adopts them; `None` before.
+    pub(crate) sched: Option<Schedule>,
 
     // BFS tree (stage A output).
     pub(crate) depth: u64,
@@ -473,7 +471,6 @@ impl ElkinNode {
             finished: false,
             done_seen: false,
             a: AState::default(),
-            params: None,
             sched: None,
             depth: 0,
             bfs_parent: None,
@@ -564,7 +561,7 @@ impl ElkinNode {
 
     /// The parameter `k` this run settled on (after Stage A).
     pub fn chosen_k(&self) -> Option<u64> {
-        self.params.map(|p| p.k)
+        self.sched.map(|s| s.params().k)
     }
 
     /// The base-fragment id this vertex ended Stage B with.
@@ -632,7 +629,7 @@ impl NodeProgram for ElkinNode {
                     // With parameters agreed, Stage B starts at t0; until
                     // then everything (BFS wave, size convergecast, the
                     // params broadcast) arrives as messages.
-                    self.params.map(|p| p.t0)
+                    self.sched.map(|s| s.start())
                 }
             }
             Stage::B => self.b_next_wake(after),

@@ -13,8 +13,6 @@
 //! neighbors' ids, which double as their phase-0 fragment ids, and no
 //! later message carries one.
 
-use std::sync::Arc;
-
 use congest_sim::RoundCtx;
 
 use crate::intervals;
@@ -64,8 +62,7 @@ impl ElkinNode {
                     }
                 }
                 Msg::Params { n, h, k, t0, slot } => {
-                    self.a_adopt_params(Params { n, h, k, t0 });
-                    self.a_pass_params(ctx, slot);
+                    self.a_adopt(ctx, Params { n, h, k, t0 }, slot)
                 }
                 ref other => unreachable!("stage A received {other:?}"),
             }
@@ -101,11 +98,9 @@ impl ElkinNode {
         }
 
         // Stage B begins at the globally agreed round t0.
-        if let Some(p) = self.params {
-            if round == p.t0 {
-                self.stage = Stage::B;
-                self.b_act(ctx);
-            }
+        if self.sched.is_some_and(|s| s.start() == round) {
+            self.stage = Stage::B;
+            self.b_act(ctx);
         }
     }
 
@@ -131,39 +126,21 @@ impl ElkinNode {
             // schedule.
             let k = k.clamp(1, 2 * n.next_power_of_two());
             let t0 = ctx.round() + h + 2;
-            self.a_adopt_params(Params { n, h, k, t0 });
-            self.a_pass_params(ctx, 0);
+            self.a_adopt(ctx, Params { n, h, k, t0 }, 0);
         }
     }
 
-    /// Takes the interval starting at `slot` (the BFS root owns `[0, n)`)
-    /// and passes the adopted parameters on, each BFS child's copy
+    /// Adopts the broadcast parameters and the Stage B schedule they
+    /// determine, takes the interval starting at `slot` (the BFS root owns
+    /// `[0, n)`) and passes the parameters on, each BFS child's copy
     /// carrying its sub-interval's start.
-    fn a_pass_params(&mut self, ctx: &mut RoundCtx<'_, Msg>, slot: u64) {
-        let Params { n, h, k, t0 } = self.params.expect("parameters adopted first");
+    fn a_adopt(&mut self, ctx: &mut RoundCtx<'_, Msg>, params: Params, slot: u64) {
+        self.sched = Some(Schedule::new(&params));
         self.slot = slot;
         self.child_ivs = intervals::assign_children(slot, &self.child_sizes);
+        let Params { n, h, k, t0 } = params;
         for (&p, &(start, _)) in self.bfs_children.iter().zip(&self.child_ivs) {
             ctx.send(p, Msg::Params { n, h, k, t0, slot: start });
         }
-    }
-
-    /// Adopts the broadcast parameters and the Stage B timeline they
-    /// determine: built into the run's shared cell if this vertex is the
-    /// first to adopt, otherwise checked against what it received.
-    ///
-    /// # Panics
-    ///
-    /// If the cell holds a timeline built from other parameters.
-    pub(crate) fn a_adopt_params(&mut self, params: Params) {
-        let cell = self.sched.get_or_insert_with(Arc::default);
-        let sched = cell.get_or_init(|| Schedule::new(&params));
-        assert!(
-            sched.built_from(&params),
-            "vertex {} adopted {params:?}, but the run's shared schedule was built from \
-             other parameters",
-            self.id
-        );
-        self.params = Some(params);
     }
 }

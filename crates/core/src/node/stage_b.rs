@@ -1,7 +1,10 @@
 //! Stage B: Controlled-GHS on the fixed round schedule (paper §4).
 //!
 //! Each phase `i` (participation radius `p = 2^i`) runs the windows laid out
-//! in [`Schedule`](crate::schedule::Schedule):
+//! in [`Schedule`](crate::schedule::Schedule). A vertex acts on its own only
+//! in the round a window opens; everything else answers a message. Each
+//! window covers its longest chain, so an action that needs a window's
+//! results runs when the next window opens:
 //!
 //! 1. **Announce** — a vertex first retires every live port whose
 //!    neighbor announced the id it announced itself: both ends held one
@@ -17,14 +20,16 @@
 //!    participates; see DESIGN.md).
 //! 3. **Connect** — participating roots walk to the MWOE, which the walk
 //!    crosses to register a *foreign child* on the other side. Mutual-MWOE
-//!    pairs resolve parenthood by higher fragment id (paper §4).
+//!    pairs resolve parenthood by higher fragment id (paper §4), when the
+//!    first exchange opens, before its `ColorDown`.
 //! 4. **Exchange × L** — Cole–Vishkin bit ladder on the fragment forest,
 //!    down to six colors: each exchange broadcasts the fragment color,
 //!    which crosses child MWOEs and climbs to the child's root as
 //!    `ColorUp`. Only participating roots start an exchange, so the first
 //!    `ColorDown` is also what tells the rest of the fragment that it
 //!    participates; no vertex but the root reads that before the Collect
-//!    windows, and the schedule runs at least one exchange.
+//!    windows, and the schedule runs at least one exchange. The root takes
+//!    each exchange's Cole–Vishkin step when the next window opens.
 //! 5. **Collect / Accept × 6** — maximal matching, one color class at a
 //!    time, classes 5 down to 0: roots of class-`c` unmatched fragments
 //!    pick their smallest unmatched foreign child and walk to it. In the
@@ -41,13 +46,11 @@
 //! Each walk is one [`Walk`] kind of [`ElkinNode::walk`], down the
 //! selections that the Probe or Collect convergecast's [`Argmin`] left.
 
-use std::sync::OnceLock;
-
 use congest_sim::{PortId, RoundCtx};
 
 use crate::cv;
 use crate::msg::{Msg, Walk};
-use crate::schedule::{Schedule, Slot, Window};
+use crate::schedule::Window;
 
 use super::{lane, Argmin, BScratch, ElkinNode, Sel, Stage};
 
@@ -124,38 +127,40 @@ impl ElkinNode {
 
     /// Runs the scheduled actions of this round, from the round Stage B
     /// begins (`t0`) until its schedule ends, where the vertex enters
-    /// Stage D (at once when `k = 1` leaves zero phases).
+    /// Stage D (at once when `k = 1` leaves zero phases). Within Stage B a
+    /// vertex acts on its own only in the round a window opens.
     pub(crate) fn b_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        // Moved out and back rather than cloned: no refcount traffic.
-        let cell = self.sched.take().expect("schedule adopted before stage B");
-        let sched = cell.get().expect("adoption fills the cell");
-        match sched.locate(ctx.round()) {
-            Some(slot) => self.b_dispatch(ctx, sched, slot),
-            None => {
-                self.stage = Stage::CD;
-                self.cd_enter();
-            }
+        let sched = self.sched.expect("parameters adopted before stage B");
+        let round = ctx.round();
+        if let Some((phase, window)) = sched.opening(round) {
+            self.b_open(ctx, sched.radius(phase), window);
+        } else if round >= sched.end() {
+            self.stage = Stage::CD;
+            self.cd_enter();
         }
-        self.sched = Some(cell);
     }
 
     /// Idle-skip hint for Stage B (the `NodeProgram::next_wake` contract):
-    /// the next round at which `b_act` does anything with an empty inbox.
-    /// `b_dispatch` only acts at window boundaries (`offset == 0` or
-    /// `slot.last`) and at the Stage D transition, so those are the only
-    /// rounds worth waking for; everything in between is message-driven
-    /// (`b_handle`).
+    /// the next round at which `b_act` does anything with an empty inbox,
+    /// which is the next window's opening or the Stage D transition;
+    /// everything in between is message-driven (`b_handle`).
     pub(crate) fn b_next_wake(&self, after: u64) -> Option<u64> {
-        self.sched.as_deref().and_then(OnceLock::get).map(|s| s.next_boundary(after))
+        self.sched.map(|s| s.next_opening(after))
     }
 
-    /// Executes one scheduled round: the window actions of `slot`.
-    fn b_dispatch(&mut self, ctx: &mut RoundCtx<'_, Msg>, sched: &Schedule, slot: Slot) {
-        let p = sched.radius(slot.phase);
-
-        match slot.window {
+    /// Opens `window` of a phase of radius `p`. A root that started an
+    /// exchange at the previous opening first takes that exchange's
+    /// Cole–Vishkin step: the parent color landed by the exchange's last
+    /// round.
+    fn b_open(&mut self, ctx: &mut RoundCtx<'_, Msg>, p: u64, window: Window) {
+        if std::mem::take(&mut self.b.cv_due) {
+            self.b.color = match self.b.parent_color.take() {
+                Some(pc) => cv::cv_step(self.b.color, pc),
+                None => cv::cv_step_root(self.b.color),
+            };
+        }
+        match window {
             Window::Announce => {
-                debug_assert!(slot.offset == 0);
                 self.b = BScratch {
                     foreign_child: vec![None; self.ports.deg()],
                     color: self.frag_id,
@@ -171,13 +176,12 @@ impl ElkinNode {
                 }
             }
             Window::Probe => {
-                if slot.offset == 0 && self.is_frag_root() {
+                if self.is_frag_root() {
                     self.b_probe(ctx, p as u32);
                 }
             }
             Window::Connect => {
-                if slot.offset == 0
-                    && self.is_frag_root()
+                if self.is_frag_root()
                     && self.b.probed
                     && self.b.probe_pending == 0
                     && !self.b.overflow
@@ -190,32 +194,27 @@ impl ElkinNode {
                         self.walk(ctx, Walk::Connect);
                     }
                 }
-                if slot.last {
-                    // Mutual-MWOE resolution: if the neighbor fragment on my
-                    // own out-edge has the higher id, it is my parent, not my
-                    // child.
-                    if let Some(q) = self.b.out_port {
-                        if self.b.foreign_child[q].is_some()
-                            && self.ports.nbr_frag(q) > self.frag_id
-                        {
-                            self.b.foreign_child[q] = None;
-                        }
-                    }
-                }
             }
-            Window::Exchange(_) => {
-                if slot.offset == 0 && self.b.participating && self.is_frag_root() {
-                    self.b_color_down(ctx, self.b.color);
+            Window::Exchange(x) => {
+                // Mutual-MWOE resolution, once every Connect walk has
+                // crossed and before my root's first `ColorDown` reads
+                // `foreign_child`: if the neighbor fragment on my own
+                // out-edge has the higher id, it is my parent, not my child.
+                let tie = self.b.out_port.filter(|&q| {
+                    x == 0
+                        && self.b.foreign_child[q].is_some()
+                        && self.ports.nbr_frag(q) > self.frag_id
+                });
+                if let Some(q) = tie {
+                    self.b.foreign_child[q] = None;
                 }
-                if slot.last && self.b.participating && self.is_frag_root() {
-                    self.b.color = match self.b.parent_color.take() {
-                        Some(pc) => cv::cv_step(self.b.color, pc),
-                        None => cv::cv_step_root(self.b.color),
-                    };
+                if self.b.participating && self.is_frag_root() {
+                    self.b_color_down(ctx, self.b.color);
+                    self.b.cv_due = true;
                 }
             }
             Window::MatchCollect(_) => {
-                if slot.offset == 0 && self.b.participating {
+                if self.b.participating {
                     self.b.unmatched = Argmin::default();
                     for (q, child) in self.b.foreign_child.iter().enumerate() {
                         if let Some((id, false)) = *child {
@@ -229,8 +228,7 @@ impl ElkinNode {
                 }
             }
             Window::MatchAccept(c) => {
-                if slot.offset == 0
-                    && self.b.participating
+                if self.b.participating
                     && self.is_frag_root()
                     && self.b.color == u64::from(c)
                     && self.b.partner.is_none()
@@ -243,8 +241,7 @@ impl ElkinNode {
                 }
             }
             Window::MergeGo => {
-                if slot.offset == 0
-                    && self.b.participating
+                if self.b.participating
                     && self.is_frag_root()
                     && self.b.partner.is_none()
                     && self.b.mwoe.sel != Sel::None
@@ -253,22 +250,20 @@ impl ElkinNode {
                 }
             }
             Window::MergeFlood => {
-                if slot.offset == 0 {
-                    // Higher-id root of the matched pair floods.
-                    let initiator = self.b.participating
-                        && self.is_frag_root()
-                        && self.b.partner.is_some_and(|pid| pid < self.frag_id);
-                    if initiator {
-                        self.b_flood_init(ctx);
-                    } else if !self.b.participating {
-                        // Big-fragment attachment points adopt the pendants
-                        // without re-flooding their own fragment.
-                        let id = self.frag_id;
-                        for q in std::mem::take(&mut self.b.merge_ports) {
-                            ctx.send(q, Msg::NewFrag { id });
-                            if !self.frag_children.contains(&q) {
-                                self.frag_children.push(q);
-                            }
+                // Higher-id root of the matched pair floods.
+                let initiator = self.b.participating
+                    && self.is_frag_root()
+                    && self.b.partner.is_some_and(|pid| pid < self.frag_id);
+                if initiator {
+                    self.b_flood_init(ctx);
+                } else if !self.b.participating {
+                    // Big-fragment attachment points adopt the pendants
+                    // without re-flooding their own fragment.
+                    let id = self.frag_id;
+                    for q in std::mem::take(&mut self.b.merge_ports) {
+                        ctx.send(q, Msg::NewFrag { id });
+                        if !self.frag_children.contains(&q) {
+                            self.frag_children.push(q);
                         }
                     }
                 }

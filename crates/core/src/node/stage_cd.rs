@@ -472,7 +472,7 @@ impl ElkinNode {
                 merge_fragment_graph(&coarse_ids, &mut filter)
             }
         };
-        let h = self.params.expect("Stage A agreed on the parameters").h;
+        let h = self.sched.expect("Stage A agreed on the parameters").params().h;
         let finish = orders_finish(self.d.phase + 1, outcome.remaining, h);
         if finish {
             root.finish = Some((self.d.phase + 1, outcome.remaining));

@@ -3,7 +3,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 use congest_sim::{Network, NodeProgram, PortId, RunConfig, RunStats, SimError, Topology};
 use dmst_graphs::{EdgeId, WeightedGraph};
@@ -99,8 +98,7 @@ pub struct ForestRun {
 }
 
 /// Builds the network of `ElkinNode`s for `g`; with `forest_only` every
-/// vertex stops after Stage B (see [`run_forest`]). Every vertex gets the
-/// same empty schedule cell, so the run builds one Stage B timeline.
+/// vertex stops after Stage B (see [`run_forest`]).
 fn network_for(
     g: &WeightedGraph,
     cfg: &ElkinConfig,
@@ -118,12 +116,7 @@ fn network_for(
     let topo = Topology::new(g.num_nodes(), g.edges())
         .map_err(|e| RunError::BadOutput(format!("graph/topology mismatch: {e}")))?;
     let cfg = *cfg;
-    let timeline = Arc::new(OnceLock::new());
-    Ok(Network::new(topo, move |info| ElkinNode {
-        forest_only,
-        sched: Some(Arc::clone(&timeline)),
-        ..ElkinNode::new(info, cfg)
-    }))
+    Ok(Network::new(topo, move |info| ElkinNode { forest_only, ..ElkinNode::new(info, cfg) }))
 }
 
 /// The `k` the BFS root settled on and the BFS height, read off a finished
@@ -246,7 +239,6 @@ pub fn run_forest(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<ForestRun, Run
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Params;
     use dmst_graphs::generators::{self as gen, random_connected, WeightRng};
     use dmst_graphs::mst;
     use proptest::prelude::*;
@@ -312,36 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn every_vertex_shares_one_timeline() {
-        let g = random_connected(64, 128, &mut WeightRng::new(3));
-        for cfg in [ElkinConfig::default(), ElkinConfig { shards: 2, ..ElkinConfig::with_k(16) }] {
-            let mut net = network_for(&g, &cfg, false).unwrap();
-            net.run(&sim_config(&g, &cfg)).unwrap();
-            let cells: Vec<_> = net.nodes().iter().map(|v| v.sched.as_ref().unwrap()).collect();
-            assert!(cells[0].get().is_some_and(|s| s.num_phases() > 0), "{cfg:?}");
-            assert!(cells.iter().all(|c| Arc::ptr_eq(c, cells[0])), "{cfg:?}");
-        }
-    }
-
-    #[test]
     fn zero_bandwidth_is_an_input_error() {
         let g = random_connected(8, 12, &mut WeightRng::new(2));
         let cfg = ElkinConfig { bandwidth: 0, ..ElkinConfig::default() };
         assert_eq!(run_mst(&g, &cfg).unwrap_err(), RunError::ZeroBandwidth);
         assert_eq!(run_forest(&g, &cfg).unwrap_err(), RunError::ZeroBandwidth);
-    }
-
-    #[test]
-    #[should_panic(expected = "shared schedule was built from other parameters")]
-    fn adopting_other_params_into_a_shared_cell_panics() {
-        let g = random_connected(4, 4, &mut WeightRng::new(1));
-        let cfg = ElkinConfig::default();
-        let net = network_for(&g, &cfg, false).unwrap();
-        let mut nodes = net.into_nodes();
-        let params = Params { n: 4, h: 2, k: 2, t0: 9 };
-        nodes[0].a_adopt_params(params);
-        // Same broadcast, same timeline: accepted.
-        nodes[1].a_adopt_params(params);
-        nodes[2].a_adopt_params(Params { t0: 10, ..params });
     }
 }

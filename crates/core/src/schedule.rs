@@ -18,8 +18,8 @@
 //! |---|---|---|
 //! | Announce | `1` | one local send; delivered at the next window's offset 0 |
 //! | Probe | `2p+1` | descend `p` (depth-`j` vertex hears at offset `j`), ascend `p`: root hears the last `MwoeUp` at offset `2p` |
-//! | Connect | `p+2` | the Connect walk descends `<= p` and crosses (+1): delivered at offset `<= p+1`, the window's last round, where the mutual-MWOE tie is resolved |
-//! | Exchange × L | `2p+2` | `ColorDown` descends `<= p`, `ColorUp` crosses (+1) and ascends `<= p`: root holds the parent color at offset `2p+1` and evaluates that round |
+//! | Connect | `p+2` | the Connect walk descends `<= p` and crosses (+1): delivered at offset `<= p+1`, the window's last round; the mutual-MWOE tie is resolved when `Exchange(0)` opens |
+//! | Exchange × L | `2p+2` | `ColorDown` descends `<= p`, `ColorUp` crosses (+1) and ascends `<= p`: root holds the parent color at offset `2p+1` and takes the step when the next window opens |
 //! | Collect (×6) | `p+1` | pure convergecast, ascend `<= p` |
 //! | Accept (×6) | `2p+2` | the Accept walk descends `<= p` and crosses (+1), `MatchedUp` ascends `<= p`; alongside, the Status walk descends `<= p` and crosses (+1), landing by offset `p+1` |
 //! | MergeGo | `p+2` | the Merge walk descends `<= p` and crosses (+1) |
@@ -32,20 +32,22 @@
 //!
 //! Every phase ends on its schedule: the merge flood sleeps out its
 //! worst-case window, so the whole Stage B timeline is a pure function of
-//! the broadcast parameters and [`Schedule::locate`] maps any absolute
-//! round to its slot at every vertex alike.
+//! the broadcast parameters and [`Schedule::opening`] names the window
+//! that opens in any absolute round at every vertex alike.
 //!
-//! # One table, one copy per run
+//! # One clock
 //!
-//! [`Schedule::new`] lays every phase's windows end to end into one table
-//! of `(start, length, phase, window)` rows. [`Schedule::locate`] and
-//! [`Schedule::next_boundary`], which every vertex calls at every Stage B
-//! step, are one binary search over it, and [`Schedule::phase_len`] is a
-//! view of it. Because the table depends only on what the BFS root
-//! broadcast, one copy serves a whole run: [`run_mst`](crate::run_mst)
-//! hands every vertex the same cell, the first vertex to adopt the
-//! broadcast [`Params`] builds the table into it, and every other vertex
-//! asserts that the table was built from the parameters it received.
+//! Each window covers its longest chain, so every message of a window has
+//! landed when the next window opens, and a round handles its mail before
+//! it acts. A vertex therefore acts on its own only in the round a window
+//! opens, and at [`Schedule::end`], where Stage D begins: an action that
+//! needs a window's results runs when the next window opens.
+//! [`Schedule::next_opening`] is the Stage B wake hint.
+//!
+//! Every phase has the same windows, each `a·p + b` rounds long, so a
+//! [`Schedule`] is a `Copy` value of the broadcast [`Params`] and two
+//! counts. It finds a round's window by arithmetic: a loop over at most
+//! `ceil(log2 k)` closed-form phase lengths, then the table's offsets.
 
 use crate::cv::steps_to_six;
 use crate::util::{ceil_log2, isqrt};
@@ -148,70 +150,32 @@ pub enum Window {
     MergeFlood,
 }
 
-/// Where a round falls inside the Stage B schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Slot {
-    /// Phase index `i` (participation radius `2^i`).
-    pub phase: u32,
-    /// The window within the phase.
-    pub window: Window,
-    /// Offset of this round within the window (0-based).
-    pub offset: u64,
-    /// Whether this is the window's final round (safe evaluation point).
-    pub last: bool,
-}
-
-/// One window of the flattened Stage B timeline: its absolute first round,
-/// its length, and where it sits in the phase structure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Span {
-    start: u64,
-    len: u64,
-    phase: u32,
-    window: Window,
-}
-
 /// The fully determined Stage B schedule, identical at every vertex: a
-/// pure function of the broadcast parameters.
-/// [`Schedule::new`] flattens every phase's windows into one table in
-/// round order, so [`Schedule::locate`] and [`Schedule::next_boundary`] are
-/// one binary search each.
-#[derive(Clone, Debug)]
+/// pure function of the broadcast parameters, which it holds together
+/// with its phase and exchange counts. [`Schedule::opening`] and
+/// [`Schedule::next_opening`] find a round's window by arithmetic.
+#[derive(Clone, Copy, Debug)]
 pub struct Schedule {
     params: Params,
     num_phases: u32,
     exchanges: u32,
-    /// Every window of every phase in round order; each phase holds the
-    /// same number of windows, so phase `i` is the `i`-th equal chunk.
-    table: Vec<Span>,
 }
 
 impl Schedule {
     /// Builds the schedule from the broadcast parameters.
     pub fn new(params: &Params) -> Self {
-        let num_phases = if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 };
-        let mut s = Self {
+        Self {
             params: *params,
-            num_phases,
+            num_phases: if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 },
             // At least one: the first `ColorDown` tells a fragment's
             // non-root vertices that it participates.
             exchanges: steps_to_six(params.n).max(1),
-            table: Vec::new(),
-        };
-        let mut start = params.t0;
-        for phase in 0..num_phases {
-            for (window, len) in s.layout(phase) {
-                s.table.push(Span { start, len, phase, window });
-                start += len;
-            }
         }
-        s
     }
 
-    /// Whether this is the schedule [`Schedule::new`] builds from exactly
-    /// these parameters.
-    pub(crate) fn built_from(&self, params: &Params) -> bool {
-        self.params == *params
+    /// The broadcast parameters this schedule is derived from.
+    pub fn params(&self) -> Params {
+        self.params
     }
 
     /// Number of Controlled-GHS phases (`ceil(log2 k)`).
@@ -229,9 +193,12 @@ impl Schedule {
         self.params.t0
     }
 
-    /// First round *after* Stage B (Stage D entry point).
+    /// First round *after* Stage B (Stage D entry point): the phase
+    /// lengths summed, `(2L+27)(2^P - 1) + (2L+29)P` rounds past `t0` for
+    /// `P` phases.
     pub fn end(&self) -> u64 {
-        self.table.last().map_or(self.params.t0, |s| s.start + s.len)
+        let (l, phases) = (u64::from(self.exchanges), self.num_phases);
+        self.params.t0 + (2 * l + 27) * (self.radius(phases) - 1) + (2 * l + 29) * u64::from(phases)
     }
 
     /// The participation radius `2^i` of phase `i`.
@@ -239,77 +206,82 @@ impl Schedule {
         1u64 << phase
     }
 
-    /// The window layout of one phase: `(window, length)` in order, the
-    /// module table's lengths. Only
-    /// [`Schedule::new`] (and a test) reads it; everything else reads the
-    /// table.
-    fn layout(&self, phase: u32) -> Vec<(Window, u64)> {
-        let p = self.radius(phase);
-        let mut v = Vec::with_capacity(5 + self.exchanges as usize + 12);
-        v.push((Window::Announce, 1));
-        v.push((Window::Probe, 2 * p + 1));
-        v.push((Window::Connect, p + 2));
-        for x in 0..self.exchanges {
-            v.push((Window::Exchange(x), 2 * p + 2));
-        }
-        for c in (0..6u8).rev() {
-            v.push((Window::MatchCollect(c), p + 1));
-            v.push((Window::MatchAccept(c), 2 * p + 2));
-        }
-        v.push((Window::MergeGo, p + 2));
-        v.push((Window::MergeFlood, 5 * p + 5));
-        v
-    }
-
-    /// The table rows of phase `i` (`i < num_phases`).
-    fn phase_spans(&self, phase: u32) -> &[Span] {
-        let per = self.table.len() / self.num_phases as usize;
-        &self.table[phase as usize * per..][..per]
-    }
-
-    /// Total length of phase `i` in rounds (`i < num_phases`): the sum of
-    /// its windows.
+    /// Total length of phase `i` in rounds: the module table's lengths
+    /// summed, `(2L+27)p + (2L+29)`.
     pub fn phase_len(&self, phase: u32) -> u64 {
-        self.phase_spans(phase).iter().map(|s| s.len).sum()
+        let l = u64::from(self.exchanges);
+        (2 * l + 27) * self.radius(phase) + 2 * l + 29
     }
 
-    /// The window containing `round`, which must lie in `[t0, end)`.
-    fn span_at(&self, round: u64) -> Span {
-        self.table[self.table.partition_point(|s| s.start <= round) - 1]
-    }
-
-    /// Locates an absolute round within the Stage B schedule. `None` before
-    /// `t0` or at/after [`Schedule::end`].
-    pub fn locate(&self, round: u64) -> Option<Slot> {
-        if round < self.params.t0 || round >= self.end() {
+    /// The window containing `round`, as its phase, the window, its first
+    /// round and the first round after it; `None` outside `[t0, end)`.
+    fn window_at(&self, round: u64) -> Option<(u32, Window, u64, u64)> {
+        let mut start = self.params.t0;
+        if round < start {
             return None;
         }
-        let s = self.span_at(round);
-        let offset = round - s.start;
-        Some(Slot { phase: s.phase, window: s.window, offset, last: offset + 1 == s.len })
+        for phase in 0..self.num_phases {
+            let (len, offset) = (self.phase_len(phase), round - start);
+            if offset < len {
+                let (window, first, width) = self.window_in_phase(self.radius(phase), offset);
+                return Some((phase, window, start + first, start + first + width));
+            }
+            start += len;
+        }
+        None
     }
 
-    /// The next round strictly after `round` that is a window's first or
-    /// final round, or [`Schedule::end`] (the Stage D transition) when no
-    /// window remains. These are exactly the rounds at which
-    /// [`crate::node::ElkinNode`] acts spontaneously — every window arms its
-    /// actions at offset 0 and/or its last round — so they are the Stage B
-    /// wake points of the executor's idle-skip contract. Before `t0` the
-    /// answer is `t0` itself; at or past the end (not a Stage B round) it
-    /// degenerates to `round + 1`.
-    pub fn next_boundary(&self, round: u64) -> u64 {
-        if round < self.params.t0 {
-            return self.params.t0;
-        }
-        if round >= self.end() {
-            return round + 1;
-        }
-        let s = self.span_at(round);
-        let last = s.start + s.len - 1;
-        if last > round {
-            last
+    /// The window at offset `o` of a phase of radius `p`, with its first
+    /// offset and its length, read off the module table: Announce at 0,
+    /// Probe at 1, Connect at `2p + 2`, the exchanges from `3p + 4`, then
+    /// the six Collect/Accept pairs, MergeGo and MergeFlood.
+    fn window_in_phase(&self, p: u64, o: u64) -> (Window, u64, u64) {
+        let exchanges = 3 * p + 4;
+        let pairs = exchanges + u64::from(self.exchanges) * (2 * p + 2);
+        let go = pairs + 6 * (3 * p + 3);
+        if o == 0 {
+            (Window::Announce, 0, 1)
+        } else if o < 2 * p + 2 {
+            (Window::Probe, 1, 2 * p + 1)
+        } else if o < exchanges {
+            (Window::Connect, 2 * p + 2, p + 2)
+        } else if o < pairs {
+            let x = (o - exchanges) / (2 * p + 2);
+            (Window::Exchange(x as u32), exchanges + x * (2 * p + 2), 2 * p + 2)
+        } else if o < go {
+            let j = (o - pairs) / (3 * p + 3);
+            let (first, class) = (pairs + j * (3 * p + 3), 5 - j as u8);
+            if o < first + p + 1 {
+                (Window::MatchCollect(class), first, p + 1)
+            } else {
+                (Window::MatchAccept(class), first + p + 1, 2 * p + 2)
+            }
+        } else if o < go + p + 2 {
+            (Window::MergeGo, go, p + 2)
         } else {
-            s.start + s.len
+            (Window::MergeFlood, go + p + 2, 5 * p + 5)
+        }
+    }
+
+    /// The window that opens in `round`, with its phase; `None` in every
+    /// other round, before `t0` and from [`Schedule::end`] on.
+    pub fn opening(&self, round: u64) -> Option<(u32, Window)> {
+        let (phase, window, first, _) = self.window_at(round)?;
+        (first == round).then_some((phase, window))
+    }
+
+    /// The next round strictly after `round` in which a window opens, or
+    /// [`Schedule::end`] (the Stage D transition) once no window remains.
+    /// These are the only rounds in which [`crate::node::ElkinNode`] acts
+    /// on its own in Stage B, so they are its Stage B wake points under
+    /// the executor's idle-skip contract. Before `t0` the answer is `t0`
+    /// itself; from the end on (not a Stage B round) it degenerates to
+    /// `round + 1`.
+    pub fn next_opening(&self, round: u64) -> u64 {
+        match self.window_at(round) {
+            Some((.., next)) => next,
+            None if round < self.params.t0 => self.params.t0,
+            None => round + 1,
         }
     }
 }
@@ -357,41 +329,44 @@ mod tests {
         assert_eq!(phases(9), 4);
     }
 
+    /// The module table as a walk: the windows of a phase of radius `p`
+    /// with `l` exchanges, and their lengths, in order. Each phase runs
+    /// the six color classes' Collect/Accept pairs from class 5 down to 0.
+    fn layout(p: u64, l: u32) -> Vec<(Window, u64)> {
+        let mut v =
+            vec![(Window::Announce, 1), (Window::Probe, 2 * p + 1), (Window::Connect, p + 2)];
+        v.extend((0..l).map(|x| (Window::Exchange(x), 2 * p + 2)));
+        for c in (0..6).rev() {
+            v.extend([(Window::MatchCollect(c), p + 1), (Window::MatchAccept(c), 2 * p + 2)]);
+        }
+        v.extend([(Window::MergeGo, p + 2), (Window::MergeFlood, 5 * p + 5)]);
+        v
+    }
+
     #[test]
-    fn table_matches_a_walk_of_the_layouts() {
-        // Every round of [t0 - 2, end + 10): the table's answers equal a
-        // linear walk of the per-phase layouts laid end to end from t0.
-        // Each phase runs its windows in the module table's order, the six
-        // color classes' Collect/Accept pairs from class 5 down to 0, and
-        // past Stage B every round is its own successor. `(n, L)`: below
-        // seven vertices the ladder has nothing to reduce, yet one exchange
-        // still runs, since its `ColorDown` carries participation.
+    fn openings_match_a_walk_of_the_layouts() {
+        // Every round of [t0 - 2, end + 10): `opening` and `next_opening`
+        // equal a linear walk of the per-phase layouts laid end to end from
+        // t0. A window opens in its first round only, every round of it
+        // points to the next window's first round, and past Stage B every
+        // round is its own successor. `(n, L)`: below seven vertices the
+        // ladder has nothing to reduce, yet one exchange still runs, since
+        // its `ColorDown` carries participation.
         let sizes = [(2, 1), (6, 1), (64, 3), (16384, 4)];
         for (k, (n, ladder)) in [1, 2, 3, 8, 64].into_iter().flat_map(|k| sizes.map(|s| (k, s))) {
             let s = Schedule::new(&params(n, k));
             let case = format!("k={k}/n={n}");
             assert_eq!(s.exchanges(), ladder, "{case}");
-            let mut order = vec![Window::Announce, Window::Probe, Window::Connect];
-            order.extend((0..s.exchanges()).map(Window::Exchange));
-            for c in (0..6).rev() {
-                order.extend([Window::MatchCollect(c), Window::MatchAccept(c)]);
-            }
-            order.extend([Window::MergeGo, Window::MergeFlood]);
-            let at = |r: u64| (s.locate(r), s.next_boundary(r));
+            let at = |r: u64| (s.opening(r), s.next_opening(r));
             for r in s.start() - 2..s.start() {
                 assert_eq!(at(r), (None, s.start()), "{case}: round {r}");
             }
             let mut start = s.start();
             for phase in 0..s.num_phases() {
-                let layout = s.layout(phase);
-                assert_eq!(layout.first(), Some(&(Window::Announce, 1)), "{case}");
-                assert!(layout.iter().map(|w| w.0).eq(order.iter().copied()), "{case}");
-                for (window, len) in layout {
-                    let last = start + len - 1;
-                    for r in start..=last {
-                        let slot = Slot { phase, window, offset: r - start, last: r == last };
-                        let next = if r < last { last } else { last + 1 };
-                        assert_eq!(at(r), (Some(slot), next), "{case}: round {r}");
+                for (window, len) in layout(s.radius(phase), ladder) {
+                    for r in start..start + len {
+                        let opening = (r == start).then_some((phase, window));
+                        assert_eq!(at(r), (opening, start + len), "{case}: round {r}");
                     }
                     start += len;
                 }
@@ -415,6 +390,8 @@ mod tests {
                 let p = s.radius(i);
                 let want = (2 * l + 27) * p + 2 * l + 29;
                 assert_eq!(s.phase_len(i), want, "n={n}: phase {i}");
+                let walked: u64 = layout(p, s.exchanges()).iter().map(|w| w.1).sum();
+                assert_eq!(walked, want, "n={n}: phase {i}");
             }
         }
     }

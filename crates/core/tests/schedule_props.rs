@@ -9,48 +9,41 @@ use dmst_core::{choose_k, choose_k_cost, Params, Schedule, Window};
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Every round in [t0, end) maps to exactly one slot; offsets advance
-    /// by one; windows only change after their final round; phases are
-    /// visited in order.
+    /// Walking `next_opening` from t0 visits every window once: `opening`
+    /// is `Some` exactly at the rounds the walk reaches, `17 + L` times per
+    /// phase (Announce, Probe, Connect, `L` exchanges, six Collect/Accept
+    /// pairs, MergeGo, MergeFlood), phases in order, and the walk ends at
+    /// `end`, where the phase lengths sum to the stage length.
     #[test]
-    fn locate_total_and_monotone(n in 2u64..100_000, k in 1u64..600, t0 in 0u64..10_000) {
+    fn openings_total_and_monotone(n in 2u64..100_000, k in 1u64..600, t0 in 0u64..10_000) {
         let s = Schedule::new(&Params { n, h: 5, k, t0 });
-        prop_assert!(s.locate(t0.wrapping_sub(1)).is_none() || t0 == 0);
-        prop_assert!(s.locate(s.end()).is_none());
-        if k <= 1 {
-            prop_assert_eq!(s.end(), t0);
-            return Ok(());
-        }
-        let mut prev: Option<dmst_core::Slot> = None;
-        // Sample the whole range when small, a strided subset when huge.
-        let len = s.end() - s.start();
-        let stride = (len / 5000).max(1);
+        prop_assert!(s.opening(t0.wrapping_sub(1)).is_none() || t0 == 0);
+        prop_assert!(s.opening(s.end()).is_none());
+        prop_assert_eq!(s.next_opening(s.end()), s.end() + 1);
+        let mut per_phase = vec![0u32; s.num_phases() as usize];
+        let mut last_phase = 0;
         let mut r = s.start();
         while r < s.end() {
-            let slot = s.locate(r).expect("round inside stage B");
-            if stride == 1 {
-                if let Some(p) = prev {
-                    if p.phase == slot.phase && p.window == slot.window {
-                        prop_assert_eq!(slot.offset, p.offset + 1);
-                    } else {
-                        prop_assert!(p.last);
-                        prop_assert_eq!(slot.offset, 0);
-                        prop_assert!(slot.phase >= p.phase);
-                    }
-                }
-                prev = Some(slot);
+            let (phase, _) = s.opening(r).expect("the walk stops at openings");
+            prop_assert!(phase >= last_phase, "phase {} after {}", phase, last_phase);
+            last_phase = phase;
+            per_phase[phase as usize] += 1;
+            let next = s.next_opening(r);
+            prop_assert!(next > r);
+            for q in r + 1..next {
+                prop_assert!(s.opening(q).is_none(), "round {} opens nothing", q);
             }
-            r += stride;
+            r = next;
         }
-        // Phase budgets sum to the stage length.
+        prop_assert_eq!(r, s.end());
+        prop_assert!(per_phase.iter().all(|&w| w == 17 + s.exchanges()), "{:?}", per_phase);
         let total: u64 = (0..s.num_phases()).map(|i| s.phase_len(i)).sum();
         prop_assert_eq!(total, s.end() - s.start());
     }
 
-    /// The phases tile `[t0, end)`: offset 0 of every phase is its single
-    /// Announce round, offset `phase_len - 1` closes its merge flood, and
-    /// offset `phase_len` is the next phase's Announce, or past Stage B
-    /// after the last phase.
+    /// The phases tile `[t0, end)`: each phase opens with its single
+    /// Announce round, its last round opens nothing and hands over to the
+    /// next phase's Announce, or past Stage B after the last phase.
     #[test]
     fn phase_boundaries(
         n in 2u64..10_000,
@@ -62,17 +55,12 @@ proptest! {
         let mut start = t0;
         for i in 0..s.num_phases() {
             let len = s.phase_len(i);
-            let first = s.locate(start).unwrap();
-            prop_assert_eq!((first.phase, first.window, first.offset), (i, Window::Announce, 0));
-            prop_assert!(first.last, "announce is a single round");
-            let last = s.locate(start + len - 1).unwrap();
-            prop_assert_eq!((last.phase, last.window), (i, Window::MergeFlood));
-            prop_assert!(last.last);
-            match s.locate(start + len) {
-                Some(over) => {
-                    let at = (over.phase, over.window, over.offset);
-                    prop_assert_eq!(at, (i + 1, Window::Announce, 0));
-                }
+            prop_assert_eq!(s.opening(start), Some((i, Window::Announce)));
+            prop_assert_eq!(s.next_opening(start), start + 1, "announce is a single round");
+            prop_assert_eq!(s.opening(start + len - 1), None);
+            prop_assert_eq!(s.next_opening(start + len - 1), start + len);
+            match s.opening(start + len) {
+                Some(over) => prop_assert_eq!(over, (i + 1, Window::Announce)),
                 None => prop_assert_eq!((i + 1, start + len), (s.num_phases(), s.end())),
             }
             start += len;

@@ -55,12 +55,17 @@ fn t1_trio_matches_every_round_stepping() {
     let lone = gen::random_connected(20, 40, &mut gen::WeightRng::new(8));
     inputs.push(("lone base fragment".to_string(), lone, ElkinConfig::with_k(1 << 20)));
     for (label, g, cfg) in &inputs {
+        // Equal stats need equal rounds, so the hinted run's round count
+        // caps the every-round run: a stall fails at once instead of
+        // stepping every node up to the default cap.
+        let hinted = run_mst(g, cfg).expect("hinted run");
+        let cap =
+            RunConfig { max_rounds: hinted.stats.rounds, ..RunConfig::congest_b(cfg.bandwidth) };
         let topo = Topology::new(g.num_nodes(), g.edges()).expect("valid topology");
         let mut net = Network::new(topo, |info| EveryRound::new(ElkinNode::new(info, *cfg)));
-        let stats = net.run(&RunConfig::congest_b(cfg.bandwidth)).expect("every-round run");
+        let stats = net.run(&cap).unwrap_or_else(|e| panic!("{label}: every-round run: {e}"));
         let edges = marked_mst_edges(g, &net, |n: &EveryRound<ElkinNode>| n.inner().mst_ports())
             .expect("symmetric marks");
-        let hinted = run_mst(g, cfg).expect("hinted run");
         assert_eq!(edges, hinted.edges, "{label}: MST diverged");
         assert_eq!(stats, hinted.stats, "{label}: stats diverged");
     }
